@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..graphs.operators import (
-    Aggregate,
-    Operator,
-    VariableSelectivityOp,
-    WindowJoin,
-)
+from ..graphs.operators import Aggregate, Operator, WindowJoin
 from ..graphs.query_graph import QueryGraph
 
 __all__ = ["operator_state_tuples", "graph_state_tuples", "MigrationCostModel"]
@@ -41,8 +36,6 @@ def operator_state_tuples(
     if isinstance(operator, Aggregate):
         s = operator.selectivities[0]
         return 1.0 / s if s > 0 else 0.0
-    if isinstance(operator, VariableSelectivityOp):
-        return 0.0
     return 0.0
 
 
