@@ -324,6 +324,34 @@ class TestEngineFaultInjection:
             base.operator_stats["b"].work_seconds
         )
 
+    @pytest.mark.parametrize("kind, factor", [
+        ("operator.slowdown", 3.0), ("node.degrade", 0.5),
+    ])
+    def test_overlapping_windows_compound(self, kind, factor):
+        """An inner window on the same target multiplies into the outer
+        one and, when it closes, leaves the outer one in force: nested
+        windows behave exactly like the flattened schedule
+        ``f`` on [1, 2), ``f * f`` on [2, 3), ``f`` on [3, 6)."""
+        def window(time, duration, window_factor):
+            target = {"node": 0} if kind == "node.degrade" else {
+                "operator": "a"
+            }
+            return FaultEvent(time=time, kind=kind, factor=window_factor,
+                              duration=duration, **target)
+
+        outer = self.run_plan(faults=FaultSchedule([window(1.0, 5.0, factor)]))
+        nested = self.run_plan(faults=FaultSchedule([
+            window(1.0, 5.0, factor), window(2.0, 1.0, factor),
+        ]))
+        flat = self.run_plan(faults=FaultSchedule([
+            window(1.0, 1.0, factor), window(2.0, 1.0, factor * factor),
+            window(3.0, 3.0, factor),
+        ]))
+        assert nested.operator_stats == flat.operator_stats
+        assert nested.node_busy.tolist() == flat.node_busy.tolist()
+        assert vars(nested.latency) == vars(flat.latency)
+        assert nested.latency.mean() > outer.latency.mean()
+
     def test_rate_spike_adds_arrivals(self):
         base = self.run_plan()
         spike = FaultSchedule([
