@@ -23,7 +23,6 @@ from repro.obs.timeline import (
     trace_summary,
     utilization_timeline,
 )
-from repro.simulator.engine import Simulator
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "configs"
 
@@ -123,21 +122,6 @@ class TestMigrationEvents:
 
 
 class TestDisabledPathUnchanged:
-    def test_untraced_run_matches_traced_run(self):
-        graph = monitoring_graph(2, seed=1)
-        deployment = Deployment.plan(graph, [1.0, 1.0])
-        plain = Simulator(deployment.placement).run(
-            rates=[50.0, 50.0], duration=4.0
-        )
-        sink = MemorySink()
-        traced = Simulator(deployment.placement, tracer=Tracer(sink)).run(
-            rates=[50.0, 50.0], duration=4.0
-        )
-        assert np.allclose(plain.node_busy, traced.node_busy)
-        assert plain.tuples_in == traced.tuples_in
-        assert plain.tuples_out == traced.tuples_out
-        assert len(sink.events) > 0
-
     def test_plan_with_tracing_emits_placement_steps(self):
         sink = MemorySink()
         obs = Observability(tracer=Tracer(sink))
