@@ -1,14 +1,17 @@
-"""The committed docs must match the schema registry.
+"""The committed docs must match the code.
 
 ``docs/observability.md`` carries generated event/metric catalog tables
 between ``BEGIN/END GENERATED`` markers; ``scripts/gen_event_catalog.py``
 rewrites them from ``repro.obs.schema``.  This pins the committed file
 to the registry so a schema change cannot land without regenerating the
-docs (CI runs the same check via ``--check``).
+docs (CI runs the same check via ``--check``).  The fault and
+simulator docs must name every fault kind the engine understands.
 """
 
 import importlib.util
 from pathlib import Path
+
+from repro.faults import FAULT_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +37,14 @@ class TestDocsCatalogInSync:
     def test_check_mode_passes_on_committed_docs(self):
         gen = _load_generator()
         assert gen.main(["--check"]) == 0
+
+
+class TestFaultDocsInSync:
+    def test_every_fault_kind_is_documented(self):
+        text = (ROOT / "docs" / "robustness.md").read_text()
+        assert [k for k in FAULT_KINDS if f"`{k}`" not in text] == []
+
+    def test_simulator_docs_point_at_the_failure_model(self):
+        text = (ROOT / "docs" / "simulator.md").read_text()
+        assert "No failure model" not in text
+        assert "robustness.md" in text
