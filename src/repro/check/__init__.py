@@ -13,16 +13,13 @@ CLI subcommand.
 **repro-lint** is an AST lint pass over the source tree enforcing
 repo invariants generic tools can't: seeded RNGs only, no float-literal
 ``==`` in load/rate math, no mutable default arguments, ``__all__`` in
-every public module.
-
-**repro.check.flow** (REPRO6xx) layers a CFG + def-use dataflow engine
-on top: set-iteration order reaching returns and scores, wall-clock
-reads in simulation paths, shared mutable state and shared RNGs in
-parallel workers, order-dependent float accumulation, and static
-conformance of ``Tracer.emit``/metric registrations against the obs
-schema registry.  Both lint packs share one ``noqa`` baseline
-(:mod:`repro.check.suppress`), with stale suppressions reported as
+every public module.  Its ``noqa`` baseline lives in
+:mod:`repro.check.suppress`; stale suppressions are reported as
 ``REPRO507`` and pruned by ``repro-lint --prune-baseline``.
+
+Determinism is proven at run time rather than statically:
+:mod:`repro.check.determinism` runs the same seeded placement and
+simulation under two ``PYTHONHASHSEED`` values and diffs the results.
 
 Quick use::
 
@@ -38,7 +35,6 @@ from .verify_plan import check_placement, check_plan_document
 from .verify_config import check_experiment_config
 from .artifacts import check_document, check_paths, classify_document
 from .lint import LINT_CODES, lint_paths, lint_source, prune_baseline_paths
-from .flow import FLOW_CODES, FunctionFlow, analyze_module, build_cfg
 from .suppress import NoqaMarker, find_markers
 
 __all__ = [
@@ -46,13 +42,9 @@ __all__ = [
     "CheckReport",
     "CheckRunner",
     "Diagnostic",
-    "FLOW_CODES",
-    "FunctionFlow",
     "LINT_CODES",
     "NoqaMarker",
     "Severity",
-    "analyze_module",
-    "build_cfg",
     "check_artifact",
     "check_document",
     "check_experiment_config",

@@ -135,20 +135,13 @@ def _collect_files(paths: Iterable[Path]) -> List[Path]:
     return files
 
 
-def check_paths(
-    paths: Iterable[object],
-    lint: bool = True,
-    flow: bool = False,
-    jobs: int = 1,
-) -> CheckReport:
+def check_paths(paths: Iterable[object], lint: bool = True) -> CheckReport:
     """Check every artifact under ``paths`` (files or directories).
 
     JSON artifacts are classified and verified; plans and experiment
     configs are cross-checked against graph documents discovered in the
     same batch, matched by graph name.  With ``lint=True`` every ``.py``
-    file also runs through ``repro-lint``; ``flow=True`` adds the
-    REPRO6xx dataflow rules, and ``jobs`` fans per-file analysis out
-    over worker processes.
+    file also runs through ``repro-lint``.
     """
     files = _collect_files(Path(str(p)) for p in paths)
     report = CheckReport()
@@ -156,7 +149,7 @@ def check_paths(
     if lint:
         py_files = [p for p in files if p.suffix == ".py"]
         if py_files:
-            report.merge(lint_paths(py_files, flow=flow, jobs=jobs))
+            report.merge(lint_paths(py_files))
 
     # First pass: parse JSON files, verify graphs, index models by name.
     models: Dict[str, LoadModel] = {}

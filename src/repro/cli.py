@@ -874,12 +874,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        report = check_paths(
-            args.paths,
-            lint=not args.no_lint,
-            flow=args.flow,
-            jobs=parallel.resolve_jobs(args.jobs),
-        )
+        report = check_paths(args.paths, lint=not args.no_lint)
     except Exception as exc:
         print(f"check: internal error: {exc}", file=sys.stderr)
         return 2
@@ -1237,20 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--no-lint", action="store_true",
         help="skip the repro-lint pass over .py files",
-    )
-    chk.add_argument(
-        "--flow", dest="flow", action="store_true", default=False,
-        help="run the REPRO6xx dataflow determinism/concurrency rules "
-             "over .py files (implies the lint pass)",
-    )
-    chk.add_argument(
-        "--no-flow", dest="flow", action="store_false",
-        help="skip the dataflow rules (the default for check)",
-    )
-    chk.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for per-file lint/flow analysis "
-             "(0 = all cores)",
     )
     chk.set_defaults(func=cmd_check)
 

@@ -78,10 +78,7 @@ class ConnectedPlacer(Placer):
             while True:
                 candidates = neighbors_on_node(on_node)
                 progressed = False
-                # Suppression justified: neighbors_on_node returns
-                # sorted(...), so this order is deterministic; the
-                # analyzer cannot see through the nested call.
-                for j in candidates:  # noqa: REPRO600
+                for j in candidates:
                     if node_load[node] + loads[j] <= targets[node]:
                         assignment[j] = node
                         node_load[node] += loads[j]

@@ -633,7 +633,7 @@ class TestTraceSpanFilters:
 class TestEngineSpanEmission:
     def test_validated_tracer_accepts_engine_spans(self):
         # Tracer(validate=True) raises on any schema violation, so a
-        # clean run is the runtime REPRO610 check for span events.
+        # clean run is the schema-conformance check for span events.
         placement = two_op_placement()
         _, events = traced_simulation(
             placement, rates=[30.0], duration=3.0
