@@ -1,9 +1,10 @@
 """Tests for the double-run determinism harness and its guarantees.
 
-Three layers: :func:`repro.check.determinism.compare_runs` unit tests on
-synthetic run directories, an actual two-subprocess PYTHONHASHSEED
-stability check on the simulator, and the jobs-invariance guarantee of
-the fault-tolerance experiment.
+Four layers: :func:`repro.check.determinism.compare_runs` unit tests on
+synthetic run directories, the harness's plan comparison with stubbed
+subprocesses, an actual two-subprocess PYTHONHASHSEED stability check
+on the simulator and the parallel placers, and the jobs-invariance
+guarantee of the fault-tolerance experiment.
 """
 
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.check import determinism
 from repro.check.determinism import (
     DEFAULT_HASH_SEEDS,
     compare_runs,
@@ -74,6 +76,30 @@ class TestCompareRuns:
         assert run_digest(a) == run_digest(a)
 
 
+class TestDoubleRun:
+    def test_plans_that_differ_by_hash_seed_are_reported(
+        self, tmp_path, monkeypatch
+    ):
+        # Stand-in for the CLI subprocesses: identical simulate runs,
+        # but a placer whose output depends on the hash seed.
+        def fake_run(cmd, hash_seed=None):
+            args = cmd[3:]  # drop "python -m repro"
+            if args[0] == "place":
+                Path(args[args.index("-o") + 1]).write_text(
+                    f"plan {hash_seed}\n"
+                )
+            elif args[0] == "simulate":
+                _write_run(
+                    Path(args[args.index("--record") + 1]),
+                    args[args.index("--run-id") + 1], EVENTS, RESULT,
+                )
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+
+        monkeypatch.setattr(determinism, "_run", fake_run)
+        outcome = determinism.double_run(str(tmp_path / "work"))
+        assert outcome["mismatches"] == ["plan.json differs"]
+
+
 _PROBE = """
 import sys
 from repro.core.rod import rod_place
@@ -81,6 +107,7 @@ from repro.experiments.common import make_model
 from repro.faults import chaos_schedule
 from repro.obs import MemorySink, Tracer
 from repro.obs.trace import trace_digest
+from repro.placement import AnnealingPlacer, HierarchicalPlacer
 from repro.simulator.engine import Simulator
 
 model = make_model(2, 6, seed=5)
@@ -94,6 +121,18 @@ result = Simulator(
 ).run(rates=[30.0, 30.0], duration=4.0)
 sys.stdout.write(trace_digest(sink.events))
 sys.stdout.write("|%d" % result.tuples_out)
+# Placers that fan work out to worker processes (on four nodes the
+# hierarchical placer refines two node groups in parallel), on a model
+# where both plans depend on the placer seed.
+placer_model = make_model(3, 8, seed=5)
+for placer in (
+    HierarchicalPlacer(group_size=2, refine_iterations=60, samples=128,
+                       seed=3, score_batch=2, jobs=2),
+    AnnealingPlacer(iterations=40, samples=128, seed=3, score_batch=2,
+                    jobs=2, start="random"),
+):
+    assignment = placer.place(placer_model, [1.0] * 4).assignment
+    sys.stdout.write("|" + ",".join(map(str, assignment)))
 """
 
 
@@ -117,9 +156,11 @@ class TestHashSeedStability:
             _probe_digest(seed) for seed in DEFAULT_HASH_SEEDS
         )
         assert first == second
-        digest, tuples_out = first.split("|")
+        digest, tuples_out, *assignments = first.split("|")
         assert len(digest) == 64
         assert int(tuples_out) > 0
+        assert len(assignments) == 2
+        assert all(len(a.split(",")) == 24 for a in assignments)
 
 
 class TestJobsInvariance:
