@@ -2,12 +2,12 @@
 """Regenerate the event/metric catalog tables in docs/observability.md.
 
 The tables are derived from the schema registry
-(:mod:`repro.obs.schema`), the single source of truth the flow rules
-REPRO610/REPRO611 already enforce on code.  This script closes the
-docs side of the loop: it splices ``event_catalog_markdown()`` /
-``metric_catalog_markdown()`` between BEGIN/END marker comments in the
-docs file, so a newly declared event type or metric family cannot ship
-undocumented.
+(:mod:`repro.obs.schema`), the single source of truth that
+``Tracer(validate=True)`` and ``validate_metric`` enforce on code at
+run time.  This script closes the docs side of the loop: it splices
+``event_catalog_markdown()`` / ``metric_catalog_markdown()`` between
+BEGIN/END marker comments in the docs file, so a newly declared event
+type or metric family cannot ship undocumented.
 
 Usage::
 

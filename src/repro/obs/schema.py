@@ -7,18 +7,15 @@ silently.  This module is the single declaration both sides import:
 
 * :data:`EVENT_SCHEMAS` — every trace-event type with its required and
   optional field names.  ``repro.obs.trace.EVENT_TYPES`` is derived
-  from it, and the static checker (``repro-rod check --flow``) verifies
-  every ``tracer.emit("type", ...)`` site in the source tree against it
-  (diagnostic ``REPRO610``).
+  from it.
 * :data:`METRIC_SCHEMAS` — every metric family name with its kind and
-  label names.  Registration sites (``registry.counter(...)`` etc.) are
-  checked statically too (``REPRO611``).
+  label names.
 
-Runtime twins of the static checks: :func:`validate_event` and
-:func:`validate_metric` raise ``ValueError`` on undeclared names or
-fields, and ``Tracer(sink, validate=True)`` validates every emission.
-Adding an event or metric therefore means declaring it here first —
-which is exactly the point.
+:func:`validate_event` and :func:`validate_metric` raise ``ValueError``
+on undeclared names or fields, and ``Tracer(sink, validate=True)``
+validates every emission.  ``tests/test_obs_schema.py`` runs every emit
+site and metric source through them, so adding an event or metric means
+declaring it here first — which is exactly the point.
 """
 
 from __future__ import annotations
@@ -303,8 +300,7 @@ def validate_event(type_: str, fields: Mapping[str, object]) -> None:
     """Raise ``ValueError`` unless the emission matches its schema.
 
     Unknown event types, missing required fields, and undeclared fields
-    (unless the schema allows extras) are all rejected — the runtime
-    twin of static rule ``REPRO610``.
+    (unless the schema allows extras) are all rejected.
     """
     schema = EVENT_SCHEMAS.get(type_)
     if schema is None:
@@ -330,10 +326,7 @@ def validate_event(type_: str, fields: Mapping[str, object]) -> None:
 def validate_metric(
     name: str, kind: str, labels: Sequence[str] = ()
 ) -> None:
-    """Raise ``ValueError`` unless the registration matches its schema.
-
-    The runtime twin of static rule ``REPRO611``.
-    """
+    """Raise ``ValueError`` unless the registration matches its schema."""
     schema = METRIC_SCHEMAS.get(name)
     if schema is None:
         raise ValueError(

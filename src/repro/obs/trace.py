@@ -50,9 +50,8 @@ __all__ = [
 
 #: Event types the built-in instrumentation emits, derived from the
 #: observability schema registry (:mod:`repro.obs.schema`) — one source
-#: of truth shared by the emitters, the analyzers, and the static
-#: conformance check (``REPRO610``).  ``Tracer.emit`` accepts any dotted
-#: name unless constructed with ``validate=True``.
+#: of truth shared by the emitters and the analyzers.  ``Tracer.emit``
+#: accepts any dotted name unless constructed with ``validate=True``.
 EVENT_TYPES = schema.event_types()
 
 _RESERVED_KEYS = frozenset({"type", "t", "wall"})

@@ -5,12 +5,15 @@ between ``BEGIN/END GENERATED`` markers; ``scripts/gen_event_catalog.py``
 rewrites them from ``repro.obs.schema``.  This pins the committed file
 to the registry so a schema change cannot land without regenerating the
 docs (CI runs the same check via ``--check``).  The fault and
-simulator docs must name every fault kind the engine understands.
+simulator docs must name every fault kind the engine understands, and
+the static-analysis code table must list every lint rule.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
+from repro.check.lint import LINT_CODES
 from repro.faults import FAULT_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +51,14 @@ class TestFaultDocsInSync:
         text = (ROOT / "docs" / "simulator.md").read_text()
         assert "No failure model" not in text
         assert "robustness.md" in text
+
+
+class TestLintDocsInSync:
+    def test_code_table_matches_the_lint_registry(self):
+        text = (ROOT / "docs" / "static_analysis.md").read_text()
+        rows = dict(re.findall(r"^\| (REPRO5\d\d) \| (\w+) \|", text, re.M))
+        # REPRO500 reports a file that cannot be parsed; no rule emits it.
+        assert rows.pop("REPRO500") == "error"
+        assert rows == {
+            code: str(severity) for code, (severity, _) in LINT_CODES.items()
+        }
