@@ -2,13 +2,13 @@
 
 :mod:`repro.obs.analyze` can say *that* end-to-end latency rose;
 this module says *where it went*.  It rebuilds the per-batch causal
-forest a traced run emitted (:mod:`repro.obs.spans`) and charges every
-second of every sink tuple's end-to-end latency to an
-``(operator, phase)`` pair:
+forest from a traced run's ``batch.enqueued``/``batch.serviced`` pairs
+(:mod:`repro.obs.spans`) and charges every second of every sink tuple's
+end-to-end latency to an ``(operator, phase)`` pair:
 
 ``service``
-    Time the batch spent being processed on its node
-    (``close.t - close.start``).
+    Time the batch spent being processed on its node (the serviced
+    event's ``t - start``).
 ``migration-pause``
     The part of the batch's queue wait that overlapped a migration
     stall being served on its node (``node.stall`` events carry their
@@ -20,16 +20,16 @@ second of every sink tuple's end-to-end latency to an
 ``enqueue-wait``
     The remainder of the wait — plain queueing behind other work.
 
-Per batch, the four phases sum to exactly ``close.t - open.t``, and
-chained over a sink tuple's lineage those windows telescope to the
+Per batch, the four phases sum to exactly ``serviced.t - enqueued.t``,
+and chained over a sink tuple's lineage those windows telescope to the
 end-to-end latency the engine measured — so the weighted phase totals
 account for (essentially all of) the latency mass, and the analyzer
 reports the ``attributed_ratio`` so tooling can gate on it.
 
 Like :mod:`repro.obs.analyze`, the reconciliation with the in-process
-result is **exact**, not approximate: sink ``span.close`` events carry
-the identical latency float the engine recorded, consumed in the same
-order, so the rebuilt :class:`~repro.simulator.metrics.LatencyStats`
+result is **exact**, not approximate: sink ``batch.serviced`` events
+carry the identical latency float the engine recorded, consumed in the
+same order, so the rebuilt :class:`~repro.simulator.metrics.LatencyStats`
 matches ``SimulationResult.latency`` bit for bit
 (``tests/test_spans.py``).
 """
@@ -101,11 +101,11 @@ class CriticalPathAnalysis:
 
     #: Rebuilt end-to-end stats — bit-identical to the engine's.
     latency: LatencyStats
-    #: Sink tuples produced (== sum of sink close ``out`` counts).
+    #: Sink tuples produced (== sum of sink service ``out`` counts).
     tuples_out: int = 0
     #: (operator, phase) -> tuple-weighted seconds.
     attributed: Dict[Tuple[str, str], float] = field(default_factory=dict)
-    #: Total latency mass: sum of (latency * out) over sink closes.
+    #: Total latency mass: sum of (latency * out) over sink services.
     total_latency_seconds: float = 0.0
     spans_total: int = 0
     spans_closed: int = 0
@@ -245,9 +245,10 @@ def analyze_critical_path(
     """Attribute end-to-end latency to operators and phases.
 
     Sink-tuple weights propagate rootward over the span forest: a sink
-    close weighs its ``out`` count, every other span weighs the sum of
+    span weighs its ``out`` count, every other span weighs the sum of
     its children.  Because span ids are allocated in creation order
-    (``parent < span`` always), a single descending-id pass suffices.
+    (``parent < span`` always), a single descending-id pass suffices;
+    phase seconds then accumulate in ascending id order.
     """
     spans = spans_from_trace(events)
     problems = validate_span_dag(spans)
@@ -261,12 +262,12 @@ def analyze_critical_path(
     }
 
     # Rebuild the engine's LatencyStats: identical floats, identical
-    # order (sink closes appear in the trace in completion order).
+    # order (sink services appear in the trace in completion order).
     latency = LatencyStats()
     tuples_out = 0
     total_mass = 0.0
     for event in events:
-        if event.type != "span.close":
+        if event.type != "batch.serviced":
             continue
         f = event.fields
         if f.get("sink") is None:

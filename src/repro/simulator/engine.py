@@ -36,10 +36,12 @@ every node hosting the group.
 
 The engine is instrumented for :mod:`repro.obs`: pass a ``tracer`` to
 stream typed events (``sim.start``/``sim.end``, batch enqueue/service,
-node busy/idle transitions, migration decisions, causal span lineage
-``span.open``/``span.close`` linking every batch to the source
-injection it descends from — see :mod:`repro.obs.spans`) and a
-``metrics`` registry to collect run counters and latency quantiles.
+node busy/idle transitions, migration decisions) and a ``metrics``
+registry to collect run counters and latency quantiles.  Each traced
+batch gets a causal span id at creation: ``batch.enqueued`` opens the
+span (naming the ``parent`` span whose completion produced a derived
+batch) and ``batch.serviced`` closes it, so the pair links every batch
+to the source injection it descends from — see :mod:`repro.obs.spans`.
 Both default to disabled, and every hot-path emit is guarded on
 ``tracer.enabled``, so an uninstrumented run allocates no event
 objects at all.
@@ -67,7 +69,6 @@ from ..graphs.operators import Filter
 from ..obs.decisions import DecisionRecord, DecisionTelemetry
 from ..obs.drift import DriftDetection, DriftMonitor, record_drift_metrics
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanEmitter
 from ..obs.trace import NULL_TRACER, Tracer
 from ..workload.arrivals import ArrivalProcess
 from .metrics import LatencyStats, OperatorStats, SimulationResult
@@ -240,10 +241,12 @@ class Simulator:
         # ever allocated.
         tracer = self.tracer
         tracing = tracer.enabled
-        # Span ids link every batch to its causal parent; allocation and
-        # emission happen only under the `tracing` guard, so a disabled
-        # run leaves every batch at span=-1 and never calls the emitter.
-        spans = SpanEmitter(tracer)
+        # Span ids link every batch to its causal parent.  They are
+        # allocated at batch creation, only while tracing, so a disabled
+        # run leaves every batch at span=-1; a derived batch's parent id
+        # waits in ``parents`` until its enqueue event carries it.
+        span_ids = itertools.count()
+        parents: Dict[int, int] = {}
         # A controller-attached SloWatcher is fed every sink latency
         # sample regardless of tracing (labelling decisions as
         # SLO-triggered must not change what the controller does).
@@ -373,6 +376,7 @@ class Simulator:
             node = assignment[batch.operator]
             queues[node].push(batch)
             if tracing:
+                parent = parents.pop(batch.span, None)
                 tracer.emit(
                     "batch.enqueued",
                     t=batch.arrival,
@@ -380,6 +384,9 @@ class Simulator:
                     operator=batch.operator,
                     port=batch.port,
                     count=batch.count,
+                    span=batch.span,
+                    birth=batch.birth,
+                    **({} if parent is None else {"parent": parent}),
                 )
             if not busy[node] and not failed[node]:
                 if tracing:
@@ -596,18 +603,12 @@ class Simulator:
             for start, count in process.steps():
                 tuples_in += count
                 for consumer, port in routes:
-                    span = -1
-                    if tracing:
-                        span = spans.open_span(
-                            start, operator=consumer, port=port,
-                            count=count, birth=start,
-                        )
                     push_event(
                         start,
                         _ARRIVAL,
                         _Batch(birth=start, arrival=start,
                                operator=consumer, port=port, count=count,
-                               span=span),
+                               span=next(span_ids) if tracing else -1),
                     )
 
         def set_window(fault: FaultEvent, opening: bool) -> None:
@@ -726,17 +727,13 @@ class Simulator:
                         ),
                     )
                 else:
-                    # Sink closes carry the identical latency float the
+                    # Sink services carry the identical latency float the
                     # engine records below, so trace analyzers reconcile
                     # with SimulationResult bit-for-bit.
-                    sink_latency_s: Optional[float] = (
-                        None if sink_stream is None
-                        else time - batch.birth
-                    )
                     extra = (
                         {} if sink_stream is None
                         else {"sink": sink_stream,
-                              "latency": sink_latency_s}
+                              "latency": time - batch.birth}
                     )
                     tracer.emit(
                         "batch.serviced",
@@ -747,28 +744,17 @@ class Simulator:
                         count=batch.count,
                         out=completion.out_count,
                         work=completion.work,
-                        **extra,
-                    )
-                    spans.close_span(
-                        batch.span,
-                        time,
-                        node=node,
+                        span=batch.span,
                         start=completion.start,
-                        work=completion.work,
-                        out=completion.out_count,
-                        sink=sink_stream,
-                        latency=sink_latency_s,
+                        **extra,
                     )
             if batch is not None and completion.out_count > 0:
                 if completion.deliveries:
                     for consumer, port, recv in completion.deliveries:
                         span = -1
                         if tracing:
-                            span = spans.open_span(
-                                time, operator=consumer, port=port,
-                                count=completion.out_count,
-                                birth=batch.birth, parent=batch.span,
-                            )
+                            span = next(span_ids)
+                            parents[span] = batch.span
                         push_event(
                             time,
                             _ARRIVAL,

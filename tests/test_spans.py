@@ -3,8 +3,9 @@
 Covers this PR's acceptance criteria end to end:
 
 * the per-batch latency distribution rebuilt by
-  :func:`repro.obs.critical_path.analyze_critical_path` from span
-  events is **bit-for-bit identical** to ``SimulationResult.latency``
+  :func:`repro.obs.critical_path.analyze_critical_path` from the span
+  fields of ``batch.enqueued``/``batch.serviced`` events is
+  **bit-for-bit identical** to ``SimulationResult.latency``
   — same sample values, same weights, same order — including under
   chaos fault schedules with crash/recover cycles and failover;
 * attribution covers at least 99.9% of mean end-to-end latency (it is
@@ -47,7 +48,6 @@ from repro.obs.slo import (
     render_slo_report,
 )
 from repro.obs.spans import (
-    SpanEmitter,
     spans_from_trace,
     span_lineage,
     validate_span_dag,
@@ -85,56 +85,71 @@ def two_op_placement(num_nodes=2, cost=0.004):
     return placement_from_mapping(model, [1.0] * num_nodes, mapping)
 
 
+@pytest.fixture(scope="module")
+def chaos_run():
+    """A traced chaos-schedule run with failover: (result, events)."""
+    placement = Deployment.plan(
+        monitoring_graph(3, seed=7), [1.0, 1.0, 1.0]
+    ).placement
+    faults = chaos_schedule(
+        placement.num_nodes,
+        horizon=15.0,
+        seed=7,
+        operator_names=placement.model.graph.operator_names,
+    )
+    return traced_simulation(
+        placement,
+        rates=[60.0, 60.0, 60.0],
+        duration=15.0,
+        faults=faults,
+        controller=FailoverController(samples=64),
+    )
+
+
 # --------------------------------------------------------------------------
-# Span emitter and forest reconstruction units
+# Span forest reconstruction units
 # --------------------------------------------------------------------------
 
 
 class TestSpanEmitter:
-    def test_open_close_round_trip_validated(self):
-        sink = MemorySink()
-        emitter = SpanEmitter(Tracer(sink, validate=True))
-        root = emitter.open_span(
-            0.0, operator="src", port=0, count=4, birth=0.0
-        )
-        child = emitter.open_span(
-            0.1, operator="agg", port=0, count=4, birth=0.0, parent=root
-        )
-        emitter.close_span(
-            root, 0.1, node=0, start=0.05, work=0.01, out=4
-        )
-        emitter.close_span(
-            child, 0.3, node=1, start=0.2, work=0.02, out=4,
-            sink="agg", latency=0.3,
-        )
-        spans = spans_from_trace(sink.events)
-        assert sorted(spans) == [root, child]
-        assert spans[child].parent == root
-        assert spans[child].is_sink and not spans[root].is_sink
-        assert spans[child].latency == pytest.approx(0.3)
-        assert spans[root].wait_seconds == pytest.approx(0.05)
-        assert spans[root].service_seconds == pytest.approx(0.05)
-        assert validate_span_dag(spans) == []
+    """Span forest units: ``batch.enqueued`` opens, ``batch.serviced``
+    closes."""
 
-    def test_ids_are_a_monotonic_counter(self):
-        emitter = SpanEmitter(Tracer(MemorySink()))
-        ids = [
-            emitter.open_span(0.0, operator="x", port=0, count=1, birth=0.0)
-            for _ in range(5)
+    def test_ids_are_a_monotonic_counter(self, chaos_run):
+        _, events = chaos_run
+        opened = [
+            e.fields["span"] for e in events if e.type == "batch.enqueued"
         ]
-        assert ids == list(range(5))
+        assert sorted(opened) == list(range(len(opened)))
+        seen = set()
+        derived = 0
+        for event in events:
+            span = event.fields.get("span")
+            if event.type == "batch.enqueued":
+                parent = event.fields.get("parent")
+                if parent is not None:
+                    assert parent < span
+                    derived += 1
+                seen.add(span)
+            elif event.type == "batch.serviced":
+                assert span in seen
+        assert derived > 0
 
     def _open(self, span, parent=None, t=0.0, **over):
-        fields = dict(span=span, operator="op", port=0, count=1, birth=0.0)
+        fields = dict(node=0, operator="op", port=0, count=1, span=span,
+                      birth=0.0)
         if parent is not None:
             fields["parent"] = parent
         fields.update(over)
-        return TraceEvent(type="span.open", t=t, wall=1.0, fields=fields)
+        return TraceEvent(type="batch.enqueued", t=t, wall=1.0,
+                          fields=fields)
 
     def _close(self, span, t=1.0, **over):
-        fields = dict(span=span, node=0, start=0.5, work=0.1, out=1)
+        fields = dict(node=0, operator="op", port=0, count=1, out=1,
+                      work=0.1, span=span, start=0.5)
         fields.update(over)
-        return TraceEvent(type="span.close", t=t, wall=1.0, fields=fields)
+        return TraceEvent(type="batch.serviced", t=t, wall=1.0,
+                          fields=fields)
 
     def test_duplicate_open_rejected(self):
         with pytest.raises(ValueError, match="span 0 opened twice"):
@@ -204,25 +219,6 @@ class TestCriticalPathReconciliation:
         ).placement
         return traced_simulation(
             placement, rates=[80.0, 80.0, 80.0], duration=8.0
-        )
-
-    @pytest.fixture(scope="class")
-    def chaos_run(self):
-        placement = Deployment.plan(
-            monitoring_graph(3, seed=7), [1.0, 1.0, 1.0]
-        ).placement
-        faults = chaos_schedule(
-            placement.num_nodes,
-            horizon=15.0,
-            seed=7,
-            operator_names=placement.model.graph.operator_names,
-        )
-        return traced_simulation(
-            placement,
-            rates=[60.0, 60.0, 60.0],
-            duration=15.0,
-            faults=faults,
-            controller=FailoverController(samples=64),
         )
 
     def test_plain_run_is_bit_for_bit(self, plain_run):
@@ -591,22 +587,24 @@ class TestDiffDirections:
 class TestTraceSpanFilters:
     def _span_events(self):
         def open_(span, parent=None, operator="op"):
-            fields = dict(span=span, operator=operator, port=0, count=1,
-                          birth=0.0)
+            fields = dict(node=0, operator=operator, port=0, count=1,
+                          span=span, birth=0.0)
             if parent is not None:
                 fields["parent"] = parent
-            return TraceEvent("span.open", t=0.0, wall=1.0, fields=fields)
+            return TraceEvent("batch.enqueued", t=0.0, wall=1.0,
+                              fields=fields)
 
-        def close_(span):
+        def close_(span, operator):
             return TraceEvent(
-                "span.close", t=1.0, wall=1.0,
-                fields=dict(span=span, node=0, start=0.5, work=0.1, out=1),
+                "batch.serviced", t=1.0, wall=1.0,
+                fields=dict(node=0, operator=operator, port=0, count=1,
+                            out=1, work=0.1, span=span, start=0.5),
             )
 
         return [
             open_(0, operator="src"),
             open_(1, parent=0, operator="agg"),
-            close_(0), close_(1),
+            close_(0, "src"), close_(1, "agg"),
             TraceEvent("sim.end", t=2.0, wall=1.0, fields={}),
         ]
 
@@ -616,13 +614,14 @@ class TestTraceSpanFilters:
         assert len(kept) == 2
 
     def test_operator_filter(self):
+        # Both events of the batch name its operator.
         kept = filter_events(self._span_events(), operators=["src"])
-        assert len(kept) == 1
-        assert kept[0].fields["operator"] == "src"
+        assert len(kept) == 2
+        assert all(e.fields["operator"] == "src" for e in kept)
 
     def test_filters_drop_field_free_events(self):
         kept = filter_events(self._span_events(), spans=[0, 1])
-        assert all(e.type.startswith("span.") for e in kept)
+        assert all(e.type.startswith("batch.") for e in kept)
 
 
 # --------------------------------------------------------------------------
@@ -638,8 +637,8 @@ class TestEngineSpanEmission:
         _, events = traced_simulation(
             placement, rates=[30.0], duration=3.0
         )
-        opens = [e for e in events if e.type == "span.open"]
-        closes = [e for e in events if e.type == "span.close"]
+        opens = [e for e in events if e.type == "batch.enqueued"]
+        closes = [e for e in events if e.type == "batch.serviced"]
         assert opens and closes
         assert len(closes) <= len(opens)
         for event in opens:
@@ -658,7 +657,8 @@ class TestEngineSpanEmission:
         )
         sink_latencies = [
             e.fields["latency"] for e in events
-            if e.type == "span.close" and e.fields.get("sink") is not None
+            if e.type == "batch.serviced"
+            and e.fields.get("sink") is not None
         ]
         assert sink_latencies
         assert all(math.isfinite(v) for v in sink_latencies)
