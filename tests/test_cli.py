@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -708,6 +709,72 @@ class TestWhyAndRunsJsonCli:
         # Controller-less constant-rate run: zero-valued but present.
         assert plain["decisions"]["evaluated"] == 0
         assert plain["drift"]["detected"] == 0
+
+
+#: A run recorded before spans rode on the batch events: the batch
+#: pair carries no span ids, and separate span.open/span.close events
+#: (which nothing reads any more) carry the lineage.
+OLD_FORMAT_TRACE = [
+    {"type": "sim.start", "t": 0.0, "nodes": 1, "operators": 2,
+     "step_seconds": 0.1, "horizon": 1.0, "capacities": [1.0],
+     "scheduling": "fifo", "arrival_kind": "deterministic"},
+    {"type": "span.open", "t": 0.0, "span": 0, "operator": "a", "port": 0,
+     "count": 4, "birth": 0.0},
+    {"type": "batch.enqueued", "t": 0.0, "node": 0, "operator": "a",
+     "port": 0, "count": 4},
+    {"type": "node.busy", "t": 0.0, "node": 0},
+    {"type": "batch.serviced", "t": 0.01, "node": 0, "operator": "a",
+     "port": 0, "count": 4, "out": 4, "work": 0.01},
+    {"type": "span.close", "t": 0.01, "span": 0, "node": 0, "start": 0.0,
+     "work": 0.01, "out": 4},
+    {"type": "span.open", "t": 0.01, "span": 1, "operator": "b", "port": 0,
+     "count": 4, "birth": 0.0, "parent": 0},
+    {"type": "batch.enqueued", "t": 0.01, "node": 0, "operator": "b",
+     "port": 0, "count": 4},
+    {"type": "batch.serviced", "t": 0.03, "node": 0, "operator": "b",
+     "port": 0, "count": 4, "out": 4, "work": 0.02, "sink": "b",
+     "latency": 0.03},
+    {"type": "span.close", "t": 0.03, "span": 1, "node": 0, "start": 0.01,
+     "work": 0.02, "out": 4, "sink": "b", "latency": 0.03},
+    {"type": "node.idle", "t": 0.03, "node": 0},
+    {"type": "sim.end", "t": 1.0, "node_busy": [0.03], "tuples_in": 4,
+     "tuples_out": 4, "max_utilization": 0.03, "migrations": 0},
+]
+
+
+class TestOldFormatRun:
+    """An old run reads as span-less instead of crashing the readers."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        run_dir = tmp_path / "runs" / "old"
+        run_dir.mkdir(parents=True)
+        (run_dir / "manifest.json").write_text(
+            json.dumps({"run_id": "old", "kind": "simulate"})
+        )
+        (run_dir / "trace.jsonl").write_text("".join(
+            json.dumps(dict(event, wall=1.0)) + "\n"
+            for event in OLD_FORMAT_TRACE
+        ))
+        return str(tmp_path / "runs")
+
+    def test_explain_asks_for_a_re_recording(self, root, capsys):
+        assert main(["explain", "old", "--root", root]) == 1
+        out = capsys.readouterr().out
+        assert "trace carries no span events" in out
+        assert "re-record it" in out
+
+    def test_report_renders_without_the_critical_path(self, root, capsys):
+        assert main(["report", "old", "--root", root]) == 0
+        capsys.readouterr()
+        html = open(os.path.join(root, "old", "report.html")).read()
+        assert "Utilization heatmap" in html
+        assert "Latency critical path" not in html
+
+    def test_trace_span_view_finds_no_spans(self, root, capsys):
+        path = os.path.join(root, "old", "trace.jsonl")
+        assert main(["trace", path, "--span", "0"]) == 1
+        assert "trace carries no span events" in capsys.readouterr().out
 
 
 class TestTraceSpanLineage:
