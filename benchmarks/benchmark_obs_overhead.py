@@ -3,10 +3,10 @@
 The observability layer promises that a simulator run with tracing
 *disabled* (the default ``NULL_TRACER``) costs the same as one with no
 tracer wired at all — the hot loop only pays one hoisted boolean check.
-That includes causal span tracing: span ids are allocated and
-``span.open``/``span.close`` events emitted only behind the same hoisted
-guard.  This script times both configurations and fails if the relative
-difference exceeds ``--tolerance`` (CI runs it at 5%).
+That includes causal span tracing: span ids are allocated, and the
+span fields added to ``batch.enqueued``/``batch.serviced``, only behind
+the same hoisted guard.  This script times both configurations and fails
+if the relative difference exceeds ``--tolerance`` (CI runs it at 5%).
 
 A third, informational case times tracing *enabled* against a
 discard-everything sink — the marginal cost of constructing every event
