@@ -15,6 +15,11 @@ the ``analyze`` overview (minus the ``span.*`` rows of its event
 counts).  A change to the trace *format* may re-pin the trace digest,
 but must leave every reader's answer as it was.
 
+A fourth pins the JSONL wire format: each traced run written through
+``JsonlSink`` with the wall clock frozen at 0.0 must produce the same
+file bytes, and ``read_trace`` on that file must give back the trace
+digest and the reader digest above.
+
 The neutrality matrix runs every controller, with and without chaos
 faults, traced and through a disabled tracer, and requires the whole
 result to equal the untraced run's exactly.
@@ -24,6 +29,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -38,7 +44,8 @@ from repro.dynamics import (
 from repro.experiments.elasticity import hot_pipeline
 from repro.faults import chaos_schedule
 from repro.graphs.generator import monitoring_graph
-from repro.obs import MemorySink, Tracer, trace_digest
+from repro.obs import JsonlSink, MemorySink, Tracer, read_trace, trace_digest
+from repro.obs import trace as trace_module
 from repro.obs.analyze import analyze_trace
 from repro.obs.critical_path import analyze_critical_path
 from repro.obs.decisions import decision_snapshot, why_json_obj
@@ -242,8 +249,7 @@ GOLDEN = {
 }
 
 
-def reader_digest(name):
-    events = run_scenario(name)[3]
+def reader_digest(events):
     text = json.dumps(
         plain(reader_outputs(events)), sort_keys=True, separators=(",", ":")
     )
@@ -285,7 +291,46 @@ def test_golden_digest(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_reader_golden(name):
-    assert reader_digest(name) == READER_GOLDEN[name]
+    assert reader_digest(run_scenario(name)[3]) == READER_GOLDEN[name]
+
+
+#: scenario -> SHA-256 of the JSONL file its traced run writes with the
+#: wall clock frozen at 0.0.
+WIRE_GOLDEN = {
+    "none": (
+        "2cb4ba00d262c62ea38ccecdd5e6c55835982bbf7410d9516f02b762a18a8b5d"
+    ),
+    "balance": (
+        "eb1888fd7e82137c1f82cdc919bd1a81d1516927986e186145c8395a2f3c97bd"
+    ),
+    "balance-slo": (
+        "faccf7a5780e94ca3b22ae85c173a369e957d0cfd16634f88b5445dc6b986e5b"
+    ),
+    "failover-chaos": (
+        "436b1e29b35f758e5f81cf0d74a8ba840b3523f74cfcbedb6325d44d88fc5434"
+    ),
+    "elastic": (
+        "b38c6645879c8713cd4e5c069bcfaec7cbe339575f4717b5b1105a2e74761bf9"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_jsonl_wire_golden_and_round_trip(name, tmp_path, monkeypatch):
+    """The bytes ``JsonlSink`` writes, and what ``read_trace`` makes of
+    them: the same events the in-memory sink saw, for every reader."""
+    monkeypatch.setattr(
+        trace_module, "time", types.SimpleNamespace(time=lambda: 0.0)
+    )
+    path = tmp_path / "trace.jsonl"
+    with JsonlSink(str(path)) as sink:
+        simulate(name, Tracer(sink))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        WIRE_GOLDEN[name]
+    )
+    events = read_trace(str(path))
+    assert trace_digest(events) == GOLDEN[name][0]
+    assert reader_digest(events) == READER_GOLDEN[name]
 
 
 class TestScenariosExerciseTheirPaths:
