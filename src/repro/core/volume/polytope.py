@@ -19,7 +19,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "polytope_vertices",
@@ -113,6 +112,9 @@ def polytope_volume(
         return float(vertices.max() - vertices.min())
     if vertices.shape[0] <= d:
         return 0.0
+    # Imported here so that importing the package does not load SciPy.
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return float(ConvexHull(vertices).volume)
     except QhullError:

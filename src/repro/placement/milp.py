@@ -27,7 +27,6 @@ import time
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.load_model import LoadModel
 from ..core.plans import Placement
@@ -58,6 +57,9 @@ class MilpBalancePlacer(Placer):
     def place(
         self, model: LoadModel, capacities: Sequence[float]
     ) -> Placement:
+        # Imported here so that importing the package does not load SciPy.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         caps = self._validated(model, capacities)
         n, m, d = caps.shape[0], model.num_operators, model.num_variables
         if n * m > self.max_variables:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -807,3 +809,22 @@ class TestTraceSpanLineage:
         # Lineage header still prints; no member rows survive the filter.
         assert "lineage of span 0" in out
         assert "op=nope" not in out
+
+
+def test_start_up_does_not_import_scipy():
+    """Only exact polytope volume and the MILP placer import SciPy, on
+    first use, so a fresh ``import repro.cli`` leaves it unloaded."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    probe = (
+        "import sys, repro, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
