@@ -33,17 +33,23 @@ Package map
     One harness per table/figure of the paper's evaluation.
 """
 
-from .core import (
-    FeasibleSet,
-    LoadModel,
-    Placement,
-    build_load_model,
-    placement_from_mapping,
-    rod_extend,
-    rod_place,
-)
-from .deploy import Deployment
-from .graphs import QueryGraph
+from ._lazy import lazy_exports
+
+# Imported on first access: ``import repro.obs.trace`` must not load the
+# engine, the placers and NumPy through this package.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": (
+        "FeasibleSet",
+        "LoadModel",
+        "Placement",
+        "build_load_model",
+        "placement_from_mapping",
+        "rod_extend",
+        "rod_place",
+    ),
+    ".deploy": ("Deployment",),
+    ".graphs": ("QueryGraph",),
+})
 
 __version__ = "1.0.0"
 

@@ -1,9 +1,15 @@
 """Discrete-event distributed stream-processing simulator."""
 
-from .engine import Simulator
-from .feasibility import FeasibilityProbe, empirical_feasible_fraction
-from .metrics import LatencyStats, SimulationResult
-from .runtime import OperatorRuntime, make_runtime
+from .._lazy import lazy_exports
+
+# Imported on first access, so trace analyzers that need only
+# ``metrics.LatencyStats`` do not load the engine and the placers.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("Simulator",),
+    ".feasibility": ("FeasibilityProbe", "empirical_feasible_fraction"),
+    ".metrics": ("LatencyStats", "SimulationResult"),
+    ".runtime": ("OperatorRuntime", "make_runtime"),
+})
 
 __all__ = [
     "FeasibilityProbe",

@@ -1,22 +1,36 @@
 """Bursty workload generation: traces, rate points, arrival processes."""
 
-from .arrivals import ArrivalProcess, deterministic_arrivals, poisson_arrivals
-from .rates import ideal_rate_points, rate_series, scale_point_to_utilization
-from .scenarios import burst_series, shift_series, steady_trace_series
-from .textplot import area_chart, sparkline
-from .traces import (
-    TRACE_KINDS,
-    b_model_trace,
-    flash_crowd_trace,
-    hurst_exponent,
-    load_trace_csv,
-    make_trace,
-    normalize_trace,
-    pareto_on_off_trace,
-    rebin_trace,
-    save_trace_csv,
-    trace_statistics,
-)
+from .._lazy import lazy_exports
+
+# Imported on first access, so the text plots (``sparkline``) do not
+# load the rate samplers and, through them, ``repro.core``.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".arrivals": (
+        "ArrivalProcess",
+        "deterministic_arrivals",
+        "poisson_arrivals",
+    ),
+    ".rates": (
+        "ideal_rate_points",
+        "rate_series",
+        "scale_point_to_utilization",
+    ),
+    ".scenarios": ("burst_series", "shift_series", "steady_trace_series"),
+    ".textplot": ("area_chart", "sparkline"),
+    ".traces": (
+        "TRACE_KINDS",
+        "b_model_trace",
+        "flash_crowd_trace",
+        "hurst_exponent",
+        "load_trace_csv",
+        "make_trace",
+        "normalize_trace",
+        "pareto_on_off_trace",
+        "rebin_trace",
+        "save_trace_csv",
+        "trace_statistics",
+    ),
+})
 
 __all__ = [
     "ArrivalProcess",
