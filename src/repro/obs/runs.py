@@ -365,6 +365,7 @@ class Run:
         self._manifest: Optional[RunManifest] = None
         self._result: Optional[Dict[str, object]] = None
         self._metrics: Optional[Dict[str, object]] = None
+        self._events: Optional[List[TraceEvent]] = None
 
     def _read_json(self, name: str) -> Dict[str, object]:
         with open(os.path.join(self.path, name), encoding="utf-8") as handle:
@@ -406,14 +407,21 @@ class Run:
         return self._metrics
 
     @property
+    def trace_path(self) -> str:
+        return os.path.join(self.path, TRACE_NAME)
+
+    @property
     def has_trace(self) -> bool:
-        return os.path.exists(os.path.join(self.path, TRACE_NAME))
+        return os.path.exists(self.trace_path)
 
     def events(self) -> List[TraceEvent]:
-        """Parse the run's trace (``[]`` when the run was untraced)."""
-        if not self.has_trace:
-            return []
-        return read_trace(os.path.join(self.path, TRACE_NAME))
+        """The run's trace events (``[]`` when the run was untraced),
+        parsed on the first call and returned as the same list after."""
+        if self._events is None:
+            self._events = (
+                read_trace(self.trace_path) if self.has_trace else []
+            )
+        return self._events
 
     def __repr__(self) -> str:
         return f"Run({self.path!r})"

@@ -146,6 +146,25 @@ class SloReport:
         }
 
 
+def _number(
+    entry: Mapping[str, object], name: str, key: str,
+    default: Optional[float] = None,
+) -> float:
+    """``entry[key]`` as a float; a missing key without a default, or a
+    value ``float()`` rejects, raises ``ValueError`` naming both."""
+    if key not in entry:
+        if default is None:
+            raise ValueError(f"objective {name!r}: missing {key!r}")
+        return default
+    value = entry[key]
+    try:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"objective {name!r}: {key} must be a number, got {value!r}"
+        ) from None
+
+
 def parse_slo_config(obj: Mapping[str, object]) -> List[Objective]:
     """Validate a config mapping into objective instances."""
     raw = obj.get("objectives")
@@ -165,15 +184,15 @@ def parse_slo_config(obj: Mapping[str, object]) -> List[Objective]:
             raise ValueError(f"duplicate objective name {name!r}")
         seen.add(name)
         kind = entry.get("kind")
-        window = float(entry.get("window_seconds", 0.0))  # type: ignore[arg-type]
+        window = _number(entry, name, "window_seconds", default=0.0)
         if not window > 0 or not math.isfinite(window):
             raise ValueError(
                 f"objective {name!r}: window_seconds must be finite > 0"
             )
         if kind == "latency":
-            threshold = float(entry["threshold_seconds"])  # type: ignore[arg-type]
-            target = float(entry["target"])  # type: ignore[arg-type]
-            burn = float(entry.get("max_burn_rate", 1.0))  # type: ignore[arg-type]
+            threshold = _number(entry, name, "threshold_seconds")
+            target = _number(entry, name, "target")
+            burn = _number(entry, name, "max_burn_rate", default=1.0)
             if not threshold > 0 or not math.isfinite(threshold):
                 raise ValueError(
                     f"objective {name!r}: threshold_seconds must be "
@@ -193,7 +212,7 @@ def parse_slo_config(obj: Mapping[str, object]) -> List[Objective]:
                 window_seconds=window, max_burn_rate=burn,
             ))
         elif kind == "throughput":
-            rate = float(entry["min_tuples_per_second"])  # type: ignore[arg-type]
+            rate = _number(entry, name, "min_tuples_per_second")
             if not rate > 0 or not math.isfinite(rate):
                 raise ValueError(
                     f"objective {name!r}: min_tuples_per_second must be "

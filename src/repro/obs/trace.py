@@ -127,13 +127,26 @@ class NullSink(TraceSink):
 
 
 class MemorySink(TraceSink):
-    """Collects events in a list — the test/inspection sink."""
+    """Collects events in a list — the test/inspection sink.
 
-    def __init__(self) -> None:
+    With a ``forward`` sink, each event is written there first and kept
+    once that write has succeeded, so a run can stream its trace to a
+    file and analyze the same events afterwards without reading the
+    file back; closing this sink closes ``forward``.
+    """
+
+    def __init__(self, forward: Optional[TraceSink] = None) -> None:
         self.events: List[TraceEvent] = []
+        self.forward = forward
 
     def write(self, event: TraceEvent) -> None:
+        if self.forward is not None:
+            self.forward.write(event)
         self.events.append(event)
+
+    def close(self) -> None:
+        if self.forward is not None:
+            self.forward.close()
 
 
 class JsonlSink(TraceSink):

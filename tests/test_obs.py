@@ -399,6 +399,19 @@ class TestJsonlRoundTrip:
         assert sink.events_written == 2
         assert [e.fields["name"] for e in read_trace(path)] == ["a", "b"]
 
+    def test_memory_sink_keeps_what_it_forwarded(self, tmp_path):
+        path = str(tmp_path / "trace.jsonl")
+        sink = MemorySink(forward=JsonlSink(path))
+        tracer = Tracer(sink)
+        tracer.emit("phase", t=0.0, name="a")
+        with pytest.raises(TypeError, match="not JSON-serializable"):
+            tracer.emit("phase", t=1.0, bad=object())
+        tracer.emit("phase", t=2.0, name="b")
+        sink.close()
+        assert sink.forward.events_written == 2
+        assert [e.fields["name"] for e in sink.events] == ["a", "b"]
+        assert read_trace(path) == sink.events
+
     def test_event_json_obj_roundtrip(self):
         event = TraceEvent(
             type="node.busy", t=2.0, wall=100.0, fields={"node": 1}
