@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -134,6 +135,24 @@ class TestSimulateFaults:
                 "--rates", "20,20", "--duration", "3",
                 "--faults", faults, "--chaos-seed", "1",
             ])
+
+    def test_unknown_failover_policy_is_a_usage_error(
+        self, graph_file, plan_file, capsys
+    ):
+        from repro.dynamics import FAILOVER_POLICIES
+
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "simulate", "--graph", graph_file, "--plan", plan_file,
+                "--rates", "20,20", "--failover", "bogus",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: repro-rod simulate" in err
+        assert (
+            "argument --failover: invalid choice: 'bogus' (choose from "
+            + ", ".join(map(repr, FAILOVER_POLICIES)) + ")"
+        ) in err
 
     def test_chaos_runs_record_identically(self, tmp_path, graph_file,
                                            plan_file):
@@ -596,14 +615,47 @@ class TestExplainAndSloCli:
         ]) == 1
         assert "BREACH" in capsys.readouterr().out
 
-    def test_slo_bad_config_aborts(self, recorded_run, tmp_path):
+    def test_slo_bad_config_aborts(
+        self, recorded_run, tmp_path, graph_file, plan_file
+    ):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"objectives": []}))
-        with pytest.raises(SystemExit, match="objectives"):
-            main([
-                "slo", "base", "--root", recorded_run,
-                "--config", str(bad),
-            ])
+        latency = {"name": "lat", "kind": "latency", "threshold_seconds": 1.0,
+                   "target": 0.9, "window_seconds": 1.0}
+        tput = {"name": "tput", "kind": "throughput",
+                "min_tuples_per_second": 1.0, "window_seconds": 1.0}
+        cases = [
+            ({"objectives": []},
+             "SLO config needs a non-empty 'objectives' list"),
+            ({"objectives": [{k: v for k, v in latency.items()
+                              if k != "threshold_seconds"}]},
+             "objective 'lat': missing 'threshold_seconds'"),
+            ({"objectives": [{k: v for k, v in latency.items()
+                              if k != "target"}]},
+             "objective 'lat': missing 'target'"),
+            ({"objectives": [{k: v for k, v in tput.items()
+                              if k != "min_tuples_per_second"}]},
+             "objective 'tput': missing 'min_tuples_per_second'"),
+            ({"objectives": [dict(latency, threshold_seconds=None)]},
+             "objective 'lat': threshold_seconds must be a number, got None"),
+            ({"objectives": [dict(tput, window_seconds="soon")]},
+             "objective 'tput': window_seconds must be a number, got 'soon'"),
+            ({"objectives": [dict(latency, max_burn_rate=[2])]},
+             "objective 'lat': max_burn_rate must be a number, got [2]"),
+        ]
+        for config, message in cases:
+            bad.write_text(json.dumps(config))
+            match = re.escape(f"--config {bad}: {message}")
+            with pytest.raises(SystemExit, match=match):
+                main([
+                    "slo", "base", "--root", recorded_run,
+                    "--config", str(bad),
+                ])
+            match = re.escape(f"--slo {bad}: {message}")
+            with pytest.raises(SystemExit, match=match):
+                main([
+                    "simulate", "--graph", graph_file, "--plan", plan_file,
+                    "--rates", "20,20", "--duration", "1", "--slo", str(bad),
+                ])
 
     def test_simulate_slo_flag_gates_exit(
         self, tmp_path, graph_file, plan_file, capsys
@@ -811,20 +863,189 @@ class TestTraceSpanLineage:
         assert "op=nope" not in out
 
 
-def test_start_up_does_not_import_scipy():
-    """Only exact polytope volume and the MILP placer import SciPy, on
-    first use, so a fresh ``import repro.cli`` leaves it unloaded."""
+class TestMalformedTrace:
+    """Every trace viewer reports a malformed trace as ``<path>: line N:
+    ...`` with exit status 1, not as a traceback."""
+
+    @pytest.fixture
+    def root(self, tmp_path, graph_file, plan_file, capsys):
+        root = str(tmp_path / "runs")
+        assert main([
+            "simulate", "--graph", graph_file, "--plan", plan_file,
+            "--rates", "20,20", "--duration", "1",
+            "--record", root, "--run-id", "bad",
+        ]) == 0
+        capsys.readouterr()
+        path = os.path.join(root, "bad", "trace.jsonl")
+        with open(path, "a") as handle:
+            handle.write('{"type": "batch.serv\n')
+        return root
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "{trace}"],
+        ["runs", "show", "bad", "--root", "{root}"],
+        ["explain", "bad", "--root", "{root}"],
+        ["why", "bad", "--root", "{root}"],
+        ["slo", "bad", "--root", "{root}", "--config", "{slo}"],
+        ["report", "bad", "--root", "{root}"],
+    ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "runs" else argv[0])
+    def test_viewer_exits_with_the_line(self, root, tmp_path, argv):
+        trace = os.path.join(root, "bad", "trace.jsonl")
+        slo = tmp_path / "slo.json"
+        slo.write_text(json.dumps({"objectives": [
+            {"name": "tput", "kind": "throughput",
+             "min_tuples_per_second": 1.0, "window_seconds": 1.0},
+        ]}))
+        with open(trace) as handle:
+            bad_line = sum(1 for _ in handle)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(trace=trace, root=root, slo=slo)
+                  for arg in argv])
+        assert str(exc.value.code).startswith(
+            f"{trace}: line {bad_line}: "
+        )
+
+
+class TestRecordOnce:
+    """``simulate`` builds its snapshot from the events it emitted; the
+    sections must equal what the analyzers return on the written file."""
+
+    SLO = {"objectives": [
+        {"name": "lat", "kind": "latency", "threshold_seconds": 60.0,
+         "target": 0.5, "window_seconds": 1.0},
+    ]}
+
+    @pytest.mark.parametrize("mode", ["record", "slo", "trace-out"])
+    def test_snapshot_equals_the_written_trace(
+        self, tmp_path, graph_file, plan_file, capsys, monkeypatch, mode
+    ):
+        from repro.obs import find_run, read_trace
+        from repro.obs.critical_path import analyze_critical_path
+        from repro.obs.decisions import decision_snapshot
+        from repro.obs.drift import drift_snapshot
+        from repro.obs.slo import evaluate_slos, load_slo_config
+
+        root = str(tmp_path / "runs")
+        argv = [
+            "simulate", "--graph", graph_file, "--plan", plan_file,
+            "--rates", "20,20", "--duration", "6",
+            "--chaos-seed", "5", "--failover", "volume",
+            "--record", root, "--run-id", "run",
+        ]
+        trace = os.path.join(root, "run", "trace.jsonl")
+        slo = None
+        if mode == "slo":
+            slo = str(tmp_path / "slo.json")
+            with open(slo, "w") as handle:
+                json.dump(self.SLO, handle)
+            argv += ["--slo", slo]
+        elif mode == "trace-out":
+            trace = str(tmp_path / "out.jsonl")
+            argv += ["--trace-out", trace]
+
+        def no_read_back(source):
+            raise AssertionError(f"simulate read {source} back")
+
+        for name in ("repro.cli.read_trace", "repro.obs.runs.read_trace",
+                     "repro.obs.trace.read_trace"):
+            monkeypatch.setattr(name, no_read_back)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        events = read_trace(trace)
+        expected = {
+            "critical_path": analyze_critical_path(events).to_json_obj(),
+            "decisions": decision_snapshot(events),
+            "drift": drift_snapshot(events),
+        }
+        assert expected["decisions"]["migrations"] > 0
+        if slo is not None:
+            expected["slo"] = evaluate_slos(
+                events, load_slo_config(slo)
+            ).to_json_obj()
+        result = find_run("run", root=root).result
+        assert {key: result.get(key) for key in expected} == json.loads(
+            json.dumps(expected)
+        )
+
+
+#: Modules no start-up path may load: SciPy and NumPy, and the layers
+#: that pull them in.  ``explain`` and ``report`` may load NumPy.
+HEAVY_MODULES = (
+    "numpy", "scipy", "repro.core", "repro.simulator.engine",
+    "repro.placement", "repro.dynamics", "repro.experiments",
+    "repro.check",
+)
+
+
+@pytest.fixture(scope="module")
+def budget_root(tmp_path_factory):
+    """A small recorded chaos + failover run for the start-up budget."""
+    work = tmp_path_factory.mktemp("budget")
+    graph, plan = str(work / "graph.json"), str(work / "plan.json")
+    root = str(work / "runs")
+    for argv in (
+        ["generate", "--kind", "random", "--inputs", "2",
+         "--ops-per-tree", "5", "--seed", "3", "-o", graph],
+        ["place", "--graph", graph, "--nodes", "2", "-o", plan],
+        ["simulate", "--graph", graph, "--plan", plan, "--rates", "20,20",
+         "--duration", "6", "--chaos-seed", "5", "--failover", "volume",
+         "--record", root, "--run-id", "run"],
+    ):
+        assert main(argv) == 0
+    return str(work)
+
+
+@pytest.mark.parametrize("argv, allowed", [
+    (["--help"], ()),
+    (["generate", "--kind", "random", "--inputs", "2", "-o",
+      "{work}/g.json"], ()),
+    (["why", "run", "--root", "{work}/runs"], ()),
+    (["explain", "run", "--root", "{work}/runs"], ("numpy",)),
+    (["report", "run", "--root", "{work}/runs", "-o", "{work}/r.html"],
+     ("numpy",)),
+], ids=["help", "generate", "why", "explain", "report"])
+def test_start_up_import_budget(budget_root, argv, allowed):
+    """Each step imports only the layers it runs: in a fresh
+    interpreter, ``main(argv)`` loads none of ``HEAVY_MODULES`` beyond
+    ``allowed``."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
     probe = (
-        "import sys, repro, repro.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        env=env, check=False, timeout=120,
+        [sys.executable, "-c", probe,
+         *(arg.format(work=budget_root) for arg in argv)],
+        capture_output=True, text=True, env=env, check=False, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    loaded = {
+        name for name in HEAVY_MODULES
+        if name in modules and name not in allowed
+    }
+    assert not loaded
+
+
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.simulator", "repro.workload"]
+)
+def test_lazy_re_exports_resolve(package):
+    """Every ``__all__`` name of a lazily re-exporting package imports."""
+    module = __import__(package, fromlist=["__all__"])
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+        getattr(module, "missing")
