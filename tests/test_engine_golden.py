@@ -20,6 +20,10 @@ A fourth pins the JSONL wire format: each traced run written through
 file bytes, and ``read_trace`` on that file must give back the trace
 digest and the reader digest above.
 
+A fifth pins the text and HTML views: the ``explain``, ``why``, ``slo``
+and ``trace`` renderings, the per-node busy totals and utilization
+timeline, and the HTML report of a run directory holding the trace.
+
 The neutrality matrix runs every controller, with and without chaos
 faults, traced and through a disabled tracer, and requires the whole
 result to equal the untraced run's exactly.
@@ -29,6 +33,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import time
 import types
 
 import numpy as np
@@ -44,19 +49,44 @@ from repro.dynamics import (
 from repro.experiments.elasticity import hot_pipeline
 from repro.faults import chaos_schedule
 from repro.graphs.generator import monitoring_graph
-from repro.obs import JsonlSink, MemorySink, Tracer, read_trace, trace_digest
+from repro.obs import (
+    JsonlSink,
+    MemorySink,
+    RunManifest,
+    Tracer,
+    load_run,
+    read_trace,
+    trace_digest,
+)
+from repro.obs import report_html
 from repro.obs import trace as trace_module
 from repro.obs.analyze import analyze_trace
-from repro.obs.critical_path import analyze_critical_path
-from repro.obs.decisions import decision_snapshot, why_json_obj
+from repro.obs.critical_path import (
+    analyze_critical_path,
+    render_critical_path_report,
+)
+from repro.obs.decisions import (
+    decision_snapshot,
+    render_why_report,
+    why_json_obj,
+)
 from repro.obs.drift import drift_snapshot
+from repro.obs.runs import snapshot_from_result
 from repro.obs.slo import (
     LatencyObjective,
     SloWatcher,
     ThroughputObjective,
     evaluate_slos,
+    render_slo_report,
 )
 from repro.obs.spans import spans_from_trace
+from repro.obs.timeline import (
+    busy_totals,
+    filter_events,
+    render_trace_report,
+    trace_metadata,
+    utilization_timeline,
+)
 from repro.placement import RODPlacer
 from repro.simulator.engine import Simulator
 from repro.workload.rates import scale_point_to_utilization
@@ -331,6 +361,79 @@ def test_jsonl_wire_golden_and_round_trip(name, tmp_path, monkeypatch):
     events = read_trace(str(path))
     assert trace_digest(events) == GOLDEN[name][0]
     assert reader_digest(events) == READER_GOLDEN[name]
+
+
+def render_outputs(events, result, run_dir):
+    """Every text and HTML view of one run, as plain data.
+
+    The HTML report renders a run directory holding the trace and the
+    result snapshot, with the manifest's clock fields fixed and its
+    creation time formatted in UTC.
+    """
+    run_dir.mkdir()
+    manifest = RunManifest(
+        run_id="golden", kind="simulate", created_wall=0.0,
+        version="golden", wall_seconds=1.0, sim_seconds=result.duration,
+    )
+    (run_dir / "manifest.json").write_text(
+        json.dumps(manifest.to_json_obj())
+    )
+    (run_dir / "result.json").write_text(
+        json.dumps(snapshot_from_result(result))
+    )
+    with JsonlSink(str(run_dir / "trace.jsonl")) as sink:
+        for event in events:
+            sink.write(event)
+    subset = filter_events(events, types=["batch.serviced"], nodes=[0])
+    return {
+        "explain": render_critical_path_report(
+            analyze_critical_path(events)
+        ),
+        "why": render_why_report(events),
+        "slo": render_slo_report(evaluate_slos(events, READER_OBJECTIVES)),
+        "busy": busy_totals(events).tolist(),
+        "utilization": utilization_timeline(events).tolist(),
+        "trace": render_trace_report(events),
+        "trace_subset": render_trace_report(
+            subset, metadata=trace_metadata(events)
+        ),
+        "html": report_html.render_html_report(load_run(str(run_dir))),
+    }
+
+
+#: scenario -> SHA-256 of :func:`render_outputs` on its traced run.
+RENDER_GOLDEN = {
+    "none": (
+        "01b7e24c9201ad3b2d25facd5285e0f29e4d809b7c3ab5728b732fc5eebc586f"
+    ),
+    "balance": (
+        "9e702bbd41fc4daa60e7385dd5eaf326e997a7285eb1430ce9ed68584c0df0ed"
+    ),
+    "balance-slo": (
+        "fc196fec410643af38035f5411d157c0687a26fd5fc4de579b5a74eb82f419e7"
+    ),
+    "failover-chaos": (
+        "93c20f6f036175c121667db934500a174f8a93e2fa487d468e8d10da517b21cb"
+    ),
+    "elastic": (
+        "58efd8894256e83a342d89b858dc93920fea744671e53db9812b333d642a87ef"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_render_golden(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(report_html, "time", types.SimpleNamespace(
+        strftime=time.strftime, localtime=time.gmtime,
+    ))
+    _, _, result, events, _ = run_scenario(name)
+    text = json.dumps(
+        render_outputs(events, result, tmp_path / "run"),
+        sort_keys=True, separators=(",", ":"),
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        RENDER_GOLDEN[name]
+    )
 
 
 class TestScenariosExerciseTheirPaths:
