@@ -60,10 +60,11 @@ any drift detections (:mod:`repro.obs.decisions`,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 # Only the light observability core is imported here.  Each command
 # imports the layers it runs, so `--help`, `generate` and the trace
@@ -75,13 +76,13 @@ from .obs import (
     Observability,
     Run,
     RunWriter,
-    TraceEvent,
     Tracer,
     configure,
     find_run,
     list_runs,
     read_trace,
 )
+from .obs.index import RunIndex
 from .obs.runs import snapshot_from_result
 
 if TYPE_CHECKING:
@@ -526,13 +527,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             from .obs.decisions import decision_snapshot
             from .obs.drift import drift_snapshot
 
+            index = RunIndex(events)
             snapshot["critical_path"] = analyze_critical_path(
-                events
+                index
             ).to_json_obj()
             # Always present (zero-valued for controller-less runs) so
             # baselines gain the keys and `compare` can diff them.
-            snapshot["decisions"] = decision_snapshot(events)
-            snapshot["drift"] = drift_snapshot(events)
+            snapshot["decisions"] = decision_snapshot(index)
+            snapshot["drift"] = drift_snapshot(index)
             if slo_objectives is not None:
                 from .obs.slo import (
                     evaluate_slos,
@@ -540,7 +542,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     render_slo_report,
                 )
 
-                slo_report = evaluate_slos(events, slo_objectives)
+                slo_report = evaluate_slos(index, slo_objectives)
                 record_slo_metrics(obs.registry, slo_report)
                 snapshot["slo"] = slo_report.to_json_obj()
                 print(render_slo_report(slo_report))
@@ -562,57 +564,64 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _seal_run(writer)
 
 
-def _read_events(source: Union[str, Run]) -> List[TraceEvent]:
-    """The trace of a file or a recorded run, as every viewer reads it.
+@contextlib.contextmanager
+def _indexed(source: Union[str, Run]) -> Iterator[RunIndex]:
+    """The indexed trace of a file or a recorded run, as every viewer
+    reads it; an untraced run reads as an empty trace.
 
-    A malformed trace exits 1 with ``<path>: line N: ...`` instead of a
-    traceback; an untraced run reads as ``[]``.
+    A malformed line or a structurally impossible trace (a span closed
+    twice, a node the header does not declare) exits 1 with
+    ``<path>: ...`` instead of a traceback, whichever view finds it.
     """
     is_run = isinstance(source, Run)
     try:
-        return source.events() if is_run else read_trace(source)
+        yield source.index() if is_run else RunIndex(read_trace(source))
     except ValueError as exc:
         path = source.trace_path if is_run else source
         raise SystemExit(f"{path}: {exc}") from None
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs.timeline import filter_events, render_trace_report, trace_metadata
+    from .obs.index import filter_events
+    from .obs.timeline import render_trace_report
 
-    events = _read_events(args.path)
-    if not events:
-        print(f"{args.path}: empty trace")
-        return 1
-    if args.span is not None:
-        return _trace_span_lineage(args, events)
-    # Geometry comes from the unfiltered trace, so a filtered view still
-    # renders with the run's true node count / capacities / horizon.
-    meta = trace_metadata(events)
-    types: List[str] = [
-        name
-        for spec in (args.types or [])
-        for name in spec.split(",")
-        if name
-    ]
-    selected = filter_events(
-        events,
-        types=types or None,
-        nodes=args.nodes,
-        since=args.since,
-        operators=args.operators,
-    )
-    if not selected:
-        print(f"{args.path}: no events match the filters")
-        return 1
-    print(render_trace_report(selected, width=args.width, metadata=meta))
+    with _indexed(args.path) as index:
+        if not index.events:
+            print(f"{args.path}: empty trace")
+            return 1
+        if args.span is not None:
+            return _trace_span_lineage(args, index)
+        filters = dict(
+            types=[
+                name
+                for spec in (args.types or [])
+                for name in spec.split(",")
+                if name
+            ] or None,
+            nodes=args.nodes,
+            since=args.since,
+            operators=args.operators,
+        )
+        if any(value is not None for value in filters.values()):
+            # Geometry comes from the unfiltered trace, so a filtered
+            # view still renders with the run's true node count /
+            # capacities / horizon.
+            index = RunIndex(
+                filter_events(index.events, **filters),  # type: ignore[arg-type]
+                meta=index.meta,
+            )
+        if not index.events:
+            print(f"{args.path}: no events match the filters")
+            return 1
+        print(render_trace_report(index, width=args.width))
     return 0
 
 
-def _trace_span_lineage(args: argparse.Namespace, events) -> int:
+def _trace_span_lineage(args: argparse.Namespace, index: RunIndex) -> int:
     """``repro-rod trace --span ID``: one batch's causal history."""
-    from .obs.spans import span_lineage, spans_from_trace
+    from .obs.spans import span_lineage
 
-    spans = spans_from_trace(events)
+    spans = index.spans
     if not spans:
         print(f"{args.path}: trace carries no span events")
         return 1
@@ -698,7 +707,8 @@ def cmd_runs(args: argparse.Namespace) -> int:
     if manifest.sim_seconds is not None:
         print(f"  simulated seconds: {manifest.sim_seconds:g}")
     if run.has_trace:
-        print(f"  trace: {len(_read_events(run))} events")
+        with _indexed(run) as index:
+            print(f"  trace: {len(index.events)} events")
     else:
         print("  trace: none")
     if run.result:
@@ -761,12 +771,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc)
         return 1
-    events = _read_events(run)
-    if not events:
-        print(f"run {run.run_id} has no trace; explain needs a traced "
-              "recording (simulate --record)")
-        return 1
-    analysis = analyze_critical_path(events)
+    with _indexed(run) as index:
+        if not index.events:
+            print(f"run {run.run_id} has no trace; explain needs a traced "
+                  "recording (simulate --record)")
+            return 1
+        analysis = analyze_critical_path(index)
     if analysis.spans_total == 0:
         print(f"run {run.run_id}: trace carries no span events "
               "(recorded before span tracing? re-record it)")
@@ -787,21 +797,21 @@ def cmd_why(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc)
         return 1
-    events = _read_events(run)
-    if not events:
-        print(f"run {run.run_id} has no trace; why needs a traced "
-              "recording (simulate --record)")
-        return 1
-    if not any(e.type == "decision.evaluated" for e in events):
-        print(f"run {run.run_id}: trace carries no decision events "
-              "(no controller attached, or recorded before decision "
-              "telemetry? re-record it)")
-        return 1
-    if args.json:
-        print(json.dumps(why_json_obj(events), indent=2, sort_keys=True))
-        return 0
-    print(f"run {run.run_id}")
-    print(render_why_report(events))
+    with _indexed(run) as index:
+        if not index.events:
+            print(f"run {run.run_id} has no trace; why needs a traced "
+                  "recording (simulate --record)")
+            return 1
+        if not index.decisions:
+            print(f"run {run.run_id}: trace carries no decision events "
+                  "(no controller attached, or recorded before decision "
+                  "telemetry? re-record it)")
+            return 1
+        if args.json:
+            print(json.dumps(why_json_obj(index), indent=2, sort_keys=True))
+            return 0
+        print(f"run {run.run_id}")
+        print(render_why_report(index))
     return 0
 
 
@@ -817,12 +827,12 @@ def cmd_slo(args: argparse.Namespace) -> int:
         objectives = load_slo_config(args.config)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"--config {args.config}: {exc}") from None
-    events = _read_events(run)
-    if not events:
-        print(f"run {run.run_id} has no trace; slo needs a traced "
-              "recording (simulate --record)")
-        return 1
-    report = evaluate_slos(events, objectives)
+    with _indexed(run) as index:
+        if not index.events:
+            print(f"run {run.run_id} has no trace; slo needs a traced "
+                  "recording (simulate --record)")
+            return 1
+        report = evaluate_slos(index, objectives)
     print(f"run {run.run_id}")
     print(render_slo_report(report))
     return 0 if report.ok else 1
@@ -866,8 +876,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(exc)
             return 1
         output = args.output or os.path.join(run.path, "report.html")
-        _read_events(run)  # parsed once here; the report reuses them
-        write_html_report(run, output)
+        with _indexed(run):  # the report renders the same index
+            write_html_report(run, output)
         print(f"run report written to {output}")
         return 0
     if not args.output:

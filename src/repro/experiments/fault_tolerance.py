@@ -26,6 +26,7 @@ LLF, and correlation balancing; variants are ``no_fault``, ``crash``
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.load_model import LoadModel
@@ -33,7 +34,8 @@ from ..core.plans import Placement
 from ..core.rod import rod_place
 from ..dynamics import FailoverController, residual_volume_ratio
 from ..faults import FaultEvent, FaultSchedule
-from ..obs import MemorySink, Tracer
+from ..obs import MemorySink, TraceEvent, Tracer
+from ..obs.index import RunIndex
 from ..parallel import parallel_map
 from ..placement.correlation import CorrelationPlacer
 from ..placement.llf import LLFPlacer
@@ -74,24 +76,20 @@ def _final_assignment(
 
 
 def _recovery_latency(
-    events: Sequence[object], displaced: Sequence[str]
+    events: Sequence[TraceEvent], displaced: Sequence[str]
 ) -> Optional[float]:
-    """Seconds from the crash to a displaced operator's next batch."""
-    crash_t: Optional[float] = None
+    """Seconds from the crash to a displaced operator's next batch,
+    measured from the latest crash at or before that batch (faults
+    precede same-instant completions in the trace)."""
+    index = RunIndex(events)
+    crashes = [
+        fault.t for fault in index.faults
+        if fault.kind == "node.crash" and not fault.reverted
+    ]
     targets = set(displaced)
-    for event in events:
-        if (
-            event.type == "fault.injected"
-            and event.fields.get("kind") == "node.crash"
-        ):
-            crash_t = float(event.t)
-        elif (
-            crash_t is not None
-            and event.type == "batch.serviced"
-            and event.fields.get("operator") in targets
-            and float(event.t) >= crash_t
-        ):
-            return float(event.t) - crash_t
+    for t, _, _, operator, _, _ in index.work:
+        if crashes and operator in targets and float(t) >= crashes[0]:
+            return float(t) - crashes[bisect_right(crashes, float(t)) - 1]
     return None
 
 

@@ -22,21 +22,20 @@ mean/p50/p95/p99/max — matches the in-process result exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..simulator.metrics import LatencyStats
-from .decisions import DecisionView, decision_snapshot, decisions_from_trace
+from .decisions import decision_snapshot
 from .drift import drift_snapshot
-from .trace import TraceEvent
-from .timeline import trace_metadata
+from .index import DecisionView, FaultRecord, MigrationExplanation
+from .index import Trace, as_index
 
 __all__ = [
     "NodeBreakdown",
     "OperatorBreakdown",
-    "MigrationRecord",
     "FaultRecord",
     "TraceAnalysis",
     "analyze_trace",
@@ -54,7 +53,6 @@ class NodeBreakdown:
     tuples_processed: int = 0
     peak_outstanding: int = 0       # max simultaneously queued/served batches
     idle_transitions: int = 0
-    _outstanding: int = field(default=0, repr=False)
 
     @property
     def service_seconds(self) -> float:
@@ -77,30 +75,6 @@ class OperatorBreakdown:
             self.nodes.append(node)
 
 
-@dataclass(frozen=True)
-class MigrationRecord:
-    """One applied operator move."""
-
-    t: float
-    operator: str
-    source: int
-    target: int
-    pause: float
-
-
-@dataclass(frozen=True)
-class FaultRecord:
-    """One injected (or reverted) fault event."""
-
-    t: float
-    kind: str
-    node: Optional[int] = None
-    operator: Optional[str] = None
-    factor: Optional[float] = None
-    duration: Optional[float] = None
-    reverted: bool = False
-
-
 @dataclass
 class TraceAnalysis:
     """Everything :func:`analyze_trace` derives from one trace."""
@@ -108,7 +82,7 @@ class TraceAnalysis:
     meta: Dict[str, object]
     nodes: List[NodeBreakdown]
     operators: Dict[str, OperatorBreakdown]
-    migrations: List[MigrationRecord]
+    migrations: List[MigrationExplanation]
     latency: LatencyStats
     sink_latency: Dict[str, LatencyStats]
     tuples_out: int
@@ -177,18 +151,7 @@ class TraceAnalysis:
                 }
                 for m in self.migrations
             ],
-            "faults": [
-                {
-                    "t": f.t,
-                    "kind": f.kind,
-                    "node": f.node,
-                    "operator": f.operator,
-                    "factor": f.factor,
-                    "duration": f.duration,
-                    "reverted": f.reverted,
-                }
-                for f in self.faults
-            ],
+            "faults": [asdict(f) for f in self.faults],
             "latency": {
                 "mean": self.latency.mean(),
                 "max": self.latency.maximum(),
@@ -206,118 +169,62 @@ class TraceAnalysis:
 
 
 def analyze_trace(
-    events: Sequence[TraceEvent],
+    events: Trace,
     num_nodes: Optional[int] = None,
 ) -> TraceAnalysis:
     """Compute a :class:`TraceAnalysis` from parsed trace events.
 
-    Works on any event list (filters applied, hand-built traces); the
-    run geometry comes from the ``sim.start`` header via
-    :func:`repro.obs.timeline.trace_metadata`, inferred when absent.
+    Works on any event list (filters applied, hand-built traces) or on
+    its :class:`~repro.obs.index.RunIndex`; the run geometry comes from
+    the ``sim.start`` header, inferred when absent.
     """
-    meta = trace_metadata(events)
-    n = int(num_nodes if num_nodes is not None else meta["nodes"])
+    index = as_index(events)
+    meta = index.meta
+    n = int(num_nodes if num_nodes is not None else meta["nodes"])  # type: ignore[call-overload]
     nodes = [NodeBreakdown() for _ in range(n)]
+    for node, (enqueued, peak) in zip(nodes, index.queues):
+        node.batches_enqueued = enqueued
+        node.peak_outstanding = peak
+    for node, idle in zip(nodes, index.idle_transitions):
+        node.idle_transitions = idle
     operators: Dict[str, OperatorBreakdown] = {}
-    migrations: List[MigrationRecord] = []
-    faults: List[FaultRecord] = []
+    for _, node_index, work, name, count, out in index.work:
+        node = nodes[node_index]
+        node.busy_seconds += work
+        if name is None:  # a migration stall
+            node.stall_seconds += work
+            continue
+        node.batches_serviced += 1
+        node.tuples_processed += count
+        op = operators.get(name)
+        if op is None:
+            op = operators[name] = OperatorBreakdown()
+        op.tuples_in += count
+        op.tuples_out += out
+        op.work_seconds += work
+        op.batches += 1
+        op._saw_node(node_index)
     latency = LatencyStats()
     sink_latency: Dict[str, LatencyStats] = {}
     tuples_out = 0
-    events_by_type: Dict[str, int] = {}
-
-    for event in events:
-        events_by_type[event.type] = events_by_type.get(event.type, 0) + 1
-        f = event.fields
-        if event.type == "batch.enqueued":
-            node = nodes[int(f["node"])]
-            node.batches_enqueued += 1
-            node._outstanding += 1
-            node.peak_outstanding = max(
-                node.peak_outstanding, node._outstanding
-            )
-        elif event.type == "batch.serviced":
-            node_index = int(f["node"])
-            node = nodes[node_index]
-            work = float(f.get("work", 0.0))
-            count = int(f.get("count", 0))
-            node.busy_seconds += work
-            node.batches_serviced += 1
-            node.tuples_processed += count
-            node._outstanding = max(0, node._outstanding - 1)
-            name = str(f.get("operator", "?"))
-            op = operators.get(name)
-            if op is None:
-                op = operators[name] = OperatorBreakdown()
-            op.tuples_in += count
-            op.tuples_out += int(f.get("out", 0))
-            op.work_seconds += work
-            op.batches += 1
-            op._saw_node(node_index)
-            sink = f.get("sink")
-            if sink is not None:
-                out = int(f.get("out", 0))
-                sample = float(f.get("latency", 0.0))
-                tuples_out += out
-                # Same (value, weight) pairs in the same order as the
-                # engine recorded them — aggregates match exactly.
-                latency.record(sample, out)
-                sink_latency.setdefault(
-                    str(sink), LatencyStats()
-                ).record(sample, out)
-        elif event.type == "node.stall":
-            node = nodes[int(f["node"])]
-            work = float(f.get("work", 0.0))
-            node.busy_seconds += work
-            node.stall_seconds += work
-        elif event.type == "node.idle":
-            nodes[int(f["node"])].idle_transitions += 1
-        elif event.type == "migration.applied":
-            migrations.append(MigrationRecord(
-                t=0.0 if event.t is None else float(event.t),
-                operator=str(f.get("operator", "?")),
-                source=int(f.get("source", -1)),
-                target=int(f.get("target", -1)),
-                pause=float(f.get("pause", 0.0)),
-            ))
-        elif event.type in ("fault.injected", "fault.reverted"):
-            node_value = f.get("node")
-            factor_value = f.get("factor")
-            duration_value = f.get("duration")
-            faults.append(FaultRecord(
-                t=0.0 if event.t is None else float(event.t),
-                kind=str(f.get("kind", "?")),
-                node=None if node_value is None else int(node_value),
-                operator=(
-                    None if f.get("operator") is None
-                    else str(f["operator"])
-                ),
-                factor=(
-                    None if factor_value is None else float(factor_value)
-                ),
-                duration=(
-                    None if duration_value is None
-                    else float(duration_value)
-                ),
-                reverted=event.type == "fault.reverted",
-            ))
-
+    for _, sample, out, sink in index.sink_samples:
+        tuples_out += out
+        # Same (value, weight) pairs in the same order as the engine
+        # recorded them — aggregates match exactly.
+        latency.record(sample, out)
+        sink_latency.setdefault(sink, LatencyStats()).record(sample, out)
     return TraceAnalysis(
         meta=meta,
         nodes=nodes,
         operators=operators,
-        migrations=migrations,
+        migrations=index.migrations,
         latency=latency,
         sink_latency=sink_latency,
         tuples_out=tuples_out,
-        events_by_type=events_by_type,
-        faults=faults,
-        decisions=decisions_from_trace(events),
-        drift=[
-            dict(event.fields, t=event.t)
-            for event in events
-            if event.type == "drift.detected"
-        ],
-        decision_summary=decision_snapshot(events),
-        drift_summary=drift_snapshot(events),
+        events_by_type=dict(index.type_counts),
+        faults=index.faults,
+        decisions=index.decisions,
+        drift=index.drift,
+        decision_summary=decision_snapshot(index),
+        drift_summary=drift_snapshot(index),
     )

@@ -3,7 +3,7 @@
 :mod:`repro.obs.analyze` can say *that* end-to-end latency rose;
 this module says *where it went*.  It rebuilds the per-batch causal
 forest from a traced run's ``batch.enqueued``/``batch.serviced`` pairs
-(:mod:`repro.obs.spans`) and charges every second of every sink tuple's
+(:mod:`repro.obs.index`) and charges every second of every sink tuple's
 end-to-end latency to an ``(operator, phase)`` pair:
 
 ``service``
@@ -36,13 +36,12 @@ matches ``SimulationResult.latency`` bit for bit
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..simulator.metrics import LatencyStats
-from .spans import SpanRecord, spans_from_trace, validate_span_dag
-from .trace import TraceEvent
+from .index import Interval, Trace, as_index
+from .spans import validate_span_dag
 
 __all__ = [
     "PHASES",
@@ -56,10 +55,7 @@ PHASES: Tuple[str, ...] = (
     "enqueue-wait", "service", "migration-pause", "stall",
 )
 
-_Interval = Tuple[float, float]
-
-
-def _overlap(a: float, b: float, intervals: Iterable[_Interval]) -> float:
+def _overlap(a: float, b: float, intervals: Iterable[Interval]) -> float:
     """Total measure of ``[a, b]`` covered by ``intervals``.
 
     Intervals on one node never overlap each other (a node serves one
@@ -76,10 +72,10 @@ def _overlap(a: float, b: float, intervals: Iterable[_Interval]) -> float:
 
 
 def _intersections(
-    first: Sequence[_Interval], second: Sequence[_Interval]
-) -> List[_Interval]:
+    first: Sequence[Interval], second: Sequence[Interval]
+) -> List[Interval]:
     """Pairwise interval intersections (small lists; O(n*m) is fine)."""
-    out: List[_Interval] = []
+    out: List[Interval] = []
     for a_start, a_end in first:
         for b_start, b_end in second:
             lo = max(a_start, b_start)
@@ -195,53 +191,7 @@ class CriticalPathAnalysis:
         }
 
 
-def _stall_intervals(
-    events: Sequence[TraceEvent],
-) -> Dict[int, List[_Interval]]:
-    """Per-node migration-pause service windows from ``node.stall``."""
-    intervals: Dict[int, List[_Interval]] = {}
-    for event in events:
-        if event.type != "node.stall":
-            continue
-        start = event.fields.get("start")
-        if start is None or event.t is None:
-            continue  # pre-span trace without interval bounds
-        node = int(event.fields["node"])  # type: ignore[call-overload]
-        intervals.setdefault(node, []).append(
-            (float(start), float(event.t))  # type: ignore[arg-type]
-        )
-    return intervals
-
-
-def _crash_windows(
-    events: Sequence[TraceEvent],
-) -> Dict[int, List[_Interval]]:
-    """Per-node [crash, recover) windows from fault events."""
-    windows: Dict[int, List[_Interval]] = {}
-    open_at: Dict[int, float] = {}
-    for event in events:
-        if event.type != "fault.injected":
-            continue
-        kind = event.fields.get("kind")
-        if kind not in ("node.crash", "node.recover"):
-            continue
-        node = int(event.fields["node"])  # type: ignore[call-overload]
-        t = 0.0 if event.t is None else float(event.t)
-        if kind == "node.crash":
-            open_at[node] = t
-        else:
-            crashed = open_at.pop(node, None)
-            if crashed is not None:
-                windows.setdefault(node, []).append((crashed, t))
-    for node, crashed in open_at.items():
-        # Never recovered: the window runs to the end of the run.
-        windows.setdefault(node, []).append((crashed, math.inf))
-    return windows
-
-
-def analyze_critical_path(
-    events: Sequence[TraceEvent],
-) -> CriticalPathAnalysis:
+def analyze_critical_path(events: Trace) -> CriticalPathAnalysis:
     """Attribute end-to-end latency to operators and phases.
 
     Sink-tuple weights propagate rootward over the span forest: a sink
@@ -250,13 +200,14 @@ def analyze_critical_path(
     (``parent < span`` always), a single descending-id pass suffices;
     phase seconds then accumulate in ascending id order.
     """
-    spans = spans_from_trace(events)
+    index = as_index(events)
+    spans = index.spans
     problems = validate_span_dag(spans)
-    stalls = _stall_intervals(events)
-    crashes = _crash_windows(events)
+    stalls = index.stall_intervals
+    crashes = index.crash_windows
     # migration-pause and stall can overlap when a crash interrupts an
     # in-flight stall; charge the overlap once (to migration-pause).
-    double_counted: Dict[int, List[_Interval]] = {
+    double_counted: Dict[int, List[Interval]] = {
         node: _intersections(stalls.get(node, ()), crashes.get(node, ()))
         for node in set(stalls) | set(crashes)
     }
@@ -266,14 +217,7 @@ def analyze_critical_path(
     latency = LatencyStats()
     tuples_out = 0
     total_mass = 0.0
-    for event in events:
-        if event.type != "batch.serviced":
-            continue
-        f = event.fields
-        if f.get("sink") is None:
-            continue
-        sample = float(f.get("latency", 0.0))  # type: ignore[arg-type]
-        out = int(f.get("out", 0))  # type: ignore[call-overload]
+    for _, sample, out, _ in index.sink_samples:
         latency.record(sample, out)
         tuples_out += out
         total_mass += sample * out

@@ -33,9 +33,9 @@ feasible-volume ratio the cluster would keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from .trace import TraceEvent
+from .index import DecisionView, MigrationExplanation, Trace, as_index
 
 __all__ = [
     "ACTION_MIGRATE",
@@ -45,8 +45,6 @@ __all__ = [
     "DecisionTelemetry",
     "DecisionView",
     "MigrationExplanation",
-    "decisions_from_trace",
-    "explain_migrations",
     "decision_snapshot",
     "render_why_report",
     "why_json_obj",
@@ -156,138 +154,16 @@ class DecisionTelemetry:
 # ---------------------------------------------------------------- trace side
 
 
-@dataclass(frozen=True)
-class DecisionView:
-    """One ``decision.evaluated`` event read back from a trace."""
-
-    decision: int
-    t: float
-    trigger: str
-    controller: str
-    reason: str
-    actions: int
-    loads: Sequence[float]
-    candidates: Sequence[Mapping[str, object]]
-    node: Optional[int] = None
-    volume_before: Optional[float] = None
-    volume_after: Optional[float] = None
-    burn_rate: Optional[float] = None
-
-    @property
-    def chosen(self) -> List[Mapping[str, object]]:
-        return [c for c in self.candidates if c.get("status") == "chosen"]
-
-    @property
-    def rejected(self) -> List[Mapping[str, object]]:
-        return [c for c in self.candidates if c.get("status") != "chosen"]
-
-
-@dataclass(frozen=True)
-class MigrationExplanation:
-    """One applied migration tied back to the decision that caused it."""
-
-    t: float
-    operator: str
-    source: int
-    target: int
-    pause: float
-    reason: str                       # "balance" | "failover"
-    decision: Optional[DecisionView]  # None when unlinked (old trace)
-    pause_served: float = 0.0         # stall seconds attributed via trace
-
-
-def decisions_from_trace(
-    events: Iterable[TraceEvent],
-) -> List[DecisionView]:
-    """Reconstruct every decision record from a trace, in time order."""
-    views = []
-    for event in events:
-        if event.type != "decision.evaluated":
-            continue
-        f = event.fields
-        views.append(DecisionView(
-            decision=int(f["decision"]),
-            t=0.0 if event.t is None else float(event.t),
-            trigger=str(f["trigger"]),
-            controller=str(f["controller"]),
-            reason=str(f["reason"]),
-            actions=int(f["actions"]),
-            loads=list(f.get("loads", ())),
-            candidates=list(f.get("candidates", ())),
-            node=f.get("node"),
-            volume_before=f.get("volume_before"),
-            volume_after=f.get("volume_after"),
-            burn_rate=f.get("burn_rate"),
-        ))
-    return views
-
-
-def explain_migrations(
-    events: Sequence[TraceEvent],
-) -> List[MigrationExplanation]:
-    """Map every ``migration.applied`` event to its decision record.
-
-    Pause attribution sums the ``node.stall`` events tagged with the
-    same decision id, split evenly across that decision's migrations
-    (one decision can issue several moves that share the stalls).
-    """
-    by_id = {
-        view.decision: view for view in decisions_from_trace(events)
-    }
-    stall_seconds: Dict[int, float] = {}
-    moves_per_decision: Dict[int, int] = {}
-    applied = []
-    for event in events:
-        f = event.fields
-        if event.type == "node.stall" and "decision" in f:
-            decision_id = int(f["decision"])
-            stall_seconds[decision_id] = (
-                stall_seconds.get(decision_id, 0.0)
-                + float(f.get("work", 0.0))
-            )
-        elif event.type == "migration.applied":
-            applied.append(event)
-            if "decision" in f:
-                decision_id = int(f["decision"])
-                moves_per_decision[decision_id] = (
-                    moves_per_decision.get(decision_id, 0) + 1
-                )
-    explanations = []
-    for event in applied:
-        f = event.fields
-        decision_id = f.get("decision")
-        view = None if decision_id is None else by_id.get(int(decision_id))
-        served = 0.0
-        if decision_id is not None:
-            did = int(decision_id)
-            served = (
-                stall_seconds.get(did, 0.0)
-                / max(1, moves_per_decision.get(did, 1))
-            )
-        explanations.append(MigrationExplanation(
-            t=0.0 if event.t is None else float(event.t),
-            operator=str(f["operator"]),
-            source=int(f["source"]),
-            target=int(f["target"]),
-            pause=float(f["pause"]),
-            reason=str(f["reason"]),
-            decision=view,
-            pause_served=served,
-        ))
-    return explanations
-
-
-def decision_snapshot(
-    events: Sequence[TraceEvent],
-) -> Dict[str, object]:
+def decision_snapshot(events: Trace) -> Dict[str, object]:
     """Diffable summary of decision/drift activity for ``result.json``.
 
     Keys are stable and flat-ish so ``repro-rod compare`` can walk them;
     zero-valued sections are still emitted (a controller-less run reads
     as "0 decisions", which is itself a diffable fact).
     """
-    views = decisions_from_trace(events)
-    explanations = explain_migrations(events)
+    index = as_index(events)
+    views = index.decisions
+    explanations = index.migrations
     triggers: Dict[str, int] = {}
     no_op: Dict[str, int] = {}
     rejected = 0
@@ -317,17 +193,11 @@ def _fmt_volume(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{float(value):.4f}"
 
 
-def why_json_obj(events: Sequence[TraceEvent]) -> Dict[str, object]:
+def why_json_obj(events: Trace) -> Dict[str, object]:
     """The ``repro-rod why --json`` payload."""
-    views = decisions_from_trace(events)
-    explanations = explain_migrations(events)
-    drift = [
-        dict(event.fields, t=event.t)
-        for event in events
-        if event.type == "drift.detected"
-    ]
+    index = as_index(events)
     return {
-        "summary": decision_snapshot(events),
+        "summary": decision_snapshot(index),
         "migrations": [
             {
                 "t": e.t,
@@ -349,7 +219,7 @@ def why_json_obj(events: Sequence[TraceEvent]) -> Dict[str, object]:
                     "candidates": [dict(c) for c in e.decision.candidates],
                 },
             }
-            for e in explanations
+            for e in index.migrations
         ],
         "no_op_decisions": [
             {
@@ -360,18 +230,18 @@ def why_json_obj(events: Sequence[TraceEvent]) -> Dict[str, object]:
                 "reason": view.reason,
                 "candidates": [dict(c) for c in view.candidates],
             }
-            for view in views
+            for view in index.decisions
             if view.actions == 0
         ],
-        "drift": drift,
+        "drift": index.drift,
     }
 
 
-def render_why_report(events: Sequence[TraceEvent]) -> str:
+def render_why_report(events: Trace) -> str:
     """Human-readable ``repro-rod why`` verdict."""
-    views = decisions_from_trace(events)
-    explanations = explain_migrations(events)
-    snapshot = decision_snapshot(events)
+    index = as_index(events)
+    explanations = index.migrations
+    snapshot = decision_snapshot(index)
     lines = []
     lines.append(
         f"decisions evaluated : {snapshot['evaluated']}"
@@ -400,17 +270,15 @@ def render_why_report(events: Sequence[TraceEvent]) -> str:
         )
         lines.append(f"no-op reasons       : {cells}")
 
-    drift_events = [e for e in events if e.type == "drift.detected"]
-    if drift_events:
+    if index.drift:
         lines.append("")
-        lines.append(f"drift detections ({len(drift_events)}):")
-        for event in drift_events:
-            f = event.fields
+        lines.append(f"drift detections ({len(index.drift)}):")
+        for f in index.drift:
             where = (
                 f" input={f['input']}" if "input" in f else ""
             )
             lines.append(
-                f"  t={event.t:>8.2f}s  {f['signal']}{where} "
+                f"  t={f['t']:>8.2f}s  {f['signal']}{where} "
                 f"{f['direction']}: observed {float(f['observed']):.3f} "
                 f"vs baseline {float(f['baseline']):.3f} "
                 f"(stat {float(f['statistic']):.3f} > "
@@ -458,7 +326,7 @@ def render_why_report(events: Sequence[TraceEvent]) -> str:
                     f"[{cand.get('status')}]"
                 )
 
-    no_ops = [view for view in views if view.actions == 0]
+    no_ops = [view for view in index.decisions if view.actions == 0]
     if no_ops:
         lines.append("")
         lines.append(f"no-op periods ({len(no_ops)}):")

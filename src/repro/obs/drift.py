@@ -25,12 +25,12 @@ counters surface as ``rod_drift_*`` metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
+from .index import Trace, as_index
 from .metrics import MetricsRegistry
-from .trace import TraceEvent
 
 __all__ = [
     "DriftDetection",
@@ -226,28 +226,24 @@ class DriftMonitor:
         return out
 
 
-def drift_snapshot(events: Sequence[TraceEvent]) -> Dict[str, object]:
+def drift_snapshot(events: Trace) -> Dict[str, object]:
     """Diffable drift summary for ``result.json``."""
+    detections = as_index(events).drift
     by_signal: Dict[str, int] = {}
     by_direction: Dict[str, int] = {}
-    first_t: Optional[float] = None
-    for event in events:
-        if event.type != "drift.detected":
-            continue
-        signal = str(event.fields.get("signal"))
-        direction = str(event.fields.get("direction"))
+    for detection in detections:
+        signal = str(detection.get("signal"))
+        direction = str(detection.get("direction"))
         by_signal[signal] = by_signal.get(signal, 0) + 1
         by_direction[direction] = by_direction.get(direction, 0) + 1
-        if first_t is None and event.t is not None:
-            first_t = float(event.t)
-    total = sum(by_signal.values())
     snapshot: Dict[str, object] = {
-        "detected": total,
+        "detected": len(detections),
         "by_signal": dict(sorted(by_signal.items())),
         "by_direction": dict(sorted(by_direction.items())),
     }
-    if first_t is not None:
-        snapshot["first_t"] = first_t
+    stamped = [d["t"] for d in detections if d["t"] is not None]
+    if stamped:
+        snapshot["first_t"] = float(stamped[0])  # type: ignore[arg-type]
     return snapshot
 
 

@@ -568,10 +568,10 @@ def render_html_report(run: Run) -> str:
     sections: List[str] = [_manifest_section(run), _headline_section(
         run.result
     )]
-    events = run.events()
-    if events:
-        analysis = analyze_trace(events)
-        utilization = utilization_timeline(events, metadata=analysis.meta)
+    index = run.index()
+    if index.events:
+        analysis = analyze_trace(index)
+        utilization = utilization_timeline(index)
         horizon = float(analysis.meta["horizon"])
         sections.append("<h2>Utilization heatmap</h2>")
         sections.append(_svg_heatmap(
@@ -587,7 +587,7 @@ def render_html_report(run: Run) -> str:
         sections.append(_nodes_section(analysis, utilization))
         sections.append(_operators_section(analysis))
         sections.append(_critical_path_section(
-            analyze_critical_path(events)
+            analyze_critical_path(index)
         ))
         sections.append(_decisions_section(analysis))
         sections.append(_drift_section(analysis))

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from .index import RunIndex
 from .metrics import MetricsRegistry
 from .trace import JsonlSink, TraceEvent, read_trace
 
@@ -365,7 +366,7 @@ class Run:
         self._manifest: Optional[RunManifest] = None
         self._result: Optional[Dict[str, object]] = None
         self._metrics: Optional[Dict[str, object]] = None
-        self._events: Optional[List[TraceEvent]] = None
+        self._index: Optional[RunIndex] = None
 
     def _read_json(self, name: str) -> Dict[str, object]:
         with open(os.path.join(self.path, name), encoding="utf-8") as handle:
@@ -414,14 +415,18 @@ class Run:
     def has_trace(self) -> bool:
         return os.path.exists(self.trace_path)
 
-    def events(self) -> List[TraceEvent]:
-        """The run's trace events (``[]`` when the run was untraced),
-        parsed on the first call and returned as the same list after."""
-        if self._events is None:
-            self._events = (
+    def events(self) -> Sequence[TraceEvent]:
+        """The run's trace events (``[]`` when the run was untraced)."""
+        return self.index().events
+
+    def index(self) -> RunIndex:
+        """The run's trace, parsed and indexed on the first call
+        (:class:`~repro.obs.index.RunIndex`) and the same index after."""
+        if self._index is None:
+            self._index = RunIndex(
                 read_trace(self.trace_path) if self.has_trace else []
             )
-        return self._events
+        return self._index
 
     def __repr__(self) -> str:
         return f"Run({self.path!r})"

@@ -22,17 +22,20 @@ exactly at the allowed pace, and any window burning faster than
 require every full window inside the arrival horizon to deliver at
 least ``min_tuples_per_second`` of sink output.
 
-:func:`evaluate_slos` consumes sink ``batch.serviced`` events (present
-in every recorded trace since the run registry landed), so it works on
-old traces as well as span-bearing ones.  Results surface three ways:
+:func:`evaluate_slos` consumes the sink samples of a trace's index
+(sink ``batch.serviced`` events, present in every recorded trace since
+the run registry landed), so it works on old traces as well as
+span-bearing ones.  Results surface three ways:
 the ``rod_slo_*`` metric families (:func:`record_slo_metrics`), the
 ``slo.*`` snapshot section diffed by ``repro-rod compare``
 (direction-aware: budget remaining falling is a regression), and the
 ``repro-rod slo`` CLI verdict (exit 1 on breach).
 
-:class:`SloWatcher` is the streaming twin — a duck-typed hook a
-dynamics controller can feed per-completion observations to and poll
-``burning`` to trigger reactive moves before the budget is gone.
+:class:`SloWatcher` holds the one burn-window implementation: a
+dynamics controller feeds it per-completion observations during a run
+and polls ``burning`` to trigger reactive moves before the budget is
+gone, and the offline latency verdict replays a trace's sink samples
+through it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
+from .index import Trace, as_index
 from .metrics import MetricsRegistry
-from .trace import TraceEvent
 
 __all__ = [
     "LatencyObjective",
@@ -239,72 +242,28 @@ def load_slo_config(path: str) -> List[Objective]:
     return parse_slo_config(obj)
 
 
-def _sink_samples(
-    events: Sequence[TraceEvent],
-) -> List[Sequence[float]]:
-    """(t, latency, out) per sink completion, in trace order."""
-    samples: List[Sequence[float]] = []
-    for event in events:
-        if event.type != "batch.serviced":
-            continue
-        f = event.fields
-        if f.get("sink") is None or event.t is None:
-            continue
-        samples.append((
-            float(event.t),
-            float(f.get("latency", 0.0)),  # type: ignore[arg-type]
-            float(f.get("out", 0)),  # type: ignore[arg-type]
-        ))
-    return samples
-
-
-def _horizon(events: Sequence[TraceEvent]) -> float:
-    for event in events:
-        if event.type == "sim.start":
-            value = event.fields.get("horizon")
-            if value is not None:
-                return float(value)  # type: ignore[arg-type]
-    last = [float(e.t) for e in events if e.t is not None]
-    return max(last) if last else 0.0
-
-
 def _evaluate_latency(
     objective: LatencyObjective,
     samples: Sequence[Sequence[float]],
 ) -> ObjectiveResult:
-    window = objective.window_seconds
+    watcher = SloWatcher(objective)
+    for t, latency, out, _ in samples:
+        watcher.observe(t, latency, out)
+    watcher.close()
     budget = objective.budget
-    totals: Dict[int, float] = {}
-    bad: Dict[int, float] = {}
-    bad_mass = 0.0
-    total_mass = 0.0
-    for t, latency, out in samples:
-        index = int(t // window)
-        totals[index] = totals.get(index, 0.0) + out
-        total_mass += out
-        if latency > objective.threshold_seconds:
-            bad[index] = bad.get(index, 0.0) + out
-            bad_mass += out
-    worst = 0.0
-    breaches = 0
-    for index, total in totals.items():
-        burn = (bad.get(index, 0.0) / total) / budget
-        worst = max(worst, burn)
-        if burn > objective.max_burn_rate:
-            breaches += 1
-    bad_fraction = bad_mass / total_mass if total_mass else 0.0
-    remaining = max(0.0, 1.0 - bad_fraction / budget)
-    good_fraction = 1.0 - bad_fraction
+    bad_fraction = (
+        watcher.bad_tuples / watcher.tuples if watcher.tuples else 0.0
+    )
     return ObjectiveResult(
         name=objective.name,
         kind=objective.kind,
-        ok=breaches == 0 and bad_fraction <= budget,
-        windows=len(totals),
-        breach_windows=breaches,
+        ok=watcher.breaches == 0 and bad_fraction <= budget,
+        windows=watcher.windows,
+        breach_windows=watcher.breaches,
         bad_fraction=bad_fraction,
-        budget_remaining=remaining,
-        worst_burn_rate=worst,
-        attainment=good_fraction / objective.target,
+        budget_remaining=max(0.0, 1.0 - bad_fraction / budget),
+        worst_burn_rate=watcher.worst_burn_rate,
+        attainment=(1.0 - bad_fraction) / objective.target,
     )
 
 
@@ -321,7 +280,7 @@ def _evaluate_throughput(
         windows = 1
         window = horizon if horizon > 0 else window
     counts = [0.0] * windows
-    for t, _, out in samples:
+    for t, _, out, _ in samples:
         index = int(t // window)
         if index < windows:
             counts[index] += out
@@ -348,12 +307,13 @@ def _evaluate_throughput(
 
 
 def evaluate_slos(
-    events: Sequence[TraceEvent],
+    events: Trace,
     objectives: Sequence[Objective],
 ) -> SloReport:
     """Judge every objective against one trace."""
-    samples = _sink_samples(events)
-    horizon = _horizon(events)
+    index = as_index(events)
+    samples = [s for s in index.sink_samples if s[0] is not None]
+    horizon = float(index.meta["horizon"])  # type: ignore[arg-type]
     results: List[ObjectiveResult] = []
     for objective in objectives:
         if isinstance(objective, LatencyObjective):
@@ -426,18 +386,26 @@ def render_slo_report(report: SloReport) -> str:
 
 
 class SloWatcher:
-    """Streaming latency-objective monitor — the controller hook.
+    """Burn-rate windows of one latency objective, fed sample by sample.
 
-    Feed it every sink completion via :meth:`observe`; it maintains the
-    current burn-rate window incrementally and exposes ``burning``
-    (the most recently *completed* window breached) plus a running
-    breach count.  Duck-typed on purpose: a dynamics controller only
-    needs ``observe`` and ``burning``, no import of this module.
+    The controller hook and the offline verdict share it.  Feed it every
+    sink completion via :meth:`observe`; it judges a window when the
+    next one starts, and exposes ``burning`` (the most recently
+    *completed* window breached) plus running totals.  :meth:`close`
+    judges the window still open at the end of a run.  Duck-typed on
+    purpose: a dynamics controller only needs ``observe`` and
+    ``burning``, no import of this module.
     """
 
     def __init__(self, objective: LatencyObjective) -> None:
         self.objective = objective
+        #: Windows judged, and how many of them burned too fast.
+        self.windows = 0
         self.breaches = 0
+        self.worst_burn_rate = 0.0
+        #: Sink tuples observed, and those over the latency threshold.
+        self.tuples = 0.0
+        self.bad_tuples = 0.0
         self._window_index: Optional[int] = None
         self._window_total = 0.0
         self._window_bad = 0.0
@@ -450,17 +418,22 @@ class SloWatcher:
         if self._window_index is None:
             self._window_index = index
         elif index != self._window_index:
-            self._roll_window()
+            self.close()
             self._window_index = index
         self._window_total += count
+        self.tuples += count
         if latency > self.objective.threshold_seconds:
             self._window_bad += count
+            self.bad_tuples += count
 
-    def _roll_window(self) -> None:
+    def close(self) -> None:
+        """Judge the open window and start an empty one."""
         if self._window_total > 0:
             burn = (
                 self._window_bad / self._window_total
             ) / self.objective.budget
+            self.windows += 1
+            self.worst_burn_rate = max(self.worst_burn_rate, burn)
             self._last_burn = burn
             self._last_breached = burn > self.objective.max_burn_rate
             if self._last_breached:

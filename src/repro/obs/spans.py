@@ -29,17 +29,16 @@ topological order: iterate ids descending to propagate sink weights
 rootward.  A span that never closes is a stranded batch — its node
 crashed (or drained past the horizon) with no failover to rescue it.
 
-This module reconstructs (:func:`spans_from_trace`), validates
-(:func:`validate_span_dag`) and slices (:func:`span_lineage`) the
-forest from a recorded trace.
+:class:`repro.obs.index.RunIndex` reconstructs the forest from a
+recorded trace; this module validates (:func:`validate_span_dag`) and
+slices (:func:`span_lineage`) it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Set
 
-from .trace import TraceEvent
+from .index import SpanRecord, Trace, as_index
 
 __all__ = [
     "SpanRecord",
@@ -49,98 +48,17 @@ __all__ = [
 ]
 
 
-@dataclass
-class SpanRecord:
-    """One reconstructed span: open fields plus close fields if closed."""
+def spans_from_trace(events: Trace) -> Dict[int, SpanRecord]:
+    """The span forest of a trace, keyed by span id in ascending
+    (creation) order: :attr:`repro.obs.index.RunIndex.spans`.
 
-    span: int
-    operator: str
-    port: int
-    count: int
-    birth: float
-    open_t: float
-    parent: Optional[int] = None
-    # Close-side fields; ``closed`` is False for stranded batches.
-    closed: bool = False
-    node: int = -1
-    start: float = 0.0
-    end: float = 0.0
-    work: float = 0.0
-    out: int = 0
-    sink: Optional[str] = None
-    latency: Optional[float] = None
-
-    @property
-    def is_sink(self) -> bool:
-        """True when this span produced sink tuples (terminal output)."""
-        return self.sink is not None
-
-    @property
-    def wait_seconds(self) -> float:
-        """Time spent between arrival and service start (closed spans)."""
-        return self.start - self.open_t
-
-    @property
-    def service_seconds(self) -> float:
-        """Time spent in service on the node (closed spans)."""
-        return self.end - self.start
-
-
-def spans_from_trace(events: Iterable[TraceEvent]) -> Dict[int, SpanRecord]:
-    """Rebuild the span forest from trace events, keyed by span id.
-
-    The forest comes back in ascending id order — creation order, not
-    the order the batches were enqueued in — so analyzers that
-    accumulate over it always add in the same order.  Tolerant of other
-    events in the stream, and of batch events without a ``span`` field
-    (a trace recorded before batch events carried spans reads as
-    span-less); raises ``ValueError`` on structurally impossible traces
-    (duplicate opens, close without an open, double close) because no
-    analyzer can make sense of those.  Structural *lineage* problems —
-    orphan parents, id-order violations — are the province of
+    Raises ``ValueError`` on structurally impossible traces (duplicate
+    opens, close without an open, double close) because no analyzer can
+    make sense of those.  Structural *lineage* problems — orphan
+    parents, id-order violations — are the province of
     :func:`validate_span_dag`, which reports rather than raises.
     """
-    spans: Dict[int, SpanRecord] = {}
-    for event in events:
-        f = event.fields
-        if event.type == "batch.enqueued" and "span" in f:
-            span_id = int(f["span"])  # type: ignore[call-overload]
-            if span_id in spans:
-                raise ValueError(f"span {span_id} opened twice")
-            parent = f.get("parent")
-            spans[span_id] = SpanRecord(
-                span=span_id,
-                operator=str(f["operator"]),
-                port=int(f["port"]),  # type: ignore[call-overload]
-                count=int(f["count"]),  # type: ignore[call-overload]
-                birth=float(f["birth"]),  # type: ignore[arg-type]
-                open_t=0.0 if event.t is None else float(event.t),
-                parent=(
-                    None if parent is None
-                    else int(parent)  # type: ignore[call-overload]
-                ),
-            )
-        elif event.type == "batch.serviced" and "span" in f:
-            span_id = int(f["span"])  # type: ignore[call-overload]
-            record = spans.get(span_id)
-            if record is None:
-                raise ValueError(f"span {span_id} closed without an open")
-            if record.closed:
-                raise ValueError(f"span {span_id} closed twice")
-            record.closed = True
-            record.node = int(f["node"])  # type: ignore[call-overload]
-            record.start = float(f["start"])  # type: ignore[arg-type]
-            record.end = 0.0 if event.t is None else float(event.t)
-            record.work = float(f["work"])  # type: ignore[arg-type]
-            record.out = int(f["out"])  # type: ignore[call-overload]
-            sink = f.get("sink")
-            record.sink = None if sink is None else str(sink)
-            latency = f.get("latency")
-            record.latency = (
-                None if latency is None
-                else float(latency)  # type: ignore[arg-type]
-            )
-    return dict(sorted(spans.items()))
+    return as_index(events).spans
 
 
 def validate_span_dag(spans: Mapping[int, SpanRecord]) -> List[str]:

@@ -1,161 +1,60 @@
 """Render per-node utilization timelines from simulation traces.
 
-Works entirely from a parsed JSONL trace (:func:`repro.obs.trace.read_trace`):
-the ``sim.start`` header event supplies the geometry (node count, step
-width, horizon, capacities), the ``batch.serviced`` / ``node.stall``
-events supply the CPU-seconds each node served, and
-:mod:`repro.workload.textplot` turns the binned series into terminal
-sparklines — the Figure-2-style view of where load actually went.
+Works entirely from a trace's index (:class:`repro.obs.index.RunIndex`):
+the ``sim.start`` header supplies the geometry (node count, step width,
+horizon, capacities), the served-work view supplies the CPU-seconds
+each node served, and :mod:`repro.workload.textplot` turns the binned
+series into terminal sparklines — the Figure-2-style view of where load
+actually went.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..workload.textplot import sparkline
-from .trace import TraceEvent
+from .index import Trace, as_index, filter_events
 
 __all__ = [
-    "WORK_EVENT_TYPES",
     "filter_events",
     "trace_metadata",
     "busy_totals",
     "work_timeline",
     "utilization_timeline",
-    "trace_summary",
     "render_trace_report",
 ]
 
-#: Event types that carry served CPU work in a ``work`` field.
-WORK_EVENT_TYPES = ("batch.serviced", "node.stall")
 
-
-def trace_metadata(events: Sequence[TraceEvent]) -> Dict[str, object]:
+def trace_metadata(events: Trace) -> Dict[str, object]:
     """Run geometry from the ``sim.start`` header, inferred if absent.
 
-    Returns ``nodes``, ``step_seconds``, ``horizon`` and ``capacities``;
-    traces written by this package always carry the header, but the
-    fallback lets hand-built event lists render too.
+    Returns ``nodes``, ``step_seconds``, ``horizon`` and ``capacities``
+    (:attr:`repro.obs.index.RunIndex.meta`).
     """
-    for event in events:
-        if event.type == "sim.start":
-            meta = dict(event.fields)
-            nodes = int(meta.get("nodes", 1))
-            return {
-                "nodes": nodes,
-                "step_seconds": float(meta.get("step_seconds", 0.1)),
-                "horizon": float(meta.get("horizon", 0.0)),
-                "capacities": _pad_capacities(
-                    meta.get("capacities", ()), nodes
-                ),
-            }
-    nodes = 0
-    last_t = 0.0
-    for event in events:
-        node = event.fields.get("node")
-        if node is not None:
-            nodes = max(nodes, int(node) + 1)
-        if event.t is not None:
-            last_t = max(last_t, float(event.t))
-    nodes = max(nodes, 1)
-    return {
-        "nodes": nodes,
-        "step_seconds": 0.1,
-        "horizon": last_t,
-        "capacities": [1.0] * nodes,
-    }
-
-
-def _pad_capacities(raw: object, nodes: int) -> List[float]:
-    """Capacity list padded with 1.0 to ``nodes`` entries.
-
-    A header without (or with a short) ``capacities`` list used to
-    default to a single entry regardless of the node count, silently
-    mis-scaling utilization for every node past the first.
-    """
-    capacities = [float(c) for c in raw]  # type: ignore[union-attr]
-    if len(capacities) < nodes:
-        capacities.extend([1.0] * (nodes - len(capacities)))
-    return capacities
-
-
-def filter_events(
-    events: Sequence[TraceEvent],
-    types: Optional[Sequence[str]] = None,
-    nodes: Optional[Sequence[int]] = None,
-    since: Optional[float] = None,
-    spans: Optional[Sequence[int]] = None,
-    operators: Optional[Sequence[str]] = None,
-) -> List[TraceEvent]:
-    """Subset of ``events`` matching every given filter.
-
-    ``types`` keeps only the listed event types; ``nodes`` keeps only
-    events carrying a ``node`` field with one of the listed indices
-    (events without a node field — migrations, phases, headers — are
-    dropped when a node filter is active); ``since`` keeps events whose
-    simulated time is ``>= since`` (events with no sim clock, ``t is
-    None``, are kept — they have no position in the window).
-
-    ``spans`` and ``operators`` follow the node-filter convention:
-    ``spans`` keeps only events carrying a ``span`` field with one of
-    the listed ids (pass a lineage closure from
-    :func:`repro.obs.spans.span_lineage` to pull one batch's history);
-    ``operators`` keeps only events whose ``operator`` field matches.
-    Events lacking the filtered field are dropped while that filter is
-    active.
-    """
-    type_set = None if types is None else frozenset(types)
-    node_set = None if nodes is None else frozenset(int(n) for n in nodes)
-    span_set = None if spans is None else frozenset(int(s) for s in spans)
-    operator_set = (
-        None if operators is None else frozenset(str(o) for o in operators)
-    )
-    kept = []
-    for event in events:
-        if type_set is not None and event.type not in type_set:
-            continue
-        if node_set is not None:
-            node = event.fields.get("node")
-            if node is None or int(node) not in node_set:
-                continue
-        if span_set is not None:
-            span = event.fields.get("span")
-            if span is None or int(span) not in span_set:
-                continue
-        if operator_set is not None:
-            operator = event.fields.get("operator")
-            if operator is None or str(operator) not in operator_set:
-                continue
-        if (since is not None and event.t is not None
-                and float(event.t) < since):
-            continue
-        kept.append(event)
-    return kept
+    return dict(as_index(events).meta)
 
 
 def busy_totals(
-    events: Sequence[TraceEvent], num_nodes: Optional[int] = None
+    events: Trace, num_nodes: Optional[int] = None
 ) -> np.ndarray:
     """CPU-seconds served per node, summed over the work events.
 
     Matches ``SimulationResult.node_busy`` exactly: the engine emits one
     work-carrying event per completion, stalls included.
     """
-    if num_nodes is None:
-        num_nodes = int(trace_metadata(events)["nodes"])
-    totals = np.zeros(num_nodes)
-    for event in events:
-        if event.type in WORK_EVENT_TYPES:
-            totals[int(event.fields["node"])] += float(
-                event.fields.get("work", 0.0)
-            )
+    index = as_index(events)
+    totals = np.zeros(
+        int(index.meta["nodes"]) if num_nodes is None else num_nodes
+    )
+    for _, node, work, _, _, _ in index.work:
+        totals[node] += work
     return totals
 
 
 def work_timeline(
-    events: Sequence[TraceEvent],
+    events: Trace,
     step_seconds: Optional[float] = None,
     num_nodes: Optional[int] = None,
     horizon: Optional[float] = None,
@@ -169,110 +68,73 @@ def work_timeline(
     lookup — pass the full trace's :func:`trace_metadata` when rendering
     a filtered subset that may no longer contain ``sim.start``.
     """
-    meta = metadata if metadata is not None else trace_metadata(events)
-    step = float(step_seconds or meta["step_seconds"])
-    n = int(num_nodes or meta["nodes"])
-    end = float(horizon or meta["horizon"])
+    index = as_index(events, metadata)
+    meta = index.meta
+    step = float(step_seconds or meta["step_seconds"])  # type: ignore[arg-type]
+    n = int(num_nodes or meta["nodes"])  # type: ignore[call-overload]
+    end = float(horizon or meta["horizon"])  # type: ignore[arg-type]
     if step <= 0:
         raise ValueError("step_seconds must be > 0")
+    served = [entry for entry in index.work if entry[0] is not None]
     if end <= 0:
         # No horizon known: span the events.
-        times = [
-            float(e.t) for e in events
-            if e.type in WORK_EVENT_TYPES and e.t is not None
-        ]
-        end = max(times) + step if times else step
+        end = max(float(t) for t, *_ in served) + step if served else step
     steps = max(1, int(round(end / step)))
     timeline = np.zeros((steps, n))
-    for event in events:
-        if event.type not in WORK_EVENT_TYPES or event.t is None:
-            continue
-        bin_index = min(int(float(event.t) / step), steps - 1)
-        timeline[bin_index, int(event.fields["node"])] += float(
-            event.fields.get("work", 0.0)
-        )
+    for t, node, work, _, _, _ in served:
+        timeline[min(int(float(t) / step), steps - 1), node] += work
     return timeline
 
 
 def utilization_timeline(
-    events: Sequence[TraceEvent],
+    events: Trace,
     step_seconds: Optional[float] = None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> np.ndarray:
     """Per-bin utilization (served work / capacity / bin width)."""
-    meta = metadata if metadata is not None else trace_metadata(events)
-    step = float(step_seconds or meta["step_seconds"])
+    index = as_index(events, metadata)
+    meta = index.meta
+    step = float(step_seconds or meta["step_seconds"])  # type: ignore[arg-type]
     capacities = np.asarray(meta["capacities"], dtype=float)
-    timeline = work_timeline(events, step_seconds=step, metadata=meta)
+    timeline = work_timeline(index, step_seconds=step)
     return timeline / (capacities[None, :] * step)
 
 
-def trace_summary(
-    events: Sequence[TraceEvent],
-) -> Dict[str, object]:
-    """Event counts by type plus the simulated time span."""
-    by_type: Dict[str, int] = {}
-    t_min: Optional[float] = None
-    t_max: Optional[float] = None
-    for event in events:
-        by_type[event.type] = by_type.get(event.type, 0) + 1
-        if event.t is not None:
-            t = float(event.t)
-            t_min = t if t_min is None else min(t_min, t)
-            t_max = t if t_max is None else max(t_max, t)
-    return {
-        "events": len(events),
-        "by_type": dict(sorted(by_type.items())),
-        "span": (t_min, t_max),
-    }
-
-
-def _migration_lines(events: Sequence[TraceEvent]) -> List[str]:
-    lines = []
-    for event in events:
-        if event.type != "migration.applied":
-            continue
-        f = event.fields
-        lines.append(
-            f"  t={0.0 if event.t is None else float(event.t):g}s "
-            f"{f.get('operator', '?')}: node {f.get('source', '?')} -> "
-            f"{f.get('target', '?')} (pause {float(f.get('pause', 0.0)):g}s)"
-        )
-    return lines
-
-
 def render_trace_report(
-    events: Sequence[TraceEvent],
+    events: Trace,
     width: int = 60,
     metadata: Optional[Dict[str, object]] = None,
 ) -> str:
-    """Human-readable report: counts, per-node timelines, migrations."""
-    if not events:
+    """Human-readable report: counts, per-node timelines, migrations.
+
+    ``metadata`` is the run geometry to render against — the full
+    trace's when ``events`` is a filtered subset.
+    """
+    index = as_index(events, metadata)
+    if not index.events:
         raise ValueError("cannot render an empty trace")
     if width < 1:
         raise ValueError("width must be >= 1")
-    meta = metadata if metadata is not None else trace_metadata(events)
-    summary = trace_summary(events)
-    utilization = utilization_timeline(events, metadata=meta)
-    totals = busy_totals(events, num_nodes=int(meta["nodes"]))
+    meta = index.meta
+    utilization = utilization_timeline(index)
+    totals = busy_totals(index)
     capacities = np.asarray(meta["capacities"], dtype=float)
-    horizon = float(meta["horizon"])
+    horizon = float(meta["horizon"])  # type: ignore[arg-type]
     if horizon <= 0:
-        horizon = utilization.shape[0] * float(meta["step_seconds"])
+        horizon = utilization.shape[0] * float(meta["step_seconds"])  # type: ignore[arg-type]
 
     parts = [
-        f"trace: {summary['events']} events over "
+        f"trace: {len(index.events)} events over "
         f"{horizon:g}s simulated ({meta['nodes']} nodes, "
         f"step {meta['step_seconds']:g}s)",
         "",
         "events by type:",
     ]
-    by_type: Dict[str, int] = summary["by_type"]  # type: ignore[assignment]
-    for name, count in by_type.items():
+    for name, count in sorted(index.type_counts.items()):
         parts.append(f"  {name}: {count}")
     parts.append("")
     parts.append("per-node utilization (served work / capacity):")
-    for node in range(int(meta["nodes"])):
+    for node in range(int(meta["nodes"])):  # type: ignore[call-overload]
         series = utilization[:, node]
         mean_util = totals[node] / (capacities[node] * horizon)
         line = sparkline(series, width=min(width, series.size))
@@ -280,9 +142,12 @@ def render_trace_report(
             f"  node {node} |{line}| "
             f"mean={mean_util:.2f} peak={series.max():.2f}"
         )
-    migrations = _migration_lines(events)
-    if migrations:
+    if index.migrations:
         parts.append("")
-        parts.append(f"migrations applied ({len(migrations)}):")
-        parts.extend(migrations)
+        parts.append(f"migrations applied ({len(index.migrations)}):")
+        parts.extend(
+            f"  t={m.t:g}s {m.operator}: node {m.source} -> {m.target} "
+            f"(pause {m.pause:g}s)"
+            for m in index.migrations
+        )
     return "\n".join(parts)

@@ -906,6 +906,68 @@ class TestMalformedTrace:
         )
 
 
+class TestImpossibleTrace:
+    """A trace no run can have written — a span closed twice, a node
+    the header does not declare — exits 1 with ``<path>: ...`` naming
+    the span or node, not with a traceback."""
+
+    @pytest.fixture
+    def root(self, tmp_path, graph_file, plan_file, capsys):
+        root = str(tmp_path / "runs")
+        assert main([
+            "simulate", "--graph", graph_file, "--plan", plan_file,
+            "--rates", "20,20", "--duration", "1",
+            "--record", root, "--run-id", "run",
+        ]) == 0
+        capsys.readouterr()
+        return root
+
+    @staticmethod
+    def _rewrite(root, edit):
+        """Rewrite the run's trace lines through ``edit``; its path."""
+        path = os.path.join(root, "run", "trace.jsonl")
+        with open(path) as handle:
+            lines = handle.readlines()
+        with open(path, "w") as handle:
+            handle.writelines(edit(lines))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "run", "--root", "{root}"],
+        ["report", "run", "--root", "{root}"],
+        ["trace", "{trace}", "--span", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_span_closed_twice(self, root, argv):
+        spans = []
+
+        def repeat_a_service(lines):
+            line = next(x for x in lines if '"batch.serviced"' in x)
+            spans.append(json.loads(line)["span"])
+            return lines + [line]
+
+        trace = self._rewrite(root, repeat_a_service)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(root=root, trace=trace) for arg in argv])
+        assert exc.value.code == f"{trace}: span {spans[0]} closed twice"
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "run", "--root", "{root}"],
+        ["trace", "{trace}"],
+    ], ids=lambda argv: argv[0])
+    def test_node_outside_the_header(self, root, argv):
+        def declare_one_node(lines):
+            header = json.loads(lines[0])
+            assert header["type"] == "sim.start" and header["nodes"] == 2
+            return [json.dumps(dict(header, nodes=1)) + "\n"] + lines[1:]
+
+        trace = self._rewrite(root, declare_one_node)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(root=root, trace=trace) for arg in argv])
+        message = str(exc.value.code)
+        assert message.startswith(f"{trace}: ")
+        assert "names node 1, but the trace declares 1 node(s)" in message
+
+
 class TestRecordOnce:
     """``simulate`` builds its snapshot from the events it emitted; the
     sections must equal what the analyzers return on the written file."""

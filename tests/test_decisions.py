@@ -35,12 +35,11 @@ from repro.obs.decisions import (
     NOOP_REASONS,
     DecisionTelemetry,
     decision_snapshot,
-    decisions_from_trace,
-    explain_migrations,
     render_why_report,
     why_json_obj,
 )
 from repro.obs.drift import DriftMonitor, PageHinkley, drift_snapshot
+from repro.obs.index import RunIndex
 from repro.simulator.engine import Simulator
 
 
@@ -179,7 +178,7 @@ class TestDriftMonitor:
 class TestBalanceDecisionAudit:
     def test_every_poll_yields_one_decision(self, balance_run):
         _, events, _ = balance_run
-        decisions = decisions_from_trace(events)
+        decisions = RunIndex(events).decisions
         # One control poll per period over the 30s horizon, one record
         # each, with unique monotonically-assigned ids.
         assert len(decisions) == 30
@@ -191,7 +190,7 @@ class TestBalanceDecisionAudit:
     def test_migrations_map_one_to_one_to_decisions(self, balance_run):
         result, events, _ = balance_run
         assert result.migration_count >= 1
-        explanations = explain_migrations(events)
+        explanations = RunIndex(events).migrations
         assert len(explanations) == result.migration_count
         for explanation in explanations:
             view = explanation.decision
@@ -222,7 +221,7 @@ class TestBalanceDecisionAudit:
     def test_noop_periods_carry_structured_reasons(self, balance_run):
         _, events, _ = balance_run
         no_ops = [
-            d for d in decisions_from_trace(events) if d.actions == 0
+            d for d in RunIndex(events).decisions if d.actions == 0
         ]
         assert no_ops
         assert all(d.reason in NOOP_REASONS for d in no_ops)
@@ -230,7 +229,7 @@ class TestBalanceDecisionAudit:
     def test_stalls_link_back_to_their_decision(self, balance_run):
         _, events, _ = balance_run
         decision_ids = {
-            d.decision for d in decisions_from_trace(events)
+            d.decision for d in RunIndex(events).decisions
             if d.actions > 0
         }
         stalls = [e for e in events if e.type == "node.stall"]
@@ -241,7 +240,7 @@ class TestBalanceDecisionAudit:
     def test_pause_attribution_sums_stall_work(self, balance_run):
         _, events, _ = balance_run
         served = sum(
-            e.pause_served for e in explain_migrations(events)
+            e.pause_served for e in RunIndex(events).migrations
         )
         stalled = sum(
             float(e.fields.get("work", 0.0))
@@ -252,7 +251,7 @@ class TestBalanceDecisionAudit:
 
     def test_decision_carries_volume_before_and_after(self, balance_run):
         _, events, _ = balance_run
-        for view in decisions_from_trace(events):
+        for view in RunIndex(events).decisions:
             # Every periodic poll samples the current feasible volume;
             # the projected post-move volume exists only when the
             # decision actually issued moves.
@@ -267,7 +266,7 @@ class TestBalanceDecisionAudit:
         snapshot = decision_snapshot(events)
         assert snapshot["migrations"] == result.migration_count
         assert snapshot["linked_migrations"] == result.migration_count
-        assert snapshot["evaluated"] == len(decisions_from_trace(events))
+        assert snapshot["evaluated"] == len(RunIndex(events).decisions)
         assert sum(snapshot["triggers"].values()) == snapshot["evaluated"]
         assert set(snapshot["no_op"]) <= set(NOOP_REASONS)
         assert snapshot["rejected_candidates"] >= 0
@@ -330,14 +329,14 @@ class TestFailoverDecisionAudit:
     def test_fault_and_recover_triggers_recorded(self, chaos_run):
         _, events = chaos_run
         triggers = {
-            d.trigger for d in decisions_from_trace(events)
+            d.trigger for d in RunIndex(events).decisions
         }
         assert {"periodic", "fault", "recover"} <= triggers
 
     def test_fault_decision_scores_survivors_by_volume(self, chaos_run):
         _, events = chaos_run
         fault_decisions = [
-            d for d in decisions_from_trace(events) if d.trigger == "fault"
+            d for d in RunIndex(events).decisions if d.trigger == "fault"
         ]
         assert len(fault_decisions) == 1
         decision = fault_decisions[0]
@@ -353,7 +352,7 @@ class TestFailoverDecisionAudit:
 
     def test_every_failover_migration_links_to_a_decision(self, chaos_run):
         result, events = chaos_run
-        explanations = explain_migrations(events)
+        explanations = RunIndex(events).migrations
         assert len(explanations) == result.migration_count
         assert all(e.decision is not None for e in explanations)
         fault_linked = [
@@ -371,7 +370,7 @@ class TestFailoverDecisionAudit:
     def test_periodic_polls_record_event_driven_idle(self, chaos_run):
         _, events = chaos_run
         periodic = [
-            d for d in decisions_from_trace(events)
+            d for d in RunIndex(events).decisions
             if d.trigger == "periodic"
         ]
         assert periodic
@@ -402,7 +401,7 @@ class TestSloBurnTrigger:
             tracer=Tracer(sink, validate=True),
             controller=controller,
         ).run(rates=[100.0, 100.0], duration=5.0)
-        decisions = decisions_from_trace(sink.events)
+        decisions = RunIndex(sink.events).decisions
         assert decisions
         assert all(d.trigger == "slo-burn" for d in decisions)
         assert all(
@@ -460,7 +459,7 @@ class TestControllerWithoutTelemetryAttribute:
             tracer=Tracer(sink, validate=True), controller=controller,
         ).run(rates=[50.0, 50.0], duration=3.0)
         assert controller.telemetry is None
-        decisions = decisions_from_trace(sink.events)
+        decisions = RunIndex(sink.events).decisions
         assert decisions
         assert all(d.reason == "unobserved" for d in decisions)
         assert all(d.controller == "BareController" for d in decisions)
@@ -482,7 +481,7 @@ class TestDecisionMetrics:
         doc = registry.to_json()
         decisions = doc["rod_decisions_total"]["samples"]
         assert sum(s["value"] for s in decisions) == len(
-            decisions_from_trace(sink.events)
+            RunIndex(sink.events).decisions
         )
         assert {"signal": "arrival_rate[0]"} in [
             s["labels"] for s in doc["rod_drift_statistic"]["samples"]

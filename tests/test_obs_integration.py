@@ -14,11 +14,11 @@ from repro.dynamics.controller import LoadBalancingController
 from repro.graphs.generator import monitoring_graph
 from repro.graphs.serialize import load_graph
 from repro.obs import MemorySink, Observability, Tracer, read_trace
+from repro.obs.index import RunIndex
 from repro.obs.timeline import (
     busy_totals,
     render_trace_report,
     trace_metadata,
-    trace_summary,
     utilization_timeline,
 )
 
@@ -55,7 +55,7 @@ class TestTraceAgreesWithResult:
 
     def test_summary_counts_are_balanced(self, traced_run):
         _, _, events = traced_run
-        by_type = trace_summary(events)["by_type"]
+        by_type = RunIndex(events).type_counts
         assert by_type["sim.start"] == 1
         assert by_type["sim.end"] == 1
         # Every enqueued batch is eventually serviced at these rates.
