@@ -16,10 +16,11 @@ This module is the audit trail:
   per-node load snapshot, every candidate migration considered with its
   policy score, and the outcome: ``migrate`` or a structured no-op
   reason (:data:`NOOP_REASONS`).
-* Trace-side reconstruction — :func:`decisions_from_trace`,
-  :func:`explain_migrations`, :func:`decision_snapshot` — which the
-  ``repro-rod why`` CLI, the HTML report's decision-timeline panel, and
-  the run-registry snapshot build on.  Every ``migration.applied`` event
+* The trace side — :func:`decision_snapshot`, :func:`why_json_obj`
+  and :func:`render_why_report`, built on the decision and migration
+  views of :class:`repro.obs.index.RunIndex` — which the ``repro-rod
+  why`` CLI, the HTML report's decision-timeline panel, and the
+  run-registry snapshot build on.  Every ``migration.applied`` event
   carries the ``decision`` id of the record that caused it, and
   ``node.stall`` events carry it too, so reconfiguration pauses are
   attributable to the decision that triggered them.

@@ -283,9 +283,11 @@ class RunIndex:
         order: the samples the engine recorded, in the order it did."""
         samples = []
         for event in self._queue:
+            if event.type != "batch.serviced":
+                continue
             f: Any = event.fields
             sink = f.get("sink")
-            if sink is None or event.type != "batch.serviced":
+            if sink is None:
                 continue
             samples.append((
                 None if event.t is None else float(event.t),

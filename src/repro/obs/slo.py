@@ -415,19 +415,20 @@ class SloWatcher:
     def observe(self, t: float, latency: float, count: int = 1) -> None:
         """Record one sink completion at simulated time ``t``."""
         index = int(t // self.objective.window_seconds)
-        if self._window_index is None:
-            self._window_index = index
-        elif index != self._window_index:
-            self.close()
+        if index != self._window_index:
+            if self._window_index is not None:
+                self.close()
             self._window_index = index
         self._window_total += count
-        self.tuples += count
         if latency > self.objective.threshold_seconds:
             self._window_bad += count
-            self.bad_tuples += count
 
     def close(self) -> None:
         """Judge the open window and start an empty one."""
+        # Tuple counts are whole numbers, so the totals are exact in
+        # any summation order.
+        self.tuples += self._window_total
+        self.bad_tuples += self._window_bad
         if self._window_total > 0:
             burn = (
                 self._window_bad / self._window_total

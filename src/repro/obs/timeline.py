@@ -21,7 +21,6 @@ __all__ = [
     "filter_events",
     "trace_metadata",
     "busy_totals",
-    "work_timeline",
     "utilization_timeline",
     "render_trace_report",
 ]
@@ -53,50 +52,35 @@ def busy_totals(
     return totals
 
 
-def work_timeline(
-    events: Trace,
-    step_seconds: Optional[float] = None,
-    num_nodes: Optional[int] = None,
-    horizon: Optional[float] = None,
-    metadata: Optional[Dict[str, object]] = None,
-) -> np.ndarray:
-    """Served CPU-seconds per ``(time bin, node)``.
-
-    Bins are ``step_seconds`` wide over ``[0, horizon)``; work completed
-    after the horizon folds into the last bin (same convention as the
-    engine's ``work_timeline``).  ``metadata`` overrides the header
-    lookup — pass the full trace's :func:`trace_metadata` when rendering
-    a filtered subset that may no longer contain ``sim.start``.
-    """
-    index = as_index(events, metadata)
-    meta = index.meta
-    step = float(step_seconds or meta["step_seconds"])  # type: ignore[arg-type]
-    n = int(num_nodes or meta["nodes"])  # type: ignore[call-overload]
-    end = float(horizon or meta["horizon"])  # type: ignore[arg-type]
-    if step <= 0:
-        raise ValueError("step_seconds must be > 0")
-    served = [entry for entry in index.work if entry[0] is not None]
-    if end <= 0:
-        # No horizon known: span the events.
-        end = max(float(t) for t, *_ in served) + step if served else step
-    steps = max(1, int(round(end / step)))
-    timeline = np.zeros((steps, n))
-    for t, node, work, _, _, _ in served:
-        timeline[min(int(float(t) / step), steps - 1), node] += work
-    return timeline
-
-
 def utilization_timeline(
     events: Trace,
     step_seconds: Optional[float] = None,
     metadata: Optional[Dict[str, object]] = None,
 ) -> np.ndarray:
-    """Per-bin utilization (served work / capacity / bin width)."""
+    """Utilization per ``(time bin, node)``: served CPU-seconds over
+    capacity and bin width.
+
+    Bins are ``step_seconds`` wide over ``[0, horizon)``; work completed
+    after the horizon folds into the last bin (same convention as the
+    engine's ``work_timeline``).  ``metadata`` overrides the header
+    lookup — pass the full trace's geometry when rendering a filtered
+    subset that may no longer contain ``sim.start``.
+    """
     index = as_index(events, metadata)
     meta = index.meta
-    step = float(step_seconds or meta["step_seconds"])  # type: ignore[arg-type]
+    step = float(step_seconds or meta["step_seconds"])
+    if step <= 0:
+        raise ValueError("step_seconds must be > 0")
+    served = [entry for entry in index.work if entry[0] is not None]
+    end = float(meta["horizon"])
+    if end <= 0:
+        # No horizon known: span the events.
+        end = max(float(t) for t, *_ in served) + step if served else step
+    steps = max(1, int(round(end / step)))
+    timeline = np.zeros((steps, int(meta["nodes"])))
+    for t, node, work, _, _, _ in served:
+        timeline[min(int(float(t) / step), steps - 1), node] += work
     capacities = np.asarray(meta["capacities"], dtype=float)
-    timeline = work_timeline(index, step_seconds=step)
     return timeline / (capacities[None, :] * step)
 
 
@@ -119,9 +103,9 @@ def render_trace_report(
     utilization = utilization_timeline(index)
     totals = busy_totals(index)
     capacities = np.asarray(meta["capacities"], dtype=float)
-    horizon = float(meta["horizon"])  # type: ignore[arg-type]
+    horizon = float(meta["horizon"])
     if horizon <= 0:
-        horizon = utilization.shape[0] * float(meta["step_seconds"])  # type: ignore[arg-type]
+        horizon = utilization.shape[0] * float(meta["step_seconds"])
 
     parts = [
         f"trace: {len(index.events)} events over "
@@ -134,7 +118,7 @@ def render_trace_report(
         parts.append(f"  {name}: {count}")
     parts.append("")
     parts.append("per-node utilization (served work / capacity):")
-    for node in range(int(meta["nodes"])):  # type: ignore[call-overload]
+    for node in range(int(meta["nodes"])):
         series = utilization[:, node]
         mean_util = totals[node] / (capacities[node] * horizon)
         line = sparkline(series, width=min(width, series.size))

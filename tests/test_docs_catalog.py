@@ -62,3 +62,25 @@ class TestLintDocsInSync:
         assert rows == {
             code: str(severity) for code, (severity, _) in LINT_CODES.items()
         }
+
+
+class TestTraceReadingDocs:
+    def test_the_reading_example_runs(self, tmp_path, monkeypatch, capsys):
+        """The first code block of "Reading and rendering traces" runs
+        as written on a recorded trace."""
+        from repro.cli import main
+
+        text = (ROOT / "docs" / "observability.md").read_text()
+        section = text[text.index("## Reading and rendering traces"):]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        assert "RunIndex" in block
+        monkeypatch.chdir(tmp_path)
+        graph = str(ROOT / "examples" / "configs" / "monitoring.graph.json")
+        assert main(["place", "--graph", graph, "--nodes", "2",
+                     "-o", "plan.json"]) == 0
+        assert main(["simulate", "--graph", graph, "--plan", "plan.json",
+                     "--rates", "60,60", "--duration", "2",
+                     "--trace-out", "run.jsonl"]) == 0
+        capsys.readouterr()
+        exec(compile(block, "observability.md", "exec"), {})
+        assert "per-node utilization" in capsys.readouterr().out
