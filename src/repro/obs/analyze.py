@@ -36,7 +36,6 @@ from .index import Trace, as_index
 __all__ = [
     "NodeBreakdown",
     "OperatorBreakdown",
-    "FaultRecord",
     "TraceAnalysis",
     "analyze_trace",
 ]

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .index import DecisionView, MigrationExplanation, Trace, as_index
+from .index import Trace, as_index
 
 __all__ = [
     "ACTION_MIGRATE",
@@ -44,8 +44,6 @@ __all__ = [
     "CandidateRecord",
     "DecisionRecord",
     "DecisionTelemetry",
-    "DecisionView",
-    "MigrationExplanation",
     "decision_snapshot",
     "render_why_report",
     "why_json_obj",

@@ -14,7 +14,7 @@ work in trace order, the span forest, stall intervals, crash windows,
 faults, migrations, decision records and drift detections.  A reader
 never pays for a view it does not ask for, and a command that runs
 several readers builds each view once.  This module is the only code
-in the package that tells events apart by type or reads their fields.
+in the package that tells events apart by type.
 
 Readers take either an event list or an index (:func:`as_index`), so
 one-off calls keep working on plain lists.  Sums that depend on order

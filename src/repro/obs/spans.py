@@ -38,27 +38,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Set
 
-from .index import SpanRecord, Trace, as_index
+from .index import SpanRecord
 
 __all__ = [
-    "SpanRecord",
     "span_lineage",
-    "spans_from_trace",
     "validate_span_dag",
 ]
-
-
-def spans_from_trace(events: Trace) -> Dict[int, SpanRecord]:
-    """The span forest of a trace, keyed by span id in ascending
-    (creation) order: :attr:`repro.obs.index.RunIndex.spans`.
-
-    Raises ``ValueError`` on structurally impossible traces (duplicate
-    opens, close without an open, double close) because no analyzer can
-    make sense of those.  Structural *lineage* problems — orphan
-    parents, id-order violations — are the province of
-    :func:`validate_span_dag`, which reports rather than raises.
-    """
-    return as_index(events).spans
 
 
 def validate_span_dag(spans: Mapping[int, SpanRecord]) -> List[str]:

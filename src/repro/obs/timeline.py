@@ -15,24 +15,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..workload.textplot import sparkline
-from .index import Trace, as_index, filter_events
+from .index import Trace, as_index
 
 __all__ = [
-    "filter_events",
-    "trace_metadata",
     "busy_totals",
     "utilization_timeline",
     "render_trace_report",
 ]
-
-
-def trace_metadata(events: Trace) -> Dict[str, object]:
-    """Run geometry from the ``sim.start`` header, inferred if absent.
-
-    Returns ``nodes``, ``step_seconds``, ``horizon`` and ``capacities``
-    (:attr:`repro.obs.index.RunIndex.meta`).
-    """
-    return dict(as_index(events).meta)
 
 
 def busy_totals(

@@ -79,12 +79,10 @@ from repro.obs.slo import (
     evaluate_slos,
     render_slo_report,
 )
-from repro.obs.spans import spans_from_trace
+from repro.obs.index import RunIndex, filter_events
 from repro.obs.timeline import (
     busy_totals,
-    filter_events,
     render_trace_report,
-    trace_metadata,
     utilization_timeline,
 )
 from repro.placement import RODPlacer
@@ -132,7 +130,7 @@ READER_OBJECTIVES = (
 def reader_outputs(events):
     """Every trace reader's answer for one run, as plain data."""
     critical = analyze_critical_path(events)
-    spans = spans_from_trace(events)
+    spans = RunIndex(events).spans
     overview = analyze_trace(events).to_json_obj()
     overview["events_by_type"] = {
         kind: count
@@ -395,7 +393,7 @@ def render_outputs(events, result, run_dir):
         "utilization": utilization_timeline(events).tolist(),
         "trace": render_trace_report(events),
         "trace_subset": render_trace_report(
-            subset, metadata=trace_metadata(events)
+            subset, metadata=RunIndex(events).meta
         ),
         "html": report_html.render_html_report(load_run(str(run_dir))),
     }

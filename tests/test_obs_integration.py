@@ -14,11 +14,10 @@ from repro.dynamics.controller import LoadBalancingController
 from repro.graphs.generator import monitoring_graph
 from repro.graphs.serialize import load_graph
 from repro.obs import MemorySink, Observability, Tracer, read_trace
-from repro.obs.index import RunIndex
+from repro.obs.index import RunIndex, filter_events
 from repro.obs.timeline import (
     busy_totals,
     render_trace_report,
-    trace_metadata,
     utilization_timeline,
 )
 
@@ -49,7 +48,7 @@ class TestTraceAgreesWithResult:
 
     def test_metadata_header(self, traced_run):
         deployment, result, events = traced_run
-        meta = trace_metadata(events)
+        meta = RunIndex(events).meta
         assert meta["nodes"] == deployment.placement.num_nodes
         assert meta["horizon"] == pytest.approx(result.duration)
 
@@ -157,25 +156,25 @@ class TestMetadataCapacityPadding:
     mis-scale utilization for every node past the first."""
 
     def test_header_without_capacities_pads_to_node_count(self):
-        meta = trace_metadata([_event("sim.start", t=0.0, nodes=3)])
+        meta = RunIndex([_event("sim.start", t=0.0, nodes=3)]).meta
         assert meta["capacities"] == [1.0, 1.0, 1.0]
 
     def test_header_with_short_capacities_pads(self):
-        meta = trace_metadata([
+        meta = RunIndex([
             _event("sim.start", t=0.0, nodes=3, capacities=[2.0]),
-        ])
+        ]).meta
         assert meta["capacities"] == [2.0, 1.0, 1.0]
 
     def test_full_capacities_preserved(self):
-        meta = trace_metadata([
+        meta = RunIndex([
             _event("sim.start", t=0.0, nodes=2, capacities=[2.0, 0.5]),
-        ])
+        ]).meta
         assert meta["capacities"] == [2.0, 0.5]
 
     def test_headerless_fallback_pads_too(self):
-        meta = trace_metadata([
+        meta = RunIndex([
             _event("batch.serviced", t=1.0, node=2, work=0.1),
-        ])
+        ]).meta
         assert meta["nodes"] == 3
         assert meta["capacities"] == [1.0, 1.0, 1.0]
 
@@ -203,7 +202,6 @@ class TestFilterEvents:
         ]
 
     def filter(self, **kwargs):
-        from repro.obs.timeline import filter_events
 
         return filter_events(self.events, **kwargs)
 
@@ -251,7 +249,6 @@ class TestFilterEventsCombined:
         ]
 
     def filter(self, **kwargs):
-        from repro.obs.timeline import filter_events
 
         return filter_events(self.events, **kwargs)
 

@@ -48,11 +48,10 @@ from repro.obs.slo import (
     render_slo_report,
 )
 from repro.obs.spans import (
-    spans_from_trace,
     span_lineage,
     validate_span_dag,
 )
-from repro.obs.timeline import filter_events
+from repro.obs.index import RunIndex, filter_events
 from repro.obs.trace import TraceEvent
 from repro.simulator import Simulator
 
@@ -153,31 +152,31 @@ class TestSpanEmitter:
 
     def test_duplicate_open_rejected(self):
         with pytest.raises(ValueError, match="span 0 opened twice"):
-            spans_from_trace([self._open(0), self._open(0)])
+            RunIndex([self._open(0), self._open(0)]).spans
 
     def test_close_without_open_rejected(self):
         with pytest.raises(ValueError, match="span 7 closed without an open"):
-            spans_from_trace([self._close(7)])
+            RunIndex([self._close(7)]).spans
 
     def test_double_close_rejected(self):
         with pytest.raises(ValueError, match="span 0 closed twice"):
-            spans_from_trace(
+            RunIndex(
                 [self._open(0), self._close(0), self._close(0)]
-            )
+            ).spans
 
     def test_dag_validation_flags_structural_problems(self):
         # Parent id not lower than the child: breaks the topological
         # ordering guarantee the analyzer relies on.
-        spans = spans_from_trace([self._open(0, parent=3), self._open(3)])
+        spans = RunIndex([self._open(0, parent=3), self._open(3)]).spans
         problems = validate_span_dag(spans)
         assert any("parent" in p for p in problems)
         # Orphan parent reference.
-        spans = spans_from_trace([self._open(5, parent=2)])
+        spans = RunIndex([self._open(5, parent=2)]).spans
         assert validate_span_dag(spans) != []
         # Service starting before the span opened.
-        spans = spans_from_trace(
+        spans = RunIndex(
             [self._open(0, t=1.0), self._close(0, t=2.0, start=0.5)]
-        )
+        ).spans
         assert validate_span_dag(spans) != []
 
     def test_lineage_walks_both_directions(self):
@@ -187,7 +186,7 @@ class TestSpanEmitter:
             self._open(2, parent=1),
             self._open(3),  # unrelated root
         ]
-        spans = spans_from_trace(events)
+        spans = RunIndex(events).spans
         lineage = span_lineage(spans, 1)
         assert 0 in lineage and 2 in lineage
         assert 3 not in lineage
@@ -259,7 +258,7 @@ class TestCriticalPathReconciliation:
     def test_stranded_tuples_reconcile(self, chaos_run):
         result, events = chaos_run
         analysis = analyze_critical_path(events)
-        spans = spans_from_trace(events)
+        spans = RunIndex(events).spans
         open_counts = sum(
             s.count for s in spans.values() if not s.closed
         )
@@ -343,7 +342,7 @@ class TestSpanDagProperty:
             placement, rates=[70.0, 30.0], duration=5.0,
             arrival_kind="poisson", seed=seed,
         )
-        spans = spans_from_trace(events)
+        spans = RunIndex(events).spans
         assert spans, "traced run emitted no spans"
         assert validate_span_dag(spans) == []
         for record in spans.values():
