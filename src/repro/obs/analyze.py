@@ -179,7 +179,7 @@ def analyze_trace(
     """
     index = as_index(events)
     meta = index.meta
-    n = int(num_nodes if num_nodes is not None else meta["nodes"])  # type: ignore[call-overload]
+    n = int(num_nodes if num_nodes is not None else meta["nodes"])
     nodes = [NodeBreakdown() for _ in range(n)]
     for node, (enqueued, peak) in zip(nodes, index.queues):
         node.batches_enqueued = enqueued

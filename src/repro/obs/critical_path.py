@@ -55,6 +55,7 @@ PHASES: Tuple[str, ...] = (
     "enqueue-wait", "service", "migration-pause", "stall",
 )
 
+
 def _overlap(a: float, b: float, intervals: Iterable[Interval]) -> float:
     """Total measure of ``[a, b]`` covered by ``intervals``.
 
