@@ -82,12 +82,12 @@ from .obs import (
     list_runs,
     read_trace,
 )
-from .obs.index import RunIndex
 from .obs.runs import snapshot_from_result
 
 if TYPE_CHECKING:
     from .core.load_model import LoadModel
     from .core.plans import Placement
+    from .obs.index import RunIndex
 
 __all__ = ["main"]
 
@@ -526,6 +526,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             from .obs.critical_path import analyze_critical_path
             from .obs.decisions import decision_snapshot
             from .obs.drift import drift_snapshot
+            from .obs.index import RunIndex
 
             index = RunIndex(events)
             snapshot["critical_path"] = analyze_critical_path(
@@ -573,6 +574,8 @@ def _indexed(source: Union[str, Run]) -> Iterator[RunIndex]:
     twice, a node the header does not declare) exits 1 with
     ``<path>: ...`` instead of a traceback, whichever view finds it.
     """
+    from .obs.index import RunIndex
+
     is_run = isinstance(source, Run)
     try:
         yield source.index() if is_run else RunIndex(read_trace(source))
@@ -582,7 +585,7 @@ def _indexed(source: Union[str, Run]) -> Iterator[RunIndex]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs.index import filter_events
+    from .obs.index import RunIndex, filter_events
     from .obs.timeline import render_trace_report
 
     with _indexed(args.path) as index:

@@ -31,11 +31,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from .index import RunIndex
 from .metrics import MetricsRegistry
 from .trace import JsonlSink, TraceEvent, read_trace
+
+if TYPE_CHECKING:
+    from .index import RunIndex
 
 __all__ = [
     "MANIFEST_NAME",
@@ -422,6 +424,9 @@ class Run:
     def index(self) -> RunIndex:
         """The run's trace, parsed and indexed on the first call
         (:class:`~repro.obs.index.RunIndex`) and the same index after."""
+        # Imported here: start-up paths that read no trace skip it.
+        from .index import RunIndex
+
         if self._index is None:
             self._index = RunIndex(
                 read_trace(self.trace_path) if self.has_trace else []
