@@ -15,6 +15,9 @@ of the reproduction:
 ``repro.obs.log``
     The package's configured logger (``repro.*`` namespace); library
     code logs through it instead of ``print()`` (lint rule REPRO505).
+``repro.obs.index``
+    The read side of the trace format: one pass over a trace's events
+    and the typed views every trace reader below builds on.
 ``repro.obs.timeline``
     Per-node utilization timelines rendered from traces (imported
     lazily by tooling; not re-exported here to keep this package free
