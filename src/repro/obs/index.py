@@ -168,9 +168,6 @@ class RunIndex:
         queue: List[TraceEvent] = []
         transitions: List[TraceEvent] = []
         control: List[TraceEvent] = []
-        self._queue, self._transitions, self._control = (
-            queue, transitions, control
-        )
         for event in events:
             kind = event.type
             if kind == "batch.serviced" or kind == "batch.enqueued":
@@ -181,6 +178,9 @@ class RunIndex:
                 control.append(event)
                 if kind == "node.stall":
                     queue.append(event)
+        self._queue = queue
+        self._transitions = transitions
+        self._control = control
         if meta is not None:
             self.meta = dict(meta)
 
