@@ -76,6 +76,7 @@ from .obs import (
     Observability,
     Run,
     RunWriter,
+    TraceFormatError,
     Tracer,
     configure,
     find_run,
@@ -573,13 +574,15 @@ def _indexed(source: Union[str, Run]) -> Iterator[RunIndex]:
     A malformed line or a structurally impossible trace (a span closed
     twice, a node the header does not declare) exits 1 with
     ``<path>: ...`` instead of a traceback, whichever view finds it.
+    Only :class:`~repro.obs.trace.TraceFormatError` is caught: any other
+    error in the command body keeps its traceback.
     """
     from .obs.index import RunIndex
 
     is_run = isinstance(source, Run)
     try:
         yield source.index() if is_run else RunIndex(read_trace(source))
-    except ValueError as exc:
+    except TraceFormatError as exc:
         path = source.trace_path if is_run else source
         raise SystemExit(f"{path}: {exc}") from None
 

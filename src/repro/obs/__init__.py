@@ -77,6 +77,7 @@ from .trace import (
     NULL_SINK,
     NULL_TRACER,
     TraceEvent,
+    TraceFormatError,
     TraceSink,
     Tracer,
     read_trace,
@@ -106,6 +107,7 @@ __all__ = [
     "RunManifest",
     "RunWriter",
     "TraceEvent",
+    "TraceFormatError",
     "TraceSink",
     "Tracer",
     "config_digest",

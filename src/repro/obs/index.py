@@ -22,9 +22,10 @@ one-off calls keep working on plain lists.  Sums that depend on order
 still add in trace order, so every analyzer reconciles bit for bit
 with the engine's result.
 
-A trace no run can have written raises ``ValueError`` naming the
-culprit: a span opened twice, closed twice or closed without an open,
-or an event on a node the ``sim.start`` header does not declare.
+A trace no run can have written raises
+:class:`~repro.obs.trace.TraceFormatError` naming the culprit: a span
+opened twice, closed twice or closed without an open, or an event on a
+node the ``sim.start`` header does not declare.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
-from typing import Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Union
 
-from .trace import TraceEvent
+from .trace import TraceEvent, TraceFormatError
 
 __all__ = [
     "DecisionView",
@@ -168,11 +167,18 @@ class RunIndex:
         queue: List[TraceEvent] = []
         transitions: List[TraceEvent] = []
         control: List[TraceEvent] = []
+        serviced = busy = 0  # tallied here, so type_counts needs no walk
         for event in events:
             kind = event.type
-            if kind == "batch.serviced" or kind == "batch.enqueued":
+            if kind == "batch.serviced":
                 queue.append(event)
-            elif kind == "node.busy" or kind == "node.idle":
+                serviced += 1
+            elif kind == "batch.enqueued":
+                queue.append(event)
+            elif kind == "node.busy":
+                transitions.append(event)
+                busy += 1
+            elif kind == "node.idle":
                 transitions.append(event)
             else:
                 control.append(event)
@@ -181,19 +187,14 @@ class RunIndex:
         self._queue = queue
         self._transitions = transitions
         self._control = control
+        self._serviced = serviced
+        self._busy = busy
         if meta is not None:
             self.meta = dict(meta)
 
     def _of_type(self, *kinds: str) -> List[TraceEvent]:
         """The control events of the given types, in trace order."""
         return [event for event in self._control if event.type in kinds]
-
-    def _all(self) -> Iterable[TraceEvent]:
-        """Every event once, grouped by list (not in trace order)."""
-        return chain(
-            self._queue, self._transitions,
-            (e for e in self._control if e.type != "node.stall"),
-        )
 
     # ------------------------------------------------------------ geometry
 
@@ -203,7 +204,8 @@ class RunIndex:
 
         Holds ``nodes``, ``step_seconds``, ``horizon`` and
         ``capacities``.  Traces written by this package always carry
-        the header; the fallback lets hand-built event lists render too.
+        the header; the fallback, which walks the events a second time,
+        lets hand-built event lists render too.
         """
         for event in self._of_type("sim.start"):
             f: Any = event.fields
@@ -219,7 +221,7 @@ class RunIndex:
             }
         nodes = 0
         last_t = 0.0
-        for event in self._all():
+        for event in self.events:
             node: Any = event.fields.get("node")
             if node is not None:
                 nodes = max(nodes, int(node) + 1)
@@ -241,7 +243,7 @@ class RunIndex:
         """The event's ``node``, checked against the run geometry."""
         node = int(event.fields["node"])  # type: ignore[call-overload]
         if not 0 <= node < self._nodes:
-            raise ValueError(
+            raise TraceFormatError(
                 f"{event.type} at t={event.t} names node {node}, but the "
                 f"trace declares {self._nodes} node(s)"
             )
@@ -249,8 +251,15 @@ class RunIndex:
 
     @cached_property
     def type_counts(self) -> Dict[str, int]:
-        """Events per type."""
-        return dict(Counter(map(attrgetter("type"), self._all())))
+        """Events per type: the pass's tallies plus the control events."""
+        counts = Counter(event.type for event in self._control)
+        counts["batch.serviced"] = self._serviced
+        counts["batch.enqueued"] = (
+            len(self._queue) - self._serviced - counts["node.stall"]
+        )
+        counts["node.busy"] = self._busy
+        counts["node.idle"] = len(self._transitions) - self._busy
+        return {kind: count for kind, count in counts.items() if count}
 
     # ----------------------------------------------------------- the queue
 
@@ -344,7 +353,7 @@ class RunIndex:
             span_id = int(f["span"])
             if event.type == "batch.enqueued":
                 if span_id in spans:
-                    raise ValueError(f"span {span_id} opened twice")
+                    raise TraceFormatError(f"span {span_id} opened twice")
                 parent = f.get("parent")
                 spans[span_id] = SpanRecord(
                     span=span_id,
@@ -358,11 +367,11 @@ class RunIndex:
             elif event.type == "batch.serviced":
                 record = spans.get(span_id)
                 if record is None:
-                    raise ValueError(
+                    raise TraceFormatError(
                         f"span {span_id} closed without an open"
                     )
                 if record.closed:
-                    raise ValueError(f"span {span_id} closed twice")
+                    raise TraceFormatError(f"span {span_id} closed twice")
                 record.closed = True
                 record.node = int(f["node"])
                 record.start = float(f["start"])
@@ -504,14 +513,9 @@ class RunIndex:
 Trace = Union[Sequence[TraceEvent], RunIndex]
 
 
-def as_index(
-    trace: Trace, meta: Optional[Mapping[str, object]] = None
-) -> RunIndex:
-    """``trace`` itself when it is already indexed, else its index;
-    ``meta`` overrides the run geometry (see :class:`RunIndex`)."""
-    if isinstance(trace, RunIndex):
-        return trace if meta is None else RunIndex(trace.events, meta)
-    return RunIndex(trace, meta)
+def as_index(trace: Trace) -> RunIndex:
+    """``trace`` itself when it is already indexed, else its index."""
+    return trace if isinstance(trace, RunIndex) else RunIndex(trace)
 
 
 def filter_events(

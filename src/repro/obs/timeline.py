@@ -10,7 +10,7 @@ actually went.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,20 +42,17 @@ def busy_totals(
 
 
 def utilization_timeline(
-    events: Trace,
-    step_seconds: Optional[float] = None,
-    metadata: Optional[Dict[str, object]] = None,
+    events: Trace, step_seconds: Optional[float] = None
 ) -> np.ndarray:
     """Utilization per ``(time bin, node)``: served CPU-seconds over
     capacity and bin width.
 
     Bins are ``step_seconds`` wide over ``[0, horizon)``; work completed
     after the horizon folds into the last bin (same convention as the
-    engine's ``work_timeline``).  ``metadata`` overrides the header
-    lookup — pass the full trace's geometry when rendering a filtered
-    subset that may no longer contain ``sim.start``.
+    engine's ``work_timeline``).  To render a filtered subset against
+    the full trace's geometry, pass ``RunIndex(subset, meta=full.meta)``.
     """
-    index = as_index(events, metadata)
+    index = as_index(events)
     meta = index.meta
     step = float(step_seconds or meta["step_seconds"])
     if step <= 0:
@@ -73,17 +70,9 @@ def utilization_timeline(
     return timeline / (capacities[None, :] * step)
 
 
-def render_trace_report(
-    events: Trace,
-    width: int = 60,
-    metadata: Optional[Dict[str, object]] = None,
-) -> str:
-    """Human-readable report: counts, per-node timelines, migrations.
-
-    ``metadata`` is the run geometry to render against — the full
-    trace's when ``events`` is a filtered subset.
-    """
-    index = as_index(events, metadata)
+def render_trace_report(events: Trace, width: int = 60) -> str:
+    """Human-readable report: counts, per-node timelines, migrations."""
+    index = as_index(events)
     if not index.events:
         raise ValueError("cannot render an empty trace")
     if width < 1:

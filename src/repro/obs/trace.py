@@ -19,7 +19,8 @@ The JSONL wire format is one object per line with the reserved keys
      "operator": "agg1", "count": 12, "out": 3, "work": 0.006}
 
 ``read_trace`` parses a file back into events; the schema is documented
-in ``docs/observability.md``.
+in ``docs/observability.md``.  A trace no run can have written raises
+:class:`TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from . import schema
 __all__ = [
     "EVENT_TYPES",
     "TraceEvent",
+    "TraceFormatError",
     "TraceSink",
     "NullSink",
     "MemorySink",
@@ -55,6 +57,11 @@ __all__ = [
 EVENT_TYPES = schema.event_types()
 
 _RESERVED_KEYS = frozenset({"type", "t", "wall"})
+
+
+class TraceFormatError(ValueError):
+    """A trace no run can have written: a malformed line, or an event
+    the trace's own structure rules out (see :mod:`repro.obs.index`)."""
 
 
 @dataclass(frozen=True)
@@ -274,11 +281,11 @@ def trace_digest(events: Iterable[TraceEvent]) -> str:
 def read_trace(source: Union[str, Iterable[str]]) -> List[TraceEvent]:
     """Read a JSONL trace file (or iterable of lines) into events.
 
-    Blank lines are skipped; malformed lines raise ``ValueError`` with
-    their line number.  The non-blank lines are decoded in one call,
-    whose result is accepted when it holds one JSON object with a
-    ``type`` key per line; otherwise the lines are parsed one by one to
-    name the first malformed one.
+    Blank lines are skipped; malformed lines raise
+    :class:`TraceFormatError` with their line number.  The non-blank
+    lines are decoded in one call, whose result is accepted when it
+    holds one JSON object with a ``type`` key per line; otherwise the
+    lines are parsed one by one to name the first malformed one.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as handle:
@@ -303,5 +310,5 @@ def read_trace(source: Union[str, Iterable[str]]) -> List[TraceEvent]:
             try:
                 parse_trace_line(line)
             except ValueError as exc:
-                raise ValueError(f"line {number}: {exc}") from exc
+                raise TraceFormatError(f"line {number}: {exc}") from exc
     raise AssertionError("trace lines decode one by one but not together")

@@ -967,6 +967,18 @@ class TestImpossibleTrace:
         assert message.startswith(f"{trace}: ")
         assert "names node 1, but the trace declares 1 node(s)" in message
 
+    def test_a_corrupt_result_is_not_a_trace_defect(self, root):
+        with open(os.path.join(root, "run", "result.json"), "w") as handle:
+            handle.write("{")
+        with pytest.raises(json.JSONDecodeError) as exc:
+            main(["report", "run", "--root", root])
+        assert "trace.jsonl" not in str(exc.value)
+
+    def test_a_bad_option_is_not_a_trace_defect(self, root):
+        trace = os.path.join(root, "run", "trace.jsonl")
+        with pytest.raises(ValueError, match="^width must be >= 1$"):
+            main(["trace", trace, "--width", "0"])
+
 
 class TestRecordOnce:
     """``simulate`` builds its snapshot from the events it emitted; the

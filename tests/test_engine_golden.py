@@ -393,7 +393,7 @@ def render_outputs(events, result, run_dir):
         "utilization": utilization_timeline(events).tolist(),
         "trace": render_trace_report(events),
         "trace_subset": render_trace_report(
-            subset, metadata=RunIndex(events).meta
+            RunIndex(subset, meta=RunIndex(events).meta)
         ),
         "html": report_html.render_html_report(load_run(str(run_dir))),
     }
