@@ -18,7 +18,7 @@ from __future__ import annotations
 import html
 import json
 import time
-from typing import List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,27 @@ def _esc(value: object) -> str:
 
 def _fmt(value: float, digits: int = 4) -> str:
     return f"{value:.{digits}g}"
+
+
+def _td(value: object) -> str:
+    return f"<td>{_esc(value)}</td>"
+
+
+def _num(value: object) -> str:
+    """A right-aligned cell; ``value`` is inserted as it is."""
+    return f"<td class='num'>{value}</td>"
+
+
+def _code(value: object) -> str:
+    return f"<td><code>{_esc(value)}</code></td>"
+
+
+def _table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """A header row of ``header`` labels, then one row per entry of
+    ``rows``, each a sequence of ready-made cells."""
+    head = "".join(f"<th>{_esc(label)}</th>" for label in header)
+    body = "".join("<tr>" + "".join(row) + "</tr>" for row in rows)
+    return f"<table><tr>{head}</tr>{body}</table>"
 
 
 def _utilization_color(value: float) -> str:
@@ -239,25 +260,19 @@ def _nodes_section(analysis: TraceAnalysis,
         series = (
             utilization[:, index] if utilization.size else np.zeros(1)
         )
-        rows.append(
-            "<tr>"
-            f"<td>node {index}</td>"
-            f"<td class='num'>{_fmt(node.busy_seconds)}</td>"
-            f"<td class='num'>{_fmt(node.stall_seconds)}</td>"
-            f"<td class='num'>{node.batches_serviced}</td>"
-            f"<td class='num'>{node.peak_outstanding}</td>"
-            f"<td class='num'>{_fmt(float(util_means[index]), 3)}</td>"
-            f"<td class='num'>{_fmt(float(series.max()), 3)}</td>"
-            f"<td>{_svg_sparkline(series, ceiling=1.0)}</td>"
-            "</tr>"
-        )
+        rows.append((
+            _td(f"node {index}"), _num(_fmt(node.busy_seconds)),
+            _num(_fmt(node.stall_seconds)), _num(node.batches_serviced),
+            _num(node.peak_outstanding),
+            _num(_fmt(float(util_means[index]), 3)),
+            _num(_fmt(float(series.max()), 3)),
+            f"<td>{_svg_sparkline(series, ceiling=1.0)}</td>",
+        ))
     return (
         "<h2>Per-node utilization</h2>"
-        "<table><tr><th>node</th><th>busy s</th><th>stall s</th>"
-        "<th>batches</th><th>peak queue</th><th>mean util</th>"
-        "<th>peak util</th><th>timeline</th></tr>"
-        + "".join(rows) + "</table>"
-        "<p class='legend'>sparkline ceiling at utilization 1.0 "
+        + _table(("node", "busy s", "stall s", "batches", "peak queue",
+                  "mean util", "peak util", "timeline"), rows)
+        + "<p class='legend'>sparkline ceiling at utilization 1.0 "
         "(dashed red line = saturation)</p>"
     )
 
@@ -265,44 +280,28 @@ def _nodes_section(analysis: TraceAnalysis,
 def _operators_section(analysis: TraceAnalysis) -> str:
     if not analysis.operators:
         return ""
-    rows = []
-    for name, op in sorted(analysis.operators.items()):
-        nodes = ", ".join(str(n) for n in op.nodes)
-        rows.append(
-            "<tr>"
-            f"<td><code>{_esc(name)}</code></td>"
-            f"<td class='num'>{op.tuples_in}</td>"
-            f"<td class='num'>{op.tuples_out}</td>"
-            f"<td class='num'>{_fmt(op.work_seconds)}</td>"
-            f"<td class='num'>{op.batches}</td>"
-            f"<td>{_esc(nodes)}</td>"
-            "</tr>"
-        )
-    return (
-        "<h2>Per-operator activity</h2>"
-        "<table><tr><th>operator</th><th>tuples in</th><th>tuples out</th>"
-        "<th>work s</th><th>batches</th><th>nodes</th></tr>"
-        + "".join(rows) + "</table>"
+    rows = [
+        (_code(name), _num(op.tuples_in), _num(op.tuples_out),
+         _num(_fmt(op.work_seconds)), _num(op.batches),
+         _td(", ".join(str(n) for n in op.nodes)))
+        for name, op in sorted(analysis.operators.items())
+    ]
+    return "<h2>Per-operator activity</h2>" + _table(
+        ("operator", "tuples in", "tuples out", "work s", "batches",
+         "nodes"), rows,
     )
 
 
 def _migrations_section(analysis: TraceAnalysis) -> str:
     if not analysis.migrations:
         return ""
-    rows = "".join(
-        "<tr>"
-        f"<td class='num'>{_fmt(m.t)}</td>"
-        f"<td><code>{_esc(m.operator)}</code></td>"
-        f"<td class='num'>{m.source}</td>"
-        f"<td class='num'>{m.target}</td>"
-        f"<td class='num'>{_fmt(m.pause)}</td>"
-        "</tr>"
+    rows = [
+        (_num(_fmt(m.t)), _code(m.operator), _num(m.source),
+         _num(m.target), _num(_fmt(m.pause)))
         for m in analysis.migrations
-    )
-    return (
-        f"<h2>Migrations ({len(analysis.migrations)})</h2>"
-        "<table><tr><th>t (s)</th><th>operator</th><th>from</th>"
-        "<th>to</th><th>pause (s)</th></tr>" + rows + "</table>"
+    ]
+    return f"<h2>Migrations ({len(analysis.migrations)})</h2>" + _table(
+        ("t (s)", "operator", "from", "to", "pause (s)"), rows
     )
 
 
@@ -334,19 +333,12 @@ def _decisions_section(analysis: TraceAnalysis, max_rows: int = 200) -> str:
                 else f" &rarr; {float(view.volume_after):.3f}"
             )
             volumes = f"{float(view.volume_before):.3f}{after}"
-        rows.append(
-            "<tr>"
-            f"<td class='num'>{_fmt(view.t)}</td>"
-            f"<td class='num'>{view.decision}</td>"
-            f"<td><code>{_esc(view.trigger)}</code></td>"
-            f"<td><code>{_esc(view.controller)}</code></td>"
-            f"<td><code>{_esc(view.reason)}</code></td>"
-            f"<td class='num'>{view.actions}</td>"
-            f"<td class='num'>{len(view.candidates)}</td>"
-            f"<td>[{_esc(loads)}]</td>"
-            f"<td class='num'>{volumes}</td>"
-            "</tr>"
-        )
+        rows.append((
+            _num(_fmt(view.t)), _num(view.decision), _code(view.trigger),
+            _code(view.controller), _code(view.reason),
+            _num(view.actions), _num(len(view.candidates)),
+            _td(f"[{loads}]"), _num(volumes),
+        ))
     truncated = (
         f"<p>… and {len(analysis.decisions) - max_rows} more decisions"
         "</p>" if len(analysis.decisions) > max_rows else ""
@@ -356,34 +348,25 @@ def _decisions_section(analysis: TraceAnalysis, max_rows: int = 200) -> str:
         f"<p>triggers: {_esc(triggers) or '—'}"
         + (f" · no-op reasons: {_esc(no_op)}" if no_op else "")
         + "</p>"
-        "<table><tr><th>t (s)</th><th>#</th><th>trigger</th>"
-        "<th>controller</th><th>outcome</th><th>moves</th>"
-        "<th>candidates</th><th>loads</th><th>volume</th></tr>"
-        + "".join(rows) + "</table>" + truncated
+        + _table(("t (s)", "#", "trigger", "controller", "outcome",
+                  "moves", "candidates", "loads", "volume"), rows)
+        + truncated
     )
 
 
 def _drift_section(analysis: TraceAnalysis) -> str:
     if not analysis.drift:
         return ""
-    rows = "".join(
-        "<tr>"
-        f"<td class='num'>{_fmt(float(d.get('t', 0.0)))}</td>"
-        f"<td><code>{_esc(str(d.get('signal')))}</code></td>"
-        f"<td class='num'>"
-        f"{'' if d.get('input') is None else d.get('input')}</td>"
-        f"<td><code>{_esc(str(d.get('direction')))}</code></td>"
-        f"<td class='num'>{_fmt(float(d.get('observed', 0.0)))}</td>"
-        f"<td class='num'>{_fmt(float(d.get('baseline', 0.0)))}</td>"
-        f"<td class='num'>{_fmt(float(d.get('statistic', 0.0)))}</td>"
-        "</tr>"
+    numbers = ("observed", "baseline", "statistic")
+    rows = [
+        (_num(_fmt(float(d.get("t", 0.0)))), _code(d.get("signal")),
+         _num("" if d.get("input") is None else d.get("input")),
+         _code(d.get("direction")),
+         *(_num(_fmt(float(d.get(key, 0.0)))) for key in numbers))
         for d in analysis.drift
-    )
-    return (
-        f"<h2>Drift detections ({len(analysis.drift)})</h2>"
-        "<table><tr><th>t (s)</th><th>signal</th><th>input</th>"
-        "<th>direction</th><th>observed</th><th>baseline</th>"
-        "<th>statistic</th></tr>" + rows + "</table>"
+    ]
+    return f"<h2>Drift detections ({len(analysis.drift)})</h2>" + _table(
+        ("t (s)", "signal", "input", "direction") + numbers, rows
     )
 
 
@@ -391,24 +374,16 @@ def _faults_section(analysis: TraceAnalysis) -> str:
     injected = [f for f in analysis.faults if not f.reverted]
     if not injected:
         return ""
-    rows = "".join(
-        "<tr>"
-        f"<td class='num'>{_fmt(f.t)}</td>"
-        f"<td><code>{_esc(f.kind)}</code></td>"
-        f"<td class='num'>{'' if f.node is None else f.node}</td>"
-        f"<td>{_esc(f.operator or '')}</td>"
-        f"<td class='num'>{'' if f.factor is None else _fmt(f.factor)}"
-        "</td>"
-        f"<td class='num'>"
-        f"{'' if f.duration is None else _fmt(f.duration)}</td>"
-        "</tr>"
+    rows = [
+        (_num(_fmt(f.t)), _code(f.kind),
+         _num("" if f.node is None else f.node), _td(f.operator or ""),
+         _num("" if f.factor is None else _fmt(f.factor)),
+         _num("" if f.duration is None else _fmt(f.duration)))
         for f in injected
-    )
-    return (
-        f"<h2>Injected faults ({len(injected)})</h2>"
-        "<table><tr><th>t (s)</th><th>kind</th><th>node</th>"
-        "<th>operator</th><th>factor</th><th>duration (s)</th></tr>"
-        + rows + "</table>"
+    ]
+    return f"<h2>Injected faults ({len(injected)})</h2>" + _table(
+        ("t (s)", "kind", "node", "operator", "factor", "duration (s)"),
+        rows,
     )
 
 
@@ -491,15 +466,11 @@ def _critical_path_section(
 def _events_section(analysis: TraceAnalysis) -> str:
     if not analysis.events_by_type:
         return ""
-    rows = "".join(
-        f"<tr><td><code>{_esc(name)}</code></td>"
-        f"<td class='num'>{count}</td></tr>"
+    rows = [
+        (_code(name), _num(count))
         for name, count in sorted(analysis.events_by_type.items())
-    )
-    return (
-        "<h2>Events by type</h2>"
-        "<table><tr><th>type</th><th>count</th></tr>" + rows + "</table>"
-    )
+    ]
+    return "<h2>Events by type</h2>" + _table(("type", "count"), rows)
 
 
 def _rows_section(result: Mapping[str, object]) -> str:
@@ -512,23 +483,14 @@ def _rows_section(result: Mapping[str, object]) -> str:
             for key in row:
                 if key not in columns:
                     columns.append(str(key))
-    header = "".join(f"<th>{_esc(c)}</th>" for c in columns)
-    body = []
-    for row in rows:
-        if not isinstance(row, Mapping):
-            continue
-        cells = []
-        for column in columns:
-            value = row.get(column, "")
-            if isinstance(value, float):
-                cells.append(f"<td class='num'>{_fmt(value)}</td>")
-            else:
-                cells.append(f"<td>{_esc(value)}</td>")
-        body.append("<tr>" + "".join(cells) + "</tr>")
-    return (
-        "<h2>Experiment rows</h2>"
-        f"<table><tr>{header}</tr>" + "".join(body) + "</table>"
-    )
+    body = [
+        [
+            _num(_fmt(value)) if isinstance(value, float) else _td(value)
+            for value in (row.get(column, "") for column in columns)
+        ]
+        for row in rows if isinstance(row, Mapping)
+    ]
+    return "<h2>Experiment rows</h2>" + _table(columns, body)
 
 
 def _phase_section(metrics: Mapping[str, object]) -> str:
@@ -548,18 +510,12 @@ def _phase_section(metrics: Mapping[str, object]) -> str:
         count = int(sample.get("count", 0))  # type: ignore[arg-type]
         total = float(sample.get("sum", 0.0))  # type: ignore[arg-type]
         mean = total / count if count else 0.0
-        rows.append(
-            f"<tr><td><code>{_esc(phase)}</code></td>"
-            f"<td class='num'>{count}</td>"
-            f"<td class='num'>{total * 1e3:.2f}</td>"
-            f"<td class='num'>{mean * 1e3:.2f}</td></tr>"
-        )
+        rows.append((_code(phase), _num(count), _num(f"{total * 1e3:.2f}"),
+                     _num(f"{mean * 1e3:.2f}")))
     if not rows:
         return ""
-    return (
-        "<h2>Profiled phases</h2>"
-        "<table><tr><th>phase</th><th>calls</th><th>total ms</th>"
-        "<th>mean ms</th></tr>" + "".join(rows) + "</table>"
+    return "<h2>Profiled phases</h2>" + _table(
+        ("phase", "calls", "total ms", "mean ms"), rows
     )
 
 
