@@ -685,11 +685,9 @@ def cmd_runs(args: argparse.Namespace) -> int:
                 manifest.run_id, manifest.kind, created,
                 manifest.config_digest or "-", _headline(run.result),
             ))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-        for index, row in enumerate(rows):
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-            if index == 0:
-                print("  ".join("-" * w for w in widths).rstrip())
+        from .obs.text import text_table
+
+        print("\n".join(text_table(rows)))
         return 0
     # show
     try:

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from ..simulator.metrics import LatencyStats
 from .index import Interval, Trace, as_index
 from .spans import validate_span_dag
+from .text import text_table
 
 __all__ = [
     "PHASES",
@@ -272,24 +273,11 @@ def analyze_critical_path(events: Trace) -> CriticalPathAnalysis:
         attributed=attributed,
         total_latency_seconds=total_mass,
         spans_total=len(spans),
-        spans_closed=sum(1 for r in spans.values() if r.closed),
+        spans_closed=len(spans) - unclosed,
         unclosed_spans=unclosed,
         stranded_tuples=stranded,
         problems=problems,
     )
-
-
-def _table(rows: Sequence[Sequence[str]]) -> List[str]:
-    """Aligned text table with a rule under the header row."""
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        )
-        if index == 0:
-            lines.append("  ".join("-" * w for w in widths).rstrip())
-    return lines
 
 
 def render_critical_path_report(
@@ -318,7 +306,7 @@ def render_critical_path_report(
             f"{(total / weight if weight else 0.0) * 1e3:.3f}ms",
             f"{(total / attributed if attributed else 0.0):.1%}",
         ))
-    parts.extend(_table(rows))
+    parts.extend(text_table(rows))
     parts.append("")
     parts.append(f"top {top_k} critical operators:")
     op_rows = [("operator", "mean", "share") + PHASES]
@@ -331,7 +319,7 @@ def render_critical_path_report(
             f"{analysis.mean_seconds(name, phase) * 1e3:.3f}ms"
             for phase in PHASES
         ))
-    parts.extend(_table(op_rows))
+    parts.extend(text_table(op_rows))
     if analysis.unclosed_spans:
         parts.append("")
         parts.append(

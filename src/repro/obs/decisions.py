@@ -34,7 +34,7 @@ feasible-volume ratio the cluster would keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .index import Trace, as_index
 
@@ -256,18 +256,11 @@ def render_why_report(events: Trace) -> str:
         f"pause attributed    : {snapshot['pause_seconds']:.3f}s of "
         "endpoint stall"
     )
-    triggers = snapshot["triggers"]
-    if triggers:
-        cells = ", ".join(
-            f"{name}={count}" for name, count in triggers.items()
-        )
-        lines.append(f"triggers            : {cells}")
-    no_op = snapshot["no_op"]
-    if no_op:
-        cells = ", ".join(
-            f"{name}={count}" for name, count in no_op.items()
-        )
-        lines.append(f"no-op reasons       : {cells}")
+    for label, key in (("triggers", "triggers"), ("no-op reasons", "no_op")):
+        counts: Any = snapshot[key]
+        if counts:
+            cells = ", ".join(f"{name}={n}" for name, n in counts.items())
+            lines.append(f"{label:<20}: {cells}")
 
     if index.drift:
         lines.append("")

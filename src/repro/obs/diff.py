@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .runs import Run
+from .text import text_table
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -190,22 +191,10 @@ class RunDiff:
                 d.name, f"{d.a:g}", f"{d.b:g}", f"{d.delta:+g}",
                 rel_text, "!" if d.breach else "",
             ))
-        lines: List[str] = []
-        if len(rows) > 1:
-            widths = [
-                max(len(row[i]) for row in rows) for i in range(len(rows[0]))
-            ]
-            for index, row in enumerate(rows):
-                lines.append("  ".join(
-                    cell.ljust(w) for cell, w in zip(row, widths)
-                ).rstrip())
-                if index == 0:
-                    lines.append("  ".join("-" * w for w in widths).rstrip())
-        else:
-            lines.append(
-                f"no metric deltas between {name_a} and {name_b} "
-                f"({len(self.deltas)} metrics compared)"
-            )
+        lines = text_table(rows) if len(rows) > 1 else [
+            f"no metric deltas between {name_a} and {name_b} "
+            f"({len(self.deltas)} metrics compared)"
+        ]
         for key in self.only_a:
             lines.append(f"only in {name_a}: {key}")
         for key in self.only_b:

@@ -47,6 +47,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from .index import Trace, as_index
 from .metrics import MetricsRegistry
+from .text import text_table
 
 __all__ = [
     "LatencyObjective",
@@ -370,14 +371,7 @@ def render_slo_report(report: SloReport) -> str:
             f"{result.worst_burn_rate:.2f}",
             f"{result.attainment:.3f}",
         ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append(
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        )
-        if index == 0:
-            lines.append("  ".join("-" * w for w in widths).rstrip())
+    lines = text_table(rows)
     breached = report.breached
     lines.append(
         f"{len(report.results)} objective(s), {len(breached)} breached"
