@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import MetricsRegistry
-from .trace import JsonlSink, TraceEvent, read_trace
+from .trace import JsonlSink, _jsonable, read_trace
 
 if TYPE_CHECKING:
     from .index import RunIndex
@@ -67,18 +67,6 @@ METRICS_NAME = "metrics.json"
 
 #: Default registry root, relative to the working directory.
 DEFAULT_ROOT = "runs"
-
-
-def _jsonable(value: object) -> object:
-    """Fallback serializer: numpy scalars/arrays -> numbers/lists."""
-    for attr in ("tolist", "item"):
-        convert = getattr(value, attr, None)
-        if callable(convert):
-            return convert()
-    raise TypeError(
-        f"run artifact field of type {type(value).__name__} is not "
-        "JSON-serializable"
-    )
 
 
 def config_digest(config: object) -> str:
@@ -417,13 +405,10 @@ class Run:
     def has_trace(self) -> bool:
         return os.path.exists(self.trace_path)
 
-    def events(self) -> Sequence[TraceEvent]:
-        """The run's trace events (``[]`` when the run was untraced)."""
-        return self.index().events
-
     def index(self) -> RunIndex:
         """The run's trace, parsed and indexed on the first call
-        (:class:`~repro.obs.index.RunIndex`) and the same index after."""
+        (:class:`~repro.obs.index.RunIndex`) and the same index after;
+        an untraced run reads as an empty trace."""
         # Imported here: start-up paths that read no trace skip it.
         from .index import RunIndex
 

@@ -184,15 +184,15 @@ class JsonlSink(TraceSink):
 
 
 def _jsonable(value: object) -> object:
-    """Fallback serializer: numpy scalars/arrays -> python numbers/lists."""
+    """Fallback serializer for trace lines and run artifacts: numpy
+    scalars/arrays -> python numbers/lists."""
     # tolist before item: arrays only support the former, scalars both.
     for attr in ("tolist", "item"):
         convert = getattr(value, attr, None)
         if callable(convert):
             return convert()
     raise TypeError(
-        f"trace field of type {type(value).__name__} is not JSON-seriali"
-        f"zable"
+        f"field of type {type(value).__name__} is not JSON-serializable"
     )
 
 

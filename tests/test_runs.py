@@ -114,7 +114,7 @@ class TestRunWriter:
         writer.finish()
         run = load_run(str(tmp_path / "r"))
         assert run.has_trace
-        assert run.events()[0].type == "sim.start"
+        assert run.index().events[0].type == "sim.start"
 
     def test_colliding_run_ids_get_unique_dirs(self, tmp_path):
         RunWriter(root=str(tmp_path), kind="simulate", run_id="dup").finish()
@@ -191,7 +191,7 @@ class TestAnalyzerExactness:
 
     def analysis_and_result(self, sim_run):
         result, run = sim_run
-        return analyze_trace(run.events()), result
+        return analyze_trace(run.index()), result
 
     def test_busy_totals_match_exactly(self, sim_run):
         analysis, result = self.analysis_and_result(sim_run)
