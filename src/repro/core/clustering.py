@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..graphs.query_graph import TransferCosts
 from . import geometry
 from .feasible_set import FeasibleSet
 from .load_model import LoadModel
@@ -50,19 +51,6 @@ __all__ = [
 ]
 
 _EPS = 1e-12
-
-# Either one uniform per-tuple CPU transfer cost, or one per stream name.
-TransferCosts = Union[float, Mapping[str, float]]
-
-
-def _transfer_cost_of(costs: TransferCosts, stream: str) -> float:
-    if isinstance(costs, Mapping):
-        value = float(costs.get(stream, 0.0))
-    else:
-        value = float(costs)
-    if value < 0 or not math.isfinite(value):
-        raise ValueError(f"transfer cost for {stream!r} must be finite >= 0")
-    return value
 
 
 def _per_tuple_processing_cost(model: LoadModel, operator: str) -> float:
@@ -248,9 +236,10 @@ def cluster_operators(
         for name in model.operator_names
     }
 
+    costs = model.graph.transfer_costs(transfer_costs)
     arcs = []
     for arc in model.graph.arcs():
-        cost = _transfer_cost_of(transfer_costs, arc.stream)
+        cost = costs[arc.stream]
         if cost <= 0:
             continue
         floor = min(
@@ -446,9 +435,10 @@ def communication_feasible_set(
     returned ratios remain comparable with communication-free ones.
     """
     model = placement.model
+    costs = model.graph.transfer_costs(transfer_costs)
     ln = placement.node_coefficients()
     for arc in model.graph.arcs():
-        cost = _transfer_cost_of(transfer_costs, arc.stream)
+        cost = costs[arc.stream]
         if cost <= 0:
             continue
         producer_node = placement.node_of(arc.producer)

@@ -16,7 +16,7 @@ Everything the facade does is available piecemeal in ``repro.core`` /
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .core.clustering import communication_feasible_set, search_clusterings
 from .core.load_model import LoadModel, build_load_model
 from .core.plans import Placement
 from .core.rod import RodStep, rod_extend, rod_place
-from .graphs.query_graph import QueryGraph
+from .graphs.query_graph import QueryGraph, TransferCosts
 from .obs import Observability
 from .obs.runs import RunWriter, config_digest, snapshot_from_result
 from .obs.trace import JsonlSink, Tracer
@@ -46,8 +46,6 @@ from .workload.rates import rate_series
 
 __all__ = ["Deployment"]
 
-TransferCosts = Union[float, Mapping[str, float]]
-
 STRATEGIES = (
     "rod", "llf", "connected", "correlation", "random", "optimal", "milp",
 )
@@ -56,6 +54,12 @@ STRATEGIES = (
 def _digest_array(array: np.ndarray) -> str:
     """Short content hash of a rate series for run manifests."""
     return config_digest(array.tolist())
+
+
+def _charges_transfer(graph: QueryGraph, costs: TransferCosts) -> bool:
+    """Whether shipping some stream between nodes costs CPU; validates
+    ``costs`` against ``graph``."""
+    return any(cost > 0 for cost in graph.transfer_costs(costs).values())
 
 
 def _build_baseline(
@@ -142,11 +146,7 @@ class Deployment:
         if verify:
             with obs.phase("plan.verify_model"):
                 check_artifact(model).raise_if_errors()
-        nonzero_transfer = (
-            any(float(v) > 0 for v in transfer_costs.values())
-            if isinstance(transfer_costs, Mapping)
-            else float(transfer_costs) > 0
-        )
+        nonzero_transfer = _charges_transfer(graph, transfer_costs)
         use_clustering = (
             nonzero_transfer if cluster is None else bool(cluster)
         )
@@ -221,7 +221,7 @@ class Deployment:
         with self.obs.phase(
             "feasible_set.volume_ratio", samples=samples
         ):
-            if self._has_transfer():
+            if _charges_transfer(self.model.graph, self.transfer_costs):
                 return communication_feasible_set(
                     self.placement, self.transfer_costs
                 ).volume_ratio(samples=samples)
@@ -236,7 +236,7 @@ class Deployment:
         parts.append(
             f"feasible-set ratio to ideal: {self.volume_ratio():.4f}"
         )
-        if self._has_transfer():
+        if _charges_transfer(self.model.graph, self.transfer_costs):
             parts.append(
                 f"inter-node arcs: {self.placement.inter_node_arcs()}"
             )
@@ -246,11 +246,6 @@ class Deployment:
             parts.append("profile (wall-clock per phase):")
             parts.append(profile)
         return "\n".join(parts)
-
-    def _has_transfer(self) -> bool:
-        if isinstance(self.transfer_costs, Mapping):
-            return any(float(v) > 0 for v in self.transfer_costs.values())
-        return float(self.transfer_costs) > 0
 
     # ------------------------------------------------------------ execution
 

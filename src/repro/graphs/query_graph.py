@@ -13,6 +13,7 @@ about nodes or placement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -20,14 +21,20 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .operators import Operator, WindowJoin
 
-__all__ = ["Stream", "QueryGraph", "Arc"]
+__all__ = ["Stream", "QueryGraph", "Arc", "TransferCosts"]
+
+#: Per-tuple CPU cost of shipping a stream between nodes (Section 6.3):
+#: one uniform cost, or one per stream name.
+TransferCosts = Union[float, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -259,6 +266,28 @@ class QueryGraph:
             in_rates = [rates[s] for s in self._op_inputs[name]]
             rates[self.output_of(name).name] = op.output_rate(in_rates)
         return rates
+
+    def transfer_costs(self, costs: TransferCosts) -> Dict[str, float]:
+        """Resolve ``costs`` to the per-tuple transfer cost of every stream.
+
+        A mapping names streams; the streams it leaves out cost nothing.
+        Raises ``ValueError`` naming the stream for a name that is not a
+        stream of this graph and for a negative or non-finite cost.
+        """
+        if not isinstance(costs, Mapping):
+            costs = dict.fromkeys(self._streams, costs)
+        for name in costs:
+            if name not in self._streams:
+                raise ValueError(f"transfer cost for {name!r}: no such stream")
+        resolved = {
+            name: float(costs.get(name, 0.0)) for name in self._streams
+        }
+        for name, cost in resolved.items():
+            if not 0 <= cost < math.inf:
+                raise ValueError(
+                    f"transfer cost for {name!r} must be finite >= 0"
+                )
+        return resolved
 
     def operator_loads(self, input_rates: Sequence[float]) -> Dict[str, float]:
         """True CPU load (cycles per unit time) of each operator."""

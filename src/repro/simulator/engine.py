@@ -13,6 +13,12 @@ per-node queue whose service order is set by a scheduling policy
 utilization and backlog plus end-to-end tuple latency at every sink,
 which is everything Section 7's prototype experiments measure.
 
+:meth:`Simulator.run` pops ``(time, priority, sequence, handler,
+payload)`` heap entries and calls ``handler(time, payload)``: a per-run
+``_Run`` holds the state and one handler per event kind (arrival, batch
+served, stall finished, fault injected or reverted, drift detected,
+control poll).  Same-instant entries run by priority, then push order.
+
 An optional :class:`~repro.faults.FaultSchedule` injects timed system
 faults — node crashes/recoveries, capacity brownouts, per-operator
 slowdowns, input-rate spikes — at event-queue priority ahead of control
@@ -49,13 +55,14 @@ objects at all.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import (
-    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -66,6 +73,7 @@ from ..dynamics.elasticity import Repartition
 from ..dynamics.failover import residual_volume_ratio
 from ..faults.schedule import FaultEvent, FaultSchedule
 from ..graphs.operators import Filter
+from ..graphs.query_graph import TransferCosts
 from ..obs.decisions import DecisionRecord, DecisionTelemetry
 from ..obs.drift import DriftDetection, DriftMonitor, record_drift_metrics
 from ..obs.metrics import MetricsRegistry
@@ -77,7 +85,6 @@ from .scheduling import SchedulerQueue, Stall
 
 __all__ = ["Simulator"]
 
-TransferCosts = Union[float, Mapping[str, float]]
 #: What a controller deliberation returns, one reconfiguration each.
 Action = Union[Migration, Repartition]
 
@@ -102,16 +109,6 @@ _WINDOWED = ("node.degrade", "operator.slowdown")
 _DRIFT_VOLUME_SAMPLES = 128
 
 
-def _transfer_cost(costs: TransferCosts, stream: str) -> float:
-    if isinstance(costs, Mapping):
-        value = float(costs.get(stream, 0.0))
-    else:
-        value = float(costs)
-    if value < 0 or not math.isfinite(value):
-        raise ValueError(f"transfer cost for {stream!r} must be finite >= 0")
-    return value
-
-
 @dataclass(frozen=True)
 class _Batch:
     """A batch of identical-age tuples bound for one operator port."""
@@ -123,26 +120,6 @@ class _Batch:
     count: int
     extra_work: float = 0.0  # receive-side network CPU, unit capacity
     span: int = -1      # causal span id; -1 when tracing is disabled
-
-
-@dataclass(frozen=True)
-class _Completion:
-    """A node finishing its current queue entry."""
-
-    node: int
-    batch: Optional[_Batch]          # None for stalls
-    out_count: int = 0
-    deliveries: Tuple[Tuple[str, int, float], ...] = ()
-    work: float = 0.0
-    start: float = 0.0               # when the node began serving it
-    decision: int = -1               # stall-causing decision id (stalls)
-
-
-@dataclass(frozen=True)
-class _FaultRevert:
-    """A windowed fault (degrade/slowdown) expiring."""
-
-    event: FaultEvent
 
 
 class Simulator:
@@ -168,9 +145,10 @@ class Simulator:
         ``metrics`` collects run counters/gauges after the event loop.
         ``faults`` is a :class:`~repro.faults.FaultSchedule` of timed
         system faults to inject (validated eagerly against the cluster
-        and graph shape)."""
-        if step_seconds <= 0:
-            raise ValueError("step_seconds must be > 0")
+        and graph shape).  ``transfer_costs`` is resolved per stream
+        (and validated) here, once."""
+        if not 0 < step_seconds < math.inf:
+            raise ValueError("step_seconds must be finite and > 0")
         self.placement = placement
         self.graph = placement.model.graph
         for op in self.graph.operators():
@@ -184,7 +162,6 @@ class Simulator:
                     "recommended)"
                 )
         self.step_seconds = float(step_seconds)
-        self.transfer_costs = transfer_costs
         self.arrival_kind = arrival_kind
         self.seed = seed
         self.controller = controller
@@ -197,6 +174,8 @@ class Simulator:
                 placement.num_nodes, self.graph.operator_names
             )
         SchedulerQueue(scheduling)  # validate the policy eagerly
+        # Per-tuple CPU cost of shipping each stream between nodes.
+        self._transfer = self.graph.transfer_costs(transfer_costs)
         # (consumer operator, port) pairs per stream, precomputed.
         self._routes: Dict[str, List[Tuple[str, int]]] = {}
         for stream in self.graph.streams():
@@ -223,194 +202,172 @@ class Simulator:
         continues until every queued tuple drains, so latency of
         backlogged tuples is fully observed.
         """
-        series = self._resolve_series(rate_series, rates, duration)
-        if self.faults is not None:
-            series = self.faults.apply_rate_events(
-                series, self.step_seconds
+        run = _Run(self, self._resolve_series(rate_series, rates, duration))
+        events = run.events
+        while events:
+            time, _, _, handler, payload = heapq.heappop(events)
+            handler(time, payload)
+        return run.result()
+
+    # -------------------------------------------------------------- helpers
+
+    def _resolve_series(
+        self,
+        rate_series: Optional[np.ndarray],
+        rates: Optional[Sequence[float]],
+        duration: Optional[float],
+    ) -> np.ndarray:
+        """The run's rates, one row per step, with ``rate.spike`` faults
+        folded in; every rate must be finite."""
+        d = self.graph.num_inputs
+        if rate_series is None:
+            if rates is None or duration is None:
+                raise ValueError(
+                    "pass rate_series, or both rates and duration"
+                )
+            if duration <= 0:
+                raise ValueError("duration must be > 0")
+            r = np.asarray(rates, dtype=float)
+            if r.shape != (d,):
+                raise ValueError(f"expected {d} rates, got shape {r.shape}")
+            steps = max(1, int(round(duration / self.step_seconds)))
+            rate_series = np.tile(r, (steps, 1))
+        elif rates is not None or duration is not None:
+            raise ValueError(
+                "pass either rate_series or (rates, duration), not both"
             )
-        steps = series.shape[0]
-        horizon = steps * self.step_seconds
-        n = self.placement.num_nodes
+        series = np.asarray(rate_series, dtype=float)
+        if series.ndim != 2 or series.shape[1] != d:
+            raise ValueError(
+                f"rate series must have shape (steps, {d}), got {series.shape}"
+            )
+        finite = np.isfinite(series).all(axis=0)
+        if not finite.all():
+            name = self.graph.input_names[int(np.argmin(finite))]
+            raise ValueError(f"rates of input {name!r} must be finite")
+        if self.faults is not None:
+            series = self.faults.apply_rate_events(series, self.step_seconds)
+        return series
+
+
+class _Run:
+    """One run's state and one handler per event kind.  Building it
+    pushes the scheduled events; the handlers push the rest."""
+
+    def __init__(self, sim: Simulator, series: np.ndarray) -> None:
+        self.graph = graph = sim.graph
+        self.model = sim.placement.model
+        self.controller = controller = sim.controller
+        self.step = sim.step_seconds
+        self.steps = series.shape[0]
+        self.horizon = self.steps * self.step
+        self.scheduled_faults = sim.faults
+        self.metrics = sim.metrics
+        self.routes = sim._routes
+        self.transfer = sim._transfer
+        n = sim.placement.num_nodes
         # ``capacities`` is the live vector (brownout faults rewrite it
         # mid-run); ``nominal`` reports end-of-run utilization.
-        nominal = self.placement.capacities
-        capacities = nominal.copy()
+        self.nominal = sim.placement.capacities
+        self.capacities = self.nominal.copy()
 
         # Hoisted observability state: `tracing` is the single hot-path
         # guard — when False, no trace call runs and no event object is
         # ever allocated.
-        tracer = self.tracer
-        tracing = tracer.enabled
+        self.tracer = tracer = sim.tracer
+        self.tracing = tracing = tracer.enabled
         # Span ids link every batch to its causal parent.  They are
         # allocated at batch creation, only while tracing, so a disabled
         # run leaves every batch at span=-1; a derived batch's parent id
         # waits in ``parents`` until its enqueue event carries it.
-        span_ids = itertools.count()
-        parents: Dict[int, int] = {}
+        self.span_ids = itertools.count()
+        self.parents: Dict[int, int] = {}
         # A controller-attached SloWatcher is fed every sink latency
         # sample regardless of tracing (labelling decisions as
         # SLO-triggered must not change what the controller does).
-        slo_watcher = getattr(self.controller, "slo_watcher", None)
+        self.slo_watcher = getattr(controller, "slo_watcher", None)
         # Decision audit + drift detection exist only while tracing: the
         # telemetry collector is attached to the controller here (and
-        # detached after the loop), so the untraced path never allocates
+        # detached in ``result``), so the untraced path never allocates
         # a decision record.  A controller that never opens a record
         # gets a synthesized one per deliberation (``deliberate``).
-        telemetry: Optional[DecisionTelemetry] = None
-        drift_monitor: Optional[DriftMonitor] = None
-        decision_seq = itertools.count(1)
-        decision_counts: Counter = Counter()
+        self.telemetry: Optional[DecisionTelemetry] = None
+        self.drift_monitor: Optional[DriftMonitor] = None
+        self.decision_seq = itertools.count(1)
+        self.decision_counts: Counter = Counter()
         if tracing:
-            drift_monitor = DriftMonitor()
-            if self.controller is not None:
-                telemetry = DecisionTelemetry()
-                self.controller.telemetry = telemetry
+            self.drift_monitor = DriftMonitor()
+            if controller is not None:
+                self.telemetry = DecisionTelemetry()
+                controller.telemetry = self.telemetry
             tracer.emit(
                 "sim.start", t=0.0, nodes=n,
-                operators=len(self.graph.operator_names),
-                step_seconds=self.step_seconds, horizon=horizon,
-                capacities=[float(c) for c in capacities],
-                scheduling=self.scheduling, arrival_kind=self.arrival_kind,
+                operators=len(graph.operator_names),
+                step_seconds=self.step, horizon=self.horizon,
+                capacities=[float(c) for c in self.capacities],
+                scheduling=sim.scheduling, arrival_kind=sim.arrival_kind,
             )
 
-        runtimes: Dict[str, OperatorRuntime] = {
-            op.name: make_runtime(op) for op in self.graph.operators()
+        self.runtimes: Dict[str, OperatorRuntime] = {
+            op.name: make_runtime(op) for op in graph.operators()
         }
-        queues = [SchedulerQueue(self.scheduling) for _ in range(n)]
-        busy = [False] * n
-        last_free = np.zeros(n)
-        node_work = np.zeros(n)
-        timeline = np.zeros((steps, n))
+        self.queues = [SchedulerQueue(sim.scheduling) for _ in range(n)]
+        self.busy = [False] * n
+        self.last_free = np.zeros(n)
+        self.node_work = np.zeros(n)
+        self.timeline = np.zeros((self.steps, n))
 
-        latency = LatencyStats()
-        sink_latency: Dict[str, LatencyStats] = {}
-        operator_stats: Dict[str, OperatorStats] = {
-            name: OperatorStats() for name in self.graph.operator_names
+        self.latency = LatencyStats()
+        self.sink_latency: Dict[str, LatencyStats] = {}
+        self.operator_stats: Dict[str, OperatorStats] = {
+            name: OperatorStats() for name in graph.operator_names
         }
-        tuples_in = 0
-        tuples_out = 0
-        migrations: List[object] = []
+        self.tuples_in = 0
+        self.tuples_out = 0
+        self.migrations: List[object] = []
         # Repartitions are kept apart from migrations: they stall nodes
         # like a migration but never change the assignment, and the
         # migration-derived metrics (count, total pause) must not see
         # them.
-        repartitions: List[Action] = []
+        self.repartitions: List[Action] = []
 
         # Fault state: crashed nodes serve nothing; ``slow`` multiplies
         # per-batch operator cost during slowdown windows.  ``windows``
         # keeps the factors of every open degrade/slowdown window per
         # target, so overlapping windows compound.
-        failed = [False] * n
-        slow: Dict[str, float] = {}
-        windows: Dict[Tuple[object, ...], List[float]] = {}
-        applied_faults: List[FaultEvent] = []
+        self.failed = [False] * n
+        self.slow: Dict[str, float] = {}
+        self.windows: Dict[Tuple[object, ...], List[float]] = {}
+        self.applied_faults: List[FaultEvent] = []
 
         # Mutable routing table: starts at the static placement; a
         # controller may rewrite it mid-run.
-        assignment: Dict[str, int] = {
-            name: self.placement.node_of(name)
-            for name in self.graph.operator_names
+        self.assignment: Dict[str, int] = {
+            name: sim.placement.node_of(name)
+            for name in graph.operator_names
         }
 
-        sequence = itertools.count()
-        events: List[Tuple[float, int, int, object]] = []
-
-        def push_event(time: float, priority: int, payload: object) -> None:
-            heapq.heappush(events, (time, priority, next(sequence), payload))
-
-        def start_service(node: int, now: float) -> None:
-            """Begin serving the next queue entry on an idle node."""
-            entry = queues[node].pop()
-            busy[node] = True
-            if isinstance(entry, Stall):
-                work = entry.duration * capacities[node]
-                push_event(
-                    now + entry.duration,
-                    _COMPLETION,
-                    _Completion(node=node, batch=None, work=work,
-                                start=now, decision=entry.decision),
-                )
-                return
-            batch: _Batch = entry
-            runtime = runtimes[batch.operator]
-            work, out_count = runtime.process(
-                batch.arrival, batch.port, batch.count
-            )
-            slow_factor = slow.get(batch.operator)
-            if slow_factor is not None:
-                work *= slow_factor
-            stats = operator_stats[batch.operator]
-            stats.tuples_in += batch.count
-            stats.tuples_out += out_count
-            stats.work_seconds += work
-            work += batch.extra_work
-
-            out_stream = self.graph.output_of(batch.operator).name
-            send_work = 0.0
-            deliveries: List[Tuple[str, int, float]] = []
-            if out_count > 0:
-                for consumer, port in self._routes[out_stream]:
-                    recv = 0.0
-                    if assignment[consumer] != node:
-                        per_tuple = _transfer_cost(
-                            self.transfer_costs, out_stream
-                        )
-                        send_work += per_tuple * out_count
-                        recv = per_tuple * out_count
-                    deliveries.append((consumer, port, recv))
-            total_work = work + send_work
-            push_event(
-                now + total_work / capacities[node],
-                _COMPLETION,
-                _Completion(
-                    node=node,
-                    batch=batch,
-                    out_count=out_count,
-                    deliveries=tuple(deliveries),
-                    work=total_work,
-                    start=now,
-                ),
-            )
-
-        def enqueue(batch: _Batch) -> None:
-            node = assignment[batch.operator]
-            queues[node].push(batch)
-            if tracing:
-                parent = parents.pop(batch.span, None)
-                tracer.emit(
-                    "batch.enqueued",
-                    t=batch.arrival,
-                    node=node,
-                    operator=batch.operator,
-                    port=batch.port,
-                    count=batch.count,
-                    span=batch.span,
-                    birth=batch.birth,
-                    **({} if parent is None else {"parent": parent}),
-                )
-            if not busy[node] and not failed[node]:
-                if tracing:
-                    tracer.emit("node.busy", t=batch.arrival, node=node)
-                start_service(node, batch.arrival)
+        self.sequence = itertools.count()
+        self.events: List[Tuple[float, int, int, Callable, object]] = []
 
         # Control polls.
-        last_work = np.zeros(n)
-        last_op_work = dict.fromkeys(self.graph.operator_names, 0.0)
-        if self.controller is not None:
-            period = float(self.controller.period)
+        self.last_work = np.zeros(n)
+        self.last_op_work = dict.fromkeys(graph.operator_names, 0.0)
+        if controller is not None:
+            self.period = period = float(controller.period)
             t = period
-            while t < horizon + period:
-                push_event(t, _CONTROL, None)
+            while t < self.horizon + period:
+                self.push(t, _CONTROL, self.on_control, None)
                 t += period
 
         # Fault events, plus revert markers for windowed faults.
-        if self.faults is not None:
-            for fault in self.faults:
-                push_event(fault.time, _FAULT, fault)
+        if sim.faults is not None:
+            for fault in sim.faults:
+                self.push(fault.time, _FAULT, self.on_fault, fault)
                 if fault.duration is not None and fault.kind in _WINDOWED:
-                    push_event(
+                    self.push(
                         fault.time + fault.duration, _FAULT,
-                        _FaultRevert(fault),
+                        self.on_fault_reverted, fault,
                     )
 
         # Arrival-rate drift: stream the resolved series (rate.spike
@@ -419,443 +376,467 @@ class Simulator:
         # rows up to its step — so only the trigger times are known up
         # front; each detection is enqueued at fault priority and its
         # event therefore precedes any same-instant control reaction.
-        if drift_monitor is not None:
-            for detection in drift_monitor.scan_rate_series(
-                series, self.step_seconds
+        if self.drift_monitor is not None:
+            for detection in self.drift_monitor.scan_rate_series(
+                series, self.step
             ):
-                push_event(detection.t, _FAULT, detection)
-
-        def wake(node: int, now: float) -> None:
-            """Start serving on ``node`` if it is idle, up and has work."""
-            if busy[node] or failed[node] or queues[node].is_empty:
-                return
-            if tracing:
-                tracer.emit("node.busy", t=now, node=node)
-            start_service(node, now)
-
-        def reconfigure(
-            action: Action, now: float, decision: int, trigger: str
-        ) -> None:
-            """Apply one controller action; a stale one is dropped.
-
-            A :class:`Migration` reroutes its operator, hands its queued
-            batches to the target and stalls both endpoints — only the
-            destination on failover (``fault`` trigger), the one move
-            allowed to touch a dead node.  A :class:`Repartition`
-            rebuilds its group's route runtimes with the new fractions
-            (the shared graph is never mutated) and stalls every node
-            hosting a route or instance.  Stalls last
-            ``action.pause_seconds`` and carry the causing ``decision``.
-            """
-            if isinstance(action, Repartition):
-                group = self.graph.partition_groups.get(action.operator)
-                if group is None or len(action.fractions) != group.ways:
-                    return  # stale: group gone or the wrong width
-                for route, fraction in zip(group.routes, action.fractions):
-                    runtimes[route] = make_runtime(Filter(
-                        route, cost=self.graph.operator(route).costs[0],
-                        selectivity=float(fraction),
-                    ))
-                stalled: Sequence[int] = sorted({
-                    assignment[name]
-                    for name in (*group.routes, *group.parts)
-                })
-                ledger: List[Action] = repartitions
-                kind = "elastic.repartition"
-                fields: Dict[str, object] = {
-                    "fractions": [float(f) for f in action.fractions],
-                    "pause": action.pause_seconds,
-                }
-            else:
-                source, target = action.source, action.target
-                # Polled moves are traced as decided even when stale.
-                if tracing and trigger == "periodic":
-                    tracer.emit(
-                        "migration.decided", t=now,
-                        operator=action.operator, source=source,
-                        target=target, pause=action.pause_seconds,
-                        decision=decision,
-                    )
-                failover = trigger == "fault"
-                if assignment.get(action.operator) != source:
-                    return  # stale: the operator already moved
-                if not failover and (failed[source] or failed[target]):
-                    return  # a blind reactive move involving a dead node
-                assignment[action.operator] = target
-                for batch in queues[source].take_operator(action.operator):
-                    queues[target].push(batch)
-                stalled = (target,) if failover else (source, target)
-                ledger = migrations
-                kind = "migration.applied"
-                fields = {
-                    "source": source, "target": target,
-                    "pause": action.pause_seconds,
-                    "reason": "failover" if failover else "balance",
-                }
-            for node in stalled:
-                queues[node].push_stall(action.pause_seconds, decision)
-                wake(node, now)
-            ledger.append(action)
-            if tracing:
-                tracer.emit(kind, t=now, operator=action.operator, **fields,
-                            decision=decision)
-
-        def down_nodes() -> List[int]:
-            return [i for i, f in enumerate(failed) if f]
-
-        def sample_volume(current: Mapping[str, int]) -> float:
-            """Feasible-volume ratio of the (degraded) cluster now."""
-            return residual_volume_ratio(
-                self.placement.model, capacities, current,
-                failed_nodes=down_nodes(), samples=_DRIFT_VOLUME_SAMPLES,
-                ignore_stranded=True,
-            )
-
-        def volume_after(actions: Sequence[Action]) -> Optional[float]:
-            """Ratio the cluster would keep once ``actions`` apply."""
-            if not actions:
-                return None
-            trial = dict(assignment)
-            for action in actions:
-                # Only a migration has a source; a repartition keeps the
-                # operator-to-node assignment.
-                source = getattr(action, "source", None)
-                if source is not None and trial.get(action.operator) == source:
-                    trial[action.operator] = action.target
-            return sample_volume(trial)
-
-        def emit_drift(detection: DriftDetection) -> None:
-            fields = asdict(detection)
-            if detection.input is None:
-                del fields["input"]
-            tracer.emit("drift.detected", **fields)
-
-        def deliberate(
-            trigger: str, now: float, hook: Callable[[], Sequence[Action]],
-            node: Optional[int] = None, loads: Optional[np.ndarray] = None,
-        ) -> None:
-            """One controller deliberation, whatever triggered it.
-
-            While tracing, samples the feasible volume kept now (a
-            ``periodic`` sample also feeds the drift detector).  Then asks
-            the controller (``hook()``) for actions, emits one
-            ``decision.evaluated`` per record — synthesized, carrying
-            ``loads``, if the controller opened none — and applies every
-            action, tagged with the last record's id.
-            """
-            volume_before: Optional[float] = None
-            if drift_monitor is not None:
-                volume_before = sample_volume(assignment)
-                if trigger == "periodic":
-                    detection = drift_monitor.observe(
-                        "feasible_volume", now, volume_before
-                    )
-                    if detection is not None:
-                        emit_drift(detection)
-            actions = list(hook())
-            decision = -1
-            if tracing:
-                records = [] if telemetry is None else telemetry.drain()
-                if not records:
-                    records = [DecisionRecord(
-                        trigger, type(self.controller).__name__, [],
-                        reason="migrate" if actions else "unobserved",
-                        actions=len(actions), node=node,
-                    )]
-                volumes = (
-                    ("volume_before", volume_before),
-                    ("volume_after", volume_after(actions)),
-                )
-                for record in records:
-                    decision = next(decision_seq)
-                    decision_counts[record.trigger] += 1
-                    if not record.loads and loads is not None:
-                        record.loads = [float(value) for value in loads]
-                    candidates = [c.to_json_obj() for c in record.candidates]
-                    extra = {
-                        key: value
-                        for key, value in (
-                            ("candidates", candidates or None),
-                            ("node", record.node),
-                            ("burn_rate", record.burn_rate),
-                            *volumes,
-                        )
-                        if value is not None
-                    }
-                    tracer.emit(
-                        "decision.evaluated", t=now, decision=decision,
-                        trigger=record.trigger, controller=record.controller,
-                        reason=record.reason, actions=record.actions,
-                        loads=list(record.loads), **extra,
-                    )
-            for action in actions:
-                reconfigure(action, now, decision, trigger)
+                self.push(detection.t, _FAULT, self.on_drift, detection)
 
         # Source arrivals.
-        for k, input_name in enumerate(self.graph.input_names):
+        for k, input_name in enumerate(graph.input_names):
             process = ArrivalProcess(
                 series[:, k],
-                self.step_seconds,
-                kind=self.arrival_kind,
-                seed=None if self.seed is None else self.seed * 8191 + k,
+                self.step,
+                kind=sim.arrival_kind,
+                seed=None if sim.seed is None else sim.seed * 8191 + k,
             )
-            routes = self._routes[input_name]
+            routes = self.routes[input_name]
             for start, count in process.steps():
-                tuples_in += count
+                self.tuples_in += count
                 for consumer, port in routes:
-                    push_event(
-                        start,
-                        _ARRIVAL,
-                        _Batch(birth=start, arrival=start,
-                               operator=consumer, port=port, count=count,
-                               span=next(span_ids) if tracing else -1),
-                    )
+                    self.push(start, _ARRIVAL, self.on_arrival, _Batch(
+                        birth=start, arrival=start, operator=consumer,
+                        port=port, count=count,
+                        span=next(self.span_ids) if tracing else -1,
+                    ))
 
-        def set_window(fault: FaultEvent, opening: bool) -> None:
-            """Open or close a degrade/slowdown window on its target.
+    def push(self, time: float, priority: int,
+             handler: Callable[[float, Any], None], payload: object) -> None:
+        entry = (time, priority, next(self.sequence), handler, payload)
+        heapq.heappush(self.events, entry)
 
-            The live factor is the product of the target's open windows,
-            recomputed from the list (never divided back out): closing an
-            inner window leaves an outer one in force, and a lone window
-            applies exactly its own factor.
-            """
-            factors = windows.setdefault(
-                (fault.kind, fault.node, fault.operator), []
+    def start_service(self, node: int, now: float) -> None:
+        """Begin serving the next queue entry on an idle node."""
+        entry = self.queues[node].pop()
+        self.busy[node] = True
+        if isinstance(entry, Stall):
+            work = entry.duration * self.capacities[node]
+            self.push(
+                now + entry.duration, _COMPLETION, self.on_stall_finished,
+                (node, work, now, entry.decision),
             )
-            if opening:
-                factors.append(fault.factor)
-            else:
-                factors.remove(fault.factor)
-            factor = math.prod(factors)
-            if fault.kind == "node.degrade":
-                capacities[fault.node] = nominal[fault.node] * factor
-            elif factors:
-                slow[fault.operator] = factor
-            else:
-                del slow[fault.operator]
+            return
+        batch: _Batch = entry
+        work, out_count = self.runtimes[batch.operator].process(
+            batch.arrival, batch.port, batch.count
+        )
+        slow_factor = self.slow.get(batch.operator)
+        if slow_factor is not None:
+            work *= slow_factor
+        stats = self.operator_stats[batch.operator]
+        stats.tuples_in += batch.count
+        stats.tuples_out += out_count
+        stats.work_seconds += work
+        work += batch.extra_work
 
-        def apply_fault(fault: FaultEvent, now: float) -> None:
-            applied_faults.append(fault)
-            if tracing:
-                fields = fault.to_json_obj()
-                del fields["time"]
-                tracer.emit("fault.injected", t=now, **fields)
-            if fault.kind in _FAULT_HOOKS:
-                failed[fault.node] = fault.kind == "node.crash"
-                name, trigger = _FAULT_HOOKS[fault.kind]
-                hook = getattr(self.controller, name, None)
-                if hook is not None:
-                    deliberate(trigger, now, lambda: hook(
-                        now, fault.node, assignment, self.placement.model,
-                        capacities, down_nodes(),
-                    ), node=fault.node)
-                # A recovered node resumes whatever queued while it was
-                # down (a crashed one stays quiet).
-                wake(fault.node, now)
-            elif fault.kind in _WINDOWED:
-                set_window(fault, True)
-            # rate.spike was folded into the series before arrivals were
-            # generated; its fault.injected event above is informational.
+        out_stream = self.graph.output_of(batch.operator).name
+        send_work = 0.0
+        deliveries: List[Tuple[str, int, float]] = []
+        if out_count > 0:
+            # A crossing arc charges the shipping cost to both ends: the
+            # sender now, the receiver as the delivered batch's extra work.
+            shipped = self.transfer[out_stream] * out_count
+            assignment = self.assignment
+            for consumer, port in self.routes[out_stream]:
+                recv = shipped if assignment[consumer] != node else 0.0
+                send_work += recv
+                deliveries.append((consumer, port, recv))
+        total_work = work + send_work
+        self.push(
+            now + total_work / self.capacities[node], _COMPLETION,
+            self.on_batch_served,
+            (node, batch, out_count, tuple(deliveries), total_work, now),
+        )
 
-        def revert_fault(fault: FaultEvent, now: float) -> None:
-            if tracing:
-                tracer.emit(
-                    "fault.reverted", t=now, kind=fault.kind,
-                    **(
-                        {"node": fault.node} if fault.node is not None
-                        else {"operator": fault.operator}
-                    ),
+    def wake(self, node: int, now: float) -> None:
+        """Start serving on ``node`` if it is idle, up and has work."""
+        if self.busy[node] or self.failed[node] or self.queues[node].is_empty:
+            return
+        if self.tracing:
+            self.tracer.emit("node.busy", t=now, node=node)
+        self.start_service(node, now)
+
+    def finish(self, node: int, now: float, work: float) -> None:
+        """Book a node's served ``work``; serve its next entry or idle."""
+        self.node_work[node] += work
+        self.timeline[min(int(now / self.step), self.steps - 1), node] += work
+        if self.queues[node].is_empty or self.failed[node]:
+            # A crashed node goes quiet after its in-flight batch
+            # even if work is still queued (it resumes on recovery).
+            self.busy[node] = False
+            self.last_free[node] = now
+            if self.tracing:
+                self.tracer.emit("node.idle", t=now, node=node)
+        else:
+            self.start_service(node, now)
+
+    # ------------------------------------------------------------ handlers
+
+    def on_arrival(self, now: float, batch: _Batch) -> None:
+        """A batch reaches its operator: queue it on the operator's node."""
+        node = self.assignment[batch.operator]
+        self.queues[node].push(batch)
+        if self.tracing:
+            parent = self.parents.pop(batch.span, None)
+            self.tracer.emit(
+                "batch.enqueued",
+                t=batch.arrival,
+                node=node,
+                operator=batch.operator,
+                port=batch.port,
+                count=batch.count,
+                span=batch.span,
+                birth=batch.birth,
+                **({} if parent is None else {"parent": parent}),
+            )
+        self.wake(node, now)
+
+    def on_batch_served(self, now: float, served: tuple) -> None:
+        """Deliver a served batch's output downstream, or record it."""
+        node, batch, out_count, deliveries, work, start = served
+        # A completion with output and no onward deliveries produced
+        # sink tuples: their end-to-end latency is known here, and the
+        # trace carries it on the serviced event so analyzers can
+        # rebuild LatencyStats exactly (repro.obs.analyze).
+        sink_stream: Optional[str] = None
+        if out_count > 0 and not deliveries:
+            sink_stream = self.graph.output_of(batch.operator).name
+        if self.tracing:
+            # Sink services carry the identical latency float the
+            # engine records below, so trace analyzers reconcile
+            # with SimulationResult bit-for-bit.
+            extra = (
+                {} if sink_stream is None
+                else {"sink": sink_stream, "latency": now - batch.birth}
+            )
+            self.tracer.emit(
+                "batch.serviced",
+                t=now,
+                node=node,
+                operator=batch.operator,
+                port=batch.port,
+                count=batch.count,
+                out=out_count,
+                work=work,
+                span=batch.span,
+                start=start,
+                **extra,
+            )
+        for consumer, port, recv in deliveries:
+            span = -1
+            if self.tracing:
+                span = next(self.span_ids)
+                self.parents[span] = batch.span
+            self.push(now, _ARRIVAL, self.on_arrival, _Batch(
+                birth=batch.birth, arrival=now, operator=consumer,
+                port=port, count=out_count, extra_work=recv, span=span,
+            ))
+        if sink_stream is not None:
+            self.tuples_out += out_count
+            sample = now - batch.birth
+            self.latency.record(sample, out_count)
+            self.sink_latency.setdefault(
+                sink_stream, LatencyStats()
+            ).record(sample, out_count)
+            if self.slo_watcher is not None:
+                self.slo_watcher.observe(now, sample, out_count)
+        self.finish(node, now, work)
+
+    def on_stall_finished(self, now: float, stall: tuple) -> None:
+        """A node's reconfiguration pause ended."""
+        node, work, start, decision = stall
+        if self.tracing:
+            self.tracer.emit(
+                "node.stall", t=now, node=node, work=work, start=start,
+                **({"decision": decision} if decision >= 0 else {}),
+            )
+        self.finish(node, now, work)
+
+    def on_fault(self, now: float, fault: FaultEvent) -> None:
+        """Inject one scheduled fault."""
+        self.applied_faults.append(fault)
+        if self.tracing:
+            fields = fault.to_json_obj()
+            del fields["time"]
+            self.tracer.emit("fault.injected", t=now, **fields)
+        if fault.kind in _FAULT_HOOKS:
+            self.failed[fault.node] = fault.kind == "node.crash"
+            name, trigger = _FAULT_HOOKS[fault.kind]
+            hook = getattr(self.controller, name, None)
+            if hook is not None:
+                self.deliberate(trigger, now, functools.partial(
+                    hook, now, fault.node, self.assignment, self.model,
+                    self.capacities, self.down_nodes(),
+                ), node=fault.node)
+            # A recovered node resumes whatever queued while it was
+            # down (a crashed one stays quiet).
+            self.wake(fault.node, now)
+        elif fault.kind in _WINDOWED:
+            self.set_window(fault, True)
+        # rate.spike was folded into the series before arrivals were
+        # generated; its fault.injected event above is informational.
+
+    def on_fault_reverted(self, now: float, fault: FaultEvent) -> None:
+        """A windowed fault (degrade/slowdown) expires."""
+        if self.tracing:
+            self.tracer.emit(
+                "fault.reverted", t=now, kind=fault.kind,
+                **(
+                    {"node": fault.node} if fault.node is not None
+                    else {"operator": fault.operator}
+                ),
+            )
+        self.set_window(fault, False)
+
+    def on_drift(self, now: float, detection: DriftDetection) -> None:
+        """Emit a drift detection: a rate drift found up front comes
+        due, or a feasible-volume drift was just observed."""
+        fields = asdict(detection)
+        if detection.input is None:
+            del fields["input"]
+        self.tracer.emit("drift.detected", **fields)
+
+    def on_control(self, now: float, _: None) -> None:
+        """Poll ``decide`` with the last period's node and operator load."""
+        period = self.period
+        recent = (self.node_work - self.last_work) / (
+            self.capacities * period
+        )
+        self.last_work = self.node_work.copy()
+        op_loads = {}
+        for name, stats in self.operator_stats.items():
+            op_loads[name] = (
+                stats.work_seconds - self.last_op_work[name]
+            ) / period
+            self.last_op_work[name] = stats.work_seconds
+        self.deliberate("periodic", now, functools.partial(
+            self.controller.decide, now, recent, self.assignment,
+            self.model, self.capacities, operator_loads=op_loads,
+        ), loads=recent)
+
+    def set_window(self, fault: FaultEvent, opening: bool) -> None:
+        """Open or close a degrade/slowdown window on its target.
+
+        The live factor is the product of the target's open windows,
+        recomputed from the list (never divided back out): closing an
+        inner window leaves an outer one in force, and a lone window
+        applies exactly its own factor.
+        """
+        factors = self.windows.setdefault(
+            (fault.kind, fault.node, fault.operator), []
+        )
+        if opening:
+            factors.append(fault.factor)
+        else:
+            factors.remove(fault.factor)
+        factor = math.prod(factors)
+        if fault.kind == "node.degrade":
+            self.capacities[fault.node] = self.nominal[fault.node] * factor
+        elif factors:
+            self.slow[fault.operator] = factor
+        else:
+            del self.slow[fault.operator]
+
+    def down_nodes(self) -> List[int]:
+        return [i for i, f in enumerate(self.failed) if f]
+
+    def sample_volume(self, current: Mapping[str, int]) -> float:
+        """Feasible-volume ratio of the (degraded) cluster now."""
+        return residual_volume_ratio(
+            self.model, self.capacities, current,
+            failed_nodes=self.down_nodes(), samples=_DRIFT_VOLUME_SAMPLES,
+            ignore_stranded=True,
+        )
+
+    def volume_after(self, actions: Sequence[Action]) -> Optional[float]:
+        """Ratio the cluster would keep once ``actions`` apply."""
+        if not actions:
+            return None
+        trial = dict(self.assignment)
+        for action in actions:
+            # A repartition keeps the operator-to-node assignment.
+            if (isinstance(action, Migration)
+                    and trial.get(action.operator) == action.source):
+                trial[action.operator] = action.target
+        return self.sample_volume(trial)
+
+    def deliberate(
+        self, trigger: str, now: float, hook: Callable[[], Sequence[Action]],
+        node: Optional[int] = None, loads: Optional[np.ndarray] = None,
+    ) -> None:
+        """One controller deliberation, whatever triggered it.
+
+        While tracing, samples the feasible volume kept now (a
+        ``periodic`` sample also feeds the drift detector).  Then asks
+        the controller (``hook()``) for actions, emits one
+        ``decision.evaluated`` per record — synthesized, carrying
+        ``loads``, if the controller opened none — and applies every
+        action, tagged with the last record's id.
+        """
+        volume_before: Optional[float] = None
+        if self.drift_monitor is not None:
+            volume_before = self.sample_volume(self.assignment)
+            if trigger == "periodic":
+                detection = self.drift_monitor.observe(
+                    "feasible_volume", now, volume_before
                 )
-            set_window(fault, False)
-
-        # Event loop.
-        while events:
-            time, priority, _, payload = heapq.heappop(events)
-
-            if priority == _FAULT:
-                if isinstance(payload, _FaultRevert):
-                    revert_fault(payload.event, time)
-                elif isinstance(payload, DriftDetection):
-                    emit_drift(payload)
-                else:
-                    apply_fault(payload, time)
-                continue
-
-            if priority == _CONTROL:
-                recent = (node_work - last_work) / (capacities * period)
-                last_work = node_work.copy()
-                op_loads = {}
-                for name, stats in operator_stats.items():
-                    op_loads[name] = (
-                        stats.work_seconds - last_op_work[name]
-                    ) / period
-                    last_op_work[name] = stats.work_seconds
-                deliberate("periodic", time, lambda: self.controller.decide(
-                    time, recent, assignment, self.placement.model,
-                    capacities, operator_loads=op_loads,
-                ), loads=recent)
-                continue
-
-            if priority == _ARRIVAL:
-                enqueue(payload)
-                continue
-
-            # Completion.
-            completion: _Completion = payload
-            node = completion.node
-            node_work[node] += completion.work
-            bin_index = min(int(time / self.step_seconds), steps - 1)
-            timeline[bin_index, node] += completion.work
-            batch = completion.batch
-            # A completion with output and no onward deliveries produced
-            # sink tuples: their end-to-end latency is known here, and the
-            # trace carries it on the serviced event so analyzers can
-            # rebuild LatencyStats exactly (repro.obs.analyze).
-            sink_stream: Optional[str] = None
-            if (batch is not None and completion.out_count > 0
-                    and not completion.deliveries):
-                sink_stream = self.graph.output_of(batch.operator).name
-            if tracing:
-                if batch is None:
-                    tracer.emit(
-                        "node.stall", t=time, node=node,
-                        work=completion.work,
-                        start=completion.start,
-                        **(
-                            {"decision": completion.decision}
-                            if completion.decision >= 0 else {}
-                        ),
+                if detection is not None:
+                    self.on_drift(now, detection)
+        actions = list(hook())
+        decision = -1
+        if self.tracing:
+            records = [] if self.telemetry is None else self.telemetry.drain()
+            if not records:
+                records = [DecisionRecord(
+                    trigger, type(self.controller).__name__, [],
+                    reason="migrate" if actions else "unobserved",
+                    actions=len(actions), node=node,
+                )]
+            volumes = (
+                ("volume_before", volume_before),
+                ("volume_after", self.volume_after(actions)),
+            )
+            for record in records:
+                decision = next(self.decision_seq)
+                self.decision_counts[record.trigger] += 1
+                if not record.loads and loads is not None:
+                    record.loads = [float(value) for value in loads]
+                candidates = [c.to_json_obj() for c in record.candidates]
+                extra = {
+                    key: value
+                    for key, value in (
+                        ("candidates", candidates or None),
+                        ("node", record.node),
+                        ("burn_rate", record.burn_rate),
+                        *volumes,
                     )
-                else:
-                    # Sink services carry the identical latency float the
-                    # engine records below, so trace analyzers reconcile
-                    # with SimulationResult bit-for-bit.
-                    extra = (
-                        {} if sink_stream is None
-                        else {"sink": sink_stream,
-                              "latency": time - batch.birth}
-                    )
-                    tracer.emit(
-                        "batch.serviced",
-                        t=time,
-                        node=node,
-                        operator=batch.operator,
-                        port=batch.port,
-                        count=batch.count,
-                        out=completion.out_count,
-                        work=completion.work,
-                        span=batch.span,
-                        start=completion.start,
-                        **extra,
-                    )
-            if batch is not None and completion.out_count > 0:
-                if completion.deliveries:
-                    for consumer, port, recv in completion.deliveries:
-                        span = -1
-                        if tracing:
-                            span = next(span_ids)
-                            parents[span] = batch.span
-                        push_event(
-                            time,
-                            _ARRIVAL,
-                            _Batch(birth=batch.birth, arrival=time,
-                                   operator=consumer, port=port,
-                                   count=completion.out_count,
-                                   extra_work=recv,
-                                   span=span),
-                        )
-                elif sink_stream is not None:
-                    tuples_out += completion.out_count
-                    sample = time - batch.birth
-                    latency.record(sample, completion.out_count)
-                    sink_latency.setdefault(
-                        sink_stream, LatencyStats()
-                    ).record(sample, completion.out_count)
-                    if slo_watcher is not None:
-                        slo_watcher.observe(
-                            time, sample, completion.out_count
-                        )
-            if queues[node].is_empty or failed[node]:
-                # A crashed node goes quiet after its in-flight batch
-                # even if work is still queued (it resumes on recovery).
-                busy[node] = False
-                last_free[node] = time
-                if tracing:
-                    tracer.emit("node.idle", t=time, node=node)
-            else:
-                start_service(node, time)
+                    if value is not None
+                }
+                self.tracer.emit(
+                    "decision.evaluated", t=now, decision=decision,
+                    trigger=record.trigger, controller=record.controller,
+                    reason=record.reason, actions=record.actions,
+                    loads=list(record.loads), **extra,
+                )
+        for action in actions:
+            self.reconfigure(action, now, decision, trigger)
 
-        utilization = node_work / (nominal * horizon)
-        backlog = np.maximum(last_free - horizon, 0.0)
+    def reconfigure(
+        self, action: Action, now: float, decision: int, trigger: str
+    ) -> None:
+        """Apply one controller action; a stale one is dropped.
+
+        A :class:`Migration` reroutes its operator, hands its queued
+        batches to the target and stalls both endpoints — only the
+        destination on failover (``fault`` trigger), the one move
+        allowed to touch a dead node.  A :class:`Repartition` rebuilds
+        its group's route runtimes with the new fractions (the shared
+        graph is never mutated) and stalls every node hosting a route
+        or instance.  Stalls last ``action.pause_seconds`` and carry the
+        causing ``decision``.
+        """
+        assignment = self.assignment
+        if isinstance(action, Repartition):
+            group = self.graph.partition_groups.get(action.operator)
+            if group is None or len(action.fractions) != group.ways:
+                return  # stale: group gone or the wrong width
+            for route, fraction in zip(group.routes, action.fractions):
+                self.runtimes[route] = make_runtime(Filter(
+                    route, cost=self.graph.operator(route).costs[0],
+                    selectivity=float(fraction),
+                ))
+            stalled: Sequence[int] = sorted({
+                assignment[name] for name in (*group.routes, *group.parts)
+            })
+            ledger: List[Action] = self.repartitions
+            kind = "elastic.repartition"
+            fields: Dict[str, object] = {
+                "fractions": [float(f) for f in action.fractions],
+                "pause": action.pause_seconds,
+            }
+        else:
+            source, target = action.source, action.target
+            # Polled moves are traced as decided even when stale.
+            if self.tracing and trigger == "periodic":
+                self.tracer.emit(
+                    "migration.decided", t=now,
+                    operator=action.operator, source=source,
+                    target=target, pause=action.pause_seconds,
+                    decision=decision,
+                )
+            failover = trigger == "fault"
+            if assignment.get(action.operator) != source:
+                return  # stale: the operator already moved
+            if not failover and (self.failed[source] or self.failed[target]):
+                return  # a blind reactive move involving a dead node
+            assignment[action.operator] = target
+            for batch in self.queues[source].take_operator(action.operator):
+                self.queues[target].push(batch)
+            stalled = (target,) if failover else (source, target)
+            ledger = self.migrations
+            kind = "migration.applied"
+            fields = {
+                "source": source, "target": target,
+                "pause": action.pause_seconds,
+                "reason": "failover" if failover else "balance",
+            }
+        for node in stalled:
+            self.queues[node].push_stall(action.pause_seconds, decision)
+            self.wake(node, now)
+        ledger.append(action)
+        if self.tracing:
+            self.tracer.emit(kind, t=now, operator=action.operator,
+                             **fields, decision=decision)
+
+    def result(self) -> SimulationResult:
+        """Close the drained run: emit ``sim.end``, detach the decision
+        telemetry, fill the metrics registry and build the result."""
+        utilization = self.node_work / (self.nominal * self.horizon)
+        backlog = np.maximum(self.last_free - self.horizon, 0.0)
         # Tuples still queued when the event loop drained: work stranded
         # on nodes that were down (or degraded past the horizon) with no
         # failover to rescue it.
-        stranded = sum(queues[node].queued_tuples() for node in range(n))
-        if tracing:
+        stranded = sum(queue.queued_tuples() for queue in self.queues)
+        if self.tracing:
             extra_end: Dict[str, object] = {}
-            if self.faults is not None:
-                extra_end["faults"] = len(applied_faults)
+            if self.scheduled_faults is not None:
+                extra_end["faults"] = len(self.applied_faults)
                 extra_end["stranded_tuples"] = stranded
-            if repartitions:
-                extra_end["repartitions"] = len(repartitions)
-            tracer.emit(
-                "sim.end", t=horizon,
-                node_busy=[float(w) for w in node_work],
-                tuples_in=tuples_in, tuples_out=tuples_out,
+            if self.repartitions:
+                extra_end["repartitions"] = len(self.repartitions)
+            self.tracer.emit(
+                "sim.end", t=self.horizon,
+                node_busy=[float(w) for w in self.node_work],
+                tuples_in=self.tuples_in, tuples_out=self.tuples_out,
                 max_utilization=float(utilization.max()),
-                migrations=len(migrations), **extra_end,
+                migrations=len(self.migrations), **extra_end,
             )
-        if telemetry is not None:
+        if self.telemetry is not None:
             # Detach so a later untraced run of the same controller goes
             # back to allocating nothing.
             self.controller.telemetry = None
         if self.metrics is not None:
-            self._record_metrics(
-                self.metrics, utilization, latency, tuples_in, tuples_out,
-                len(migrations), applied_faults,
-            )
-            if decision_counts:
-                decided = self.metrics.counter(
-                    "rod_decisions_total",
-                    "controller decision records emitted",
-                    ("trigger",),
-                )
-                for trigger, count in sorted(decision_counts.items()):
-                    decided.labels(trigger=trigger).inc(count)
-            if drift_monitor is not None:
-                record_drift_metrics(
-                    self.metrics, drift_monitor.detections,
-                    drift_monitor.summary(),
-                )
+            self.record_metrics(self.metrics, utilization)
         return SimulationResult(
-            duration=horizon,
-            node_busy=node_work,
+            duration=self.horizon,
+            node_busy=self.node_work,
             node_utilization=utilization,
             backlog_seconds=backlog,
-            latency=latency,
-            sink_latency=sink_latency,
-            operator_stats=operator_stats,
-            tuples_in=tuples_in,
-            tuples_out=tuples_out,
-            migrations=migrations,
-            work_timeline=timeline,
-            faults=applied_faults,
+            latency=self.latency,
+            sink_latency=self.sink_latency,
+            operator_stats=self.operator_stats,
+            tuples_in=self.tuples_in,
+            tuples_out=self.tuples_out,
+            migrations=self.migrations,
+            work_timeline=self.timeline,
+            faults=self.applied_faults,
             stranded_tuples=stranded,
         )
 
-    # -------------------------------------------------------------- helpers
-
-    @staticmethod
-    def _record_metrics(
-        registry: MetricsRegistry,
-        utilization: np.ndarray,
-        latency: LatencyStats,
-        tuples_in: int,
-        tuples_out: int,
-        migrations: int,
-        faults: Sequence[FaultEvent] = (),
+    def record_metrics(
+        self, registry: MetricsRegistry, utilization: np.ndarray
     ) -> None:
-        """Fold one run's outcomes into the metrics registry.
+        """Fold the run's outcomes into the metrics registry.
 
         Runs once after the event loop — never on the hot path — so an
         attached registry costs nothing per event.
@@ -865,18 +846,18 @@ class Simulator:
             "source tuples injected / sink tuples produced",
             ("direction",),
         )
-        tuples.labels(direction="in").inc(tuples_in)
-        tuples.labels(direction="out").inc(tuples_out)
+        tuples.labels(direction="in").inc(self.tuples_in)
+        tuples.labels(direction="out").inc(self.tuples_out)
         registry.counter(
             "rod_sim_migrations_total", "operator migrations applied"
-        ).inc(migrations)
-        if faults:
+        ).inc(len(self.migrations))
+        if self.applied_faults:
             fault_counter = registry.counter(
                 "rod_sim_faults_total",
                 "fault events injected into simulation runs",
                 ("kind",),
             )
-            for fault in faults:
+            for fault in self.applied_faults:
                 fault_counter.labels(kind=fault.kind).inc()
         registry.counter(
             "rod_sim_runs_total", "simulation runs completed"
@@ -893,35 +874,19 @@ class Simulator:
             "end-to-end latency quantiles of the latest run",
             ("quantile",),
         )
-        for name, value in latency.percentiles().items():
+        for name, value in self.latency.percentiles().items():
             quantiles.labels(quantile=name).set(value)
-        quantiles.labels(quantile="mean").set(latency.mean())
-
-    def _resolve_series(
-        self,
-        rate_series: Optional[np.ndarray],
-        rates: Optional[Sequence[float]],
-        duration: Optional[float],
-    ) -> np.ndarray:
-        d = self.graph.num_inputs
-        if rate_series is not None:
-            if rates is not None or duration is not None:
-                raise ValueError(
-                    "pass either rate_series or (rates, duration), not both"
-                )
-            series = np.asarray(rate_series, dtype=float)
-            if series.ndim != 2 or series.shape[1] != d:
-                raise ValueError(
-                    f"rate series must have shape (steps, {d}), "
-                    f"got {series.shape}"
-                )
-            return series
-        if rates is None or duration is None:
-            raise ValueError("pass rate_series, or both rates and duration")
-        if duration <= 0:
-            raise ValueError("duration must be > 0")
-        r = np.asarray(rates, dtype=float)
-        if r.shape != (d,):
-            raise ValueError(f"expected {d} rates, got shape {r.shape}")
-        steps = max(1, int(round(duration / self.step_seconds)))
-        return np.tile(r, (steps, 1))
+        quantiles.labels(quantile="mean").set(self.latency.mean())
+        if self.decision_counts:
+            decided = registry.counter(
+                "rod_decisions_total",
+                "controller decision records emitted",
+                ("trigger",),
+            )
+            for trigger, count in sorted(self.decision_counts.items()):
+                decided.labels(trigger=trigger).inc(count)
+        if self.drift_monitor is not None:
+            record_drift_metrics(
+                registry, self.drift_monitor.detections,
+                self.drift_monitor.summary(),
+            )

@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.plans import Placement
+from ..graphs.query_graph import TransferCosts
 from ..obs.trace import Tracer
-from .engine import Simulator, TransferCosts
+from .engine import Simulator
 
 __all__ = ["FeasibilityProbe", "empirical_feasible_fraction"]
 

@@ -99,6 +99,22 @@ class TestSimulate:
             "--rates", "100000,100000", "--duration", "3", "--check",
         ]) == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--rates", "nan,20"],
+        ["--rates", "20,20", "--step", "inf"],
+    ], ids=["rates", "step"])
+    def test_non_finite_input_fails_before_any_verdict(
+        self, graph_file, plan_file, capsys, flags
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            main([
+                "simulate", "--graph", graph_file, "--plan", plan_file,
+                "--duration", "3", "--check", *flags,
+            ])
+        out = capsys.readouterr().out
+        assert "duration=" not in out
+        assert "feasible at this rate point" not in out
+
 
 class TestSimulateFaults:
     def test_fault_schedule_file(self, tmp_path, graph_file, plan_file,

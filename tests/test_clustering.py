@@ -84,6 +84,15 @@ class TestClusterOperators:
         with pytest.raises(ValueError, match="transfer cost"):
             cluster_operators(chain_model, -1.0)
 
+    def test_cost_for_an_unknown_stream_rejected(self, chain_model):
+        with pytest.raises(ValueError, match="no_such_stream"):
+            cluster_operators(chain_model, {"no_such_stream": 1.0})
+
+    def test_negative_cost_off_every_arc_rejected(self, chain_model):
+        # The input stream I feeds a, but no operator-to-operator arc.
+        with pytest.raises(ValueError, match="'I'.*finite >= 0"):
+            cluster_operators(chain_model, {"I": -1.0})
+
     def test_invalid_clustering_rejected(self, chain_model):
         bad = Clustering(groups=(("a",), ("b",)))  # missing c
         with pytest.raises(ValueError, match="partition"):
@@ -147,6 +156,11 @@ class TestCommunicationFeasibleSet:
         delta = comm.node_coefficients - plain
         # One crossing arc (a->b) with unit stream rate: +0.5 on each node.
         assert np.allclose(delta, [[0.5], [0.5]])
+
+    def test_cost_for_an_unknown_stream_rejected(self, chain_model):
+        plan = rod_place(chain_model, [1.0, 1.0])
+        with pytest.raises(ValueError, match="no_such_stream"):
+            communication_feasible_set(plan, {"no_such_stream": 1.0})
 
     def test_colocated_plan_pays_nothing(self, chain_model):
         from repro import placement_from_mapping

@@ -61,6 +61,12 @@ class TestPlan:
                 transfer_costs=1e-4,
             )
 
+    def test_cost_for_an_unknown_stream_rejected(self, graph):
+        with pytest.raises(ValueError, match="no_such_stream"):
+            Deployment.plan(
+                graph, [1.0, 1.0], transfer_costs={"no_such_stream": 1.0}
+            )
+
     def test_lower_bound_only_with_rod(self, graph):
         floor = np.zeros(2)
         with pytest.raises(ValueError, match="ROD"):

@@ -5,10 +5,12 @@ between ``BEGIN/END GENERATED`` markers; ``scripts/gen_event_catalog.py``
 rewrites them from ``repro.obs.schema``.  This pins the committed file
 to the registry so a schema change cannot land without regenerating the
 docs (CI runs the same check via ``--check``).  The fault and
-simulator docs must name every fault kind the engine understands, and
-the static-analysis code table must list every lint rule.
+simulator docs must name every fault kind the engine understands, the
+static-analysis code table must list every lint rule, and every test or
+benchmark a doc cites must exist.
 """
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -17,6 +19,29 @@ from repro.check.lint import LINT_CODES
 from repro.faults import FAULT_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+#: A cited test or benchmark: a path, then any ``::Class::name`` chain.
+CITATION = re.compile(r"\b(?:tests|benchmarks)/[\w./-]*\w(?:::\w+)*")
+
+
+def _resolves(citation: str) -> bool:
+    """Whether the cited path exists and defines each ``::name`` in
+    turn: a top-level class or function, then members of that class."""
+    path, *names = citation.split("::")
+    if not (ROOT / path).exists():
+        return False
+    scope = ast.parse((ROOT / path).read_text()).body if names else []
+    for name in names:
+        found = [
+            node for node in scope
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name == name
+        ]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
 
 
 def _load_generator():
@@ -84,3 +109,14 @@ class TestTraceReadingDocs:
         capsys.readouterr()
         exec(compile(block, "observability.md", "exec"), {})
         assert "per-node utilization" in capsys.readouterr().out
+
+
+class TestDocCitations:
+    def test_every_cited_test_and_benchmark_resolves(self):
+        citations = [
+            (doc.name, citation)
+            for doc in sorted((ROOT / "docs").glob("*.md"))
+            for citation in CITATION.findall(doc.read_text())
+        ]
+        assert len(citations) > 100  # the pattern still matches the docs
+        assert [c for c in citations if not _resolves(c[1])] == []

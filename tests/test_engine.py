@@ -5,6 +5,7 @@ import pytest
 
 from repro import build_load_model, placement_from_mapping
 from repro.graphs import Delay, Filter, Map, QueryGraph, WindowJoin
+from repro.obs.trace import MemorySink, Tracer
 from repro.simulator import Simulator
 
 
@@ -151,6 +152,26 @@ class TestNetworkCosts:
         ).run(rates=[100.0], duration=10.0)
         assert result.node_utilization[0] == pytest.approx(0.3, abs=0.02)
 
+    def test_cost_for_an_unknown_stream_rejected(self):
+        split = self.make_plan(colocate=False)
+        with pytest.raises(ValueError, match="no_such_stream"):
+            Simulator(split, transfer_costs={"no_such_stream": 1.0})
+
+    def test_negative_cost_on_a_colocated_arc_rejected(self):
+        # a -> b never crosses nodes here, so no delivery reads the cost.
+        together = self.make_plan(colocate=True)
+        with pytest.raises(ValueError, match="'a.out'.*finite >= 0"):
+            Simulator(together, transfer_costs={"a.out": -1.0})
+
+    def test_non_finite_cost_rejected_before_any_event(self):
+        split = self.make_plan(colocate=False)
+        sink = MemorySink()
+        with pytest.raises(ValueError, match="finite >= 0"):
+            Simulator(
+                split, transfer_costs=float("nan"), tracer=Tracer(sink)
+            ).run(rates=[100.0], duration=10.0)
+        assert sink.events == []
+
 
 class TestJoins:
     def test_join_load_tracks_quadratic_model(self, join_model):
@@ -197,6 +218,22 @@ class TestInputValidation:
     def test_step_seconds_positive(self):
         with pytest.raises(ValueError, match="step_seconds"):
             Simulator(single_op_plan(), step_seconds=0.0)
+
+    @pytest.mark.parametrize("step", [float("inf"), float("nan")])
+    def test_step_seconds_finite(self, step):
+        with pytest.raises(ValueError, match="step_seconds must be finite"):
+            Simulator(single_op_plan(), step_seconds=step)
+
+    @pytest.mark.parametrize("workload", [
+        {"rates": [float("nan")], "duration": 1.0},
+        {"rate_series": np.array([[40.0], [np.inf], [40.0]])},
+    ], ids=["point", "series"])
+    def test_non_finite_rate_rejected_before_any_event(self, workload):
+        sink = MemorySink()
+        sim = Simulator(single_op_plan(), tracer=Tracer(sink))
+        with pytest.raises(ValueError, match="input 'I' must be finite"):
+            sim.run(**workload)
+        assert sink.events == []
 
     def test_work_timeline_sums_to_node_busy(self):
         plan = single_op_plan(cost=0.005)

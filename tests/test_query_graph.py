@@ -138,6 +138,15 @@ class TestEvaluation:
         # a: 8, b: 8, c: 8, u: 6
         assert diamond.total_load([8.0]) == pytest.approx(30.0)
 
+    def test_transfer_costs_resolve_per_stream(self, diamond):
+        uniform = diamond.transfer_costs(2)
+        assert uniform == dict.fromkeys(
+            ("I", "a.out", "b.out", "c.out", "u.out"), 2.0
+        )
+        named = diamond.transfer_costs({"b.out": 0.5})
+        assert named["b.out"] == 0.5
+        assert sum(named.values()) == 0.5  # unnamed streams cost nothing
+
     def test_rate_count_checked(self, diamond):
         with pytest.raises(ValueError, match="input rates"):
             diamond.stream_rates([1.0, 2.0])
