@@ -67,11 +67,12 @@ class MigrationController(abc.ABC):
         state_tuples: Optional[Mapping[str, float]] = None,
         slo_watcher: Optional[object] = None,
     ) -> None:
-        if period <= 0:
-            raise ValueError("control period must be > 0")
+        if not 0 < period < math.inf:
+            raise ValueError("control period must be finite and > 0")
         self.period = period
         self.cooldown = 5.0 * period if cooldown is None else float(cooldown)
-        if self.cooldown < 0:
+        # An infinite cooldown never moves an operator twice; NaN fails.
+        if not self.cooldown >= 0:
             raise ValueError("cooldown must be >= 0")
         self.cost_model = cost_model or MigrationCostModel()
         self.state_tuples: Dict[str, float] = dict(state_tuples or {})

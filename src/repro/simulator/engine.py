@@ -18,6 +18,10 @@ payload)`` heap entries and calls ``handler(time, payload)``: a per-run
 ``_Run`` holds the state and one handler per event kind (arrival, batch
 served, stall finished, fault injected or reverted, drift detected,
 control poll).  Same-instant entries run by priority, then push order.
+The loop keeps its numbers builtin — live capacities, per-node work,
+last-free times and the flat work timeline are lists of floats — and
+builds float64 arrays only where it hands them out: to controllers, to
+the per-poll load computation and to the result.
 
 An optional :class:`~repro.faults.FaultSchedule` injects timed system
 faults — node crashes/recoveries, capacity brownouts, per-operator
@@ -60,9 +64,10 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -78,7 +83,7 @@ from ..obs.decisions import DecisionRecord, DecisionTelemetry
 from ..obs.drift import DriftDetection, DriftMonitor, record_drift_metrics
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..workload.arrivals import ArrivalProcess
+from ..workload.arrivals import ARRIVAL_KINDS, ArrivalProcess
 from .metrics import LatencyStats, OperatorStats, SimulationResult
 from .runtime import OperatorRuntime, make_runtime
 from .scheduling import SchedulerQueue, Stall
@@ -109,8 +114,7 @@ _WINDOWED = ("node.degrade", "operator.slowdown")
 _DRIFT_VOLUME_SAMPLES = 128
 
 
-@dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """A batch of identical-age tuples bound for one operator port."""
 
     birth: float        # when the originating source tuples entered
@@ -149,6 +153,13 @@ class Simulator:
         (and validated) here, once."""
         if not 0 < step_seconds < math.inf:
             raise ValueError("step_seconds must be finite and > 0")
+        if arrival_kind not in ARRIVAL_KINDS:
+            raise ValueError(
+                f"unknown arrival kind: {arrival_kind!r}; "
+                f"expected one of {ARRIVAL_KINDS}"
+            )
+        if controller is not None and not 0 < controller.period < math.inf:
+            raise ValueError("controller period must be finite and > 0")
         self.placement = placement
         self.graph = placement.model.graph
         for op in self.graph.operators():
@@ -185,6 +196,11 @@ class Simulator:
                     if s == stream.name:
                         routes.append((consumer, port))
             self._routes[stream.name] = routes
+        # Each operator's output stream, so the loop never looks it up.
+        self._outputs: Dict[str, str] = {
+            name: self.graph.output_of(name).name
+            for name in self.graph.operator_names
+        }
 
     # ------------------------------------------------------------------ run
 
@@ -264,12 +280,13 @@ class _Run:
         self.scheduled_faults = sim.faults
         self.metrics = sim.metrics
         self.routes = sim._routes
+        self.outputs = sim._outputs
         self.transfer = sim._transfer
-        n = sim.placement.num_nodes
-        # ``capacities`` is the live vector (brownout faults rewrite it
-        # mid-run); ``nominal`` reports end-of-run utilization.
+        self.nodes = n = sim.placement.num_nodes
+        # ``capacities`` is the live list (brownout faults rewrite it
+        # mid-run); the ``nominal`` array reports end-of-run utilization.
         self.nominal = sim.placement.capacities
-        self.capacities = self.nominal.copy()
+        self.capacities: List[float] = self.nominal.tolist()
 
         # Hoisted observability state: `tracing` is the single hot-path
         # guard — when False, no trace call runs and no event object is
@@ -304,7 +321,7 @@ class _Run:
                 "sim.start", t=0.0, nodes=n,
                 operators=len(graph.operator_names),
                 step_seconds=self.step, horizon=self.horizon,
-                capacities=[float(c) for c in self.capacities],
+                capacities=list(self.capacities),
                 scheduling=sim.scheduling, arrival_kind=sim.arrival_kind,
             )
 
@@ -313,9 +330,10 @@ class _Run:
         }
         self.queues = [SchedulerQueue(sim.scheduling) for _ in range(n)]
         self.busy = [False] * n
-        self.last_free = np.zeros(n)
-        self.node_work = np.zeros(n)
-        self.timeline = np.zeros((self.steps, n))
+        self.last_free = [0.0] * n
+        self.node_work = [0.0] * n
+        # Work served per (bin, node), flat: bin * nodes + node.
+        self.timeline = [0.0] * (self.steps * n)
 
         self.latency = LatencyStats()
         self.sink_latency: Dict[str, LatencyStats] = {}
@@ -429,7 +447,7 @@ class _Run:
         stats.work_seconds += work
         work += batch.extra_work
 
-        out_stream = self.graph.output_of(batch.operator).name
+        out_stream = self.outputs[batch.operator]
         send_work = 0.0
         deliveries: List[Tuple[str, int, float]] = []
         if out_count > 0:
@@ -459,7 +477,8 @@ class _Run:
     def finish(self, node: int, now: float, work: float) -> None:
         """Book a node's served ``work``; serve its next entry or idle."""
         self.node_work[node] += work
-        self.timeline[min(int(now / self.step), self.steps - 1), node] += work
+        step = min(int(now / self.step), self.steps - 1)
+        self.timeline[step * self.nodes + node] += work
         if self.queues[node].is_empty or self.failed[node]:
             # A crashed node goes quiet after its in-flight batch
             # even if work is still queued (it resumes on recovery).
@@ -500,7 +519,7 @@ class _Run:
         # rebuild LatencyStats exactly (repro.obs.analyze).
         sink_stream: Optional[str] = None
         if out_count > 0 and not deliveries:
-            sink_stream = self.graph.output_of(batch.operator).name
+            sink_stream = self.outputs[batch.operator]
         if self.tracing:
             # Sink services carry the identical latency float the
             # engine records below, so trace analyzers reconcile
@@ -535,9 +554,10 @@ class _Run:
             self.tuples_out += out_count
             sample = now - batch.birth
             self.latency.record(sample, out_count)
-            self.sink_latency.setdefault(
-                sink_stream, LatencyStats()
-            ).record(sample, out_count)
+            stats = self.sink_latency.get(sink_stream)
+            if stats is None:
+                stats = self.sink_latency[sink_stream] = LatencyStats()
+            stats.record(sample, out_count)
             if self.slo_watcher is not None:
                 self.slo_watcher.observe(now, sample, out_count)
         self.finish(node, now, work)
@@ -566,7 +586,7 @@ class _Run:
             if hook is not None:
                 self.deliberate(trigger, now, functools.partial(
                     hook, now, fault.node, self.assignment, self.model,
-                    self.capacities, self.down_nodes(),
+                    np.array(self.capacities), self.down_nodes(),
                 ), node=fault.node)
             # A recovered node resumes whatever queued while it was
             # down (a crashed one stays quiet).
@@ -599,10 +619,10 @@ class _Run:
     def on_control(self, now: float, _: None) -> None:
         """Poll ``decide`` with the last period's node and operator load."""
         period = self.period
-        recent = (self.node_work - self.last_work) / (
-            self.capacities * period
-        )
-        self.last_work = self.node_work.copy()
+        work = np.array(self.node_work)
+        capacities = np.array(self.capacities)
+        recent = (work - self.last_work) / (capacities * period)
+        self.last_work = work
         op_loads = {}
         for name, stats in self.operator_stats.items():
             op_loads[name] = (
@@ -611,7 +631,7 @@ class _Run:
             self.last_op_work[name] = stats.work_seconds
         self.deliberate("periodic", now, functools.partial(
             self.controller.decide, now, recent, self.assignment,
-            self.model, self.capacities, operator_loads=op_loads,
+            self.model, capacities, operator_loads=op_loads,
         ), loads=recent)
 
     def set_window(self, fault: FaultEvent, opening: bool) -> None:
@@ -631,7 +651,9 @@ class _Run:
             factors.remove(fault.factor)
         factor = math.prod(factors)
         if fault.kind == "node.degrade":
-            self.capacities[fault.node] = self.nominal[fault.node] * factor
+            self.capacities[fault.node] = float(
+                self.nominal[fault.node] * factor
+            )
         elif factors:
             self.slow[fault.operator] = factor
         else:
@@ -791,8 +813,9 @@ class _Run:
     def result(self) -> SimulationResult:
         """Close the drained run: emit ``sim.end``, detach the decision
         telemetry, fill the metrics registry and build the result."""
-        utilization = self.node_work / (self.nominal * self.horizon)
-        backlog = np.maximum(self.last_free - self.horizon, 0.0)
+        node_busy = np.array(self.node_work)
+        utilization = node_busy / (self.nominal * self.horizon)
+        backlog = np.maximum(np.array(self.last_free) - self.horizon, 0.0)
         # Tuples still queued when the event loop drained: work stranded
         # on nodes that were down (or degraded past the horizon) with no
         # failover to rescue it.
@@ -806,7 +829,7 @@ class _Run:
                 extra_end["repartitions"] = len(self.repartitions)
             self.tracer.emit(
                 "sim.end", t=self.horizon,
-                node_busy=[float(w) for w in self.node_work],
+                node_busy=list(self.node_work),
                 tuples_in=self.tuples_in, tuples_out=self.tuples_out,
                 max_utilization=float(utilization.max()),
                 migrations=len(self.migrations), **extra_end,
@@ -819,7 +842,7 @@ class _Run:
             self.record_metrics(self.metrics, utilization)
         return SimulationResult(
             duration=self.horizon,
-            node_busy=self.node_work,
+            node_busy=node_busy,
             node_utilization=utilization,
             backlog_seconds=backlog,
             latency=self.latency,
@@ -828,7 +851,7 @@ class _Run:
             tuples_in=self.tuples_in,
             tuples_out=self.tuples_out,
             migrations=self.migrations,
-            work_timeline=self.timeline,
+            work_timeline=np.reshape(self.timeline, (self.steps, self.nodes)),
             faults=self.applied_faults,
             stranded_tuples=stranded,
         )

@@ -21,6 +21,7 @@ queue (the node is busy serializing/installing operator state).
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
@@ -77,8 +78,10 @@ class SchedulerQueue:
 
     def push_stall(self, duration: float, decision: int = -1) -> None:
         """Enqueue a migration stall, served before any batch."""
-        if duration < 0:
-            raise ValueError("stall duration must be >= 0")
+        if not 0 <= duration < math.inf:
+            raise ValueError(
+                f"stall duration must be finite and >= 0, got {duration}"
+            )
         self._stalls.append(Stall(duration, decision))
 
     # ----------------------------------------------------------------- pop
@@ -118,7 +121,7 @@ class SchedulerQueue:
 
     @property
     def is_empty(self) -> bool:
-        return len(self) == 0
+        return not (self._size or self._stalls)
 
     def queued_tuples(self, operator: Optional[str] = None) -> int:
         """Tuples pending, for one operator or in total."""

@@ -6,6 +6,7 @@ from .._lazy import lazy_exports
 # load the rate samplers and, through them, ``repro.core``.
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".arrivals": (
+        "ARRIVAL_KINDS",
         "ArrivalProcess",
         "deterministic_arrivals",
         "poisson_arrivals",
@@ -33,6 +34,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
+    "ARRIVAL_KINDS",
     "ArrivalProcess",
     "TRACE_KINDS",
     "area_chart",

@@ -13,7 +13,13 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["deterministic_arrivals", "poisson_arrivals", "ArrivalProcess"]
+__all__ = [
+    "ARRIVAL_KINDS", "deterministic_arrivals", "poisson_arrivals",
+    "ArrivalProcess",
+]
+
+#: The arrival processes :class:`ArrivalProcess` generates.
+ARRIVAL_KINDS = ("deterministic", "poisson")
 
 
 def deterministic_arrivals(
@@ -64,7 +70,10 @@ class ArrivalProcess:
         elif kind == "poisson":
             self.counts = poisson_arrivals(rates, step_seconds, seed=seed)
         else:
-            raise ValueError(f"unknown arrival kind: {kind!r}")
+            raise ValueError(
+                f"unknown arrival kind: {kind!r}; "
+                f"expected one of {ARRIVAL_KINDS}"
+            )
         self.step_seconds = float(step_seconds)
 
     @property

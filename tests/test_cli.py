@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -286,7 +287,7 @@ class TestReport:
         assert main([
             "report", "-o", path, "--scale", "quick", "--only", "fig2",
         ]) == 0
-        content = open(path).read()
+        content = Path(path).read_text()
         assert content.startswith("# Reproduction report")
         assert "fig2" in content
         assert "fig14" not in content
@@ -537,7 +538,7 @@ class TestRunRegistryCli:
         assert main(["report", "base", "--root", recorded]) == 0
         capsys.readouterr()
         path = os.path.join(recorded, "base", "report.html")
-        html = open(path).read()
+        html = Path(path).read_text()
         assert html.startswith("<!DOCTYPE html>")
         for banned in ("http://", "https://", "<script"):
             assert banned not in html
@@ -545,7 +546,7 @@ class TestRunRegistryCli:
     def test_report_custom_output_path(self, recorded, tmp_path, capsys):
         out = str(tmp_path / "custom.html")
         assert main(["report", "base", "--root", recorded, "-o", out]) == 0
-        assert open(out).read().startswith("<!DOCTYPE html>")
+        assert Path(out).read_text().startswith("<!DOCTYPE html>")
 
     def test_legacy_markdown_report_still_requires_output(self):
         with pytest.raises(SystemExit, match="-o/--output"):
@@ -837,7 +838,7 @@ class TestOldFormatRun:
     def test_report_renders_without_the_critical_path(self, root, capsys):
         assert main(["report", "old", "--root", root]) == 0
         capsys.readouterr()
-        html = open(os.path.join(root, "old", "report.html")).read()
+        html = Path(root, "old", "report.html").read_text()
         assert "Utilization heatmap" in html
         assert "Latency critical path" not in html
 

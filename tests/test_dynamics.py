@@ -222,6 +222,15 @@ class TestControllerDecisions:
             LoadBalancingController(max_moves_per_period=0)
         with pytest.raises(ValueError):
             LoadBalancingController(cooldown=-1.0)
+        for period in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="period"):
+                LoadBalancingController(period=period)
+        with pytest.raises(ValueError, match="cooldown"):
+            LoadBalancingController(cooldown=float("nan"))
+        # An infinite cooldown means "never move an operator twice".
+        assert LoadBalancingController(
+            cooldown=float("inf")
+        ).cooldown == float("inf")
 
     def test_history_accumulates(self):
         model = self.make_model()

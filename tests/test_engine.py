@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import build_load_model, placement_from_mapping
+from repro.faults import FaultEvent, FaultSchedule
 from repro.graphs import Delay, Filter, Map, QueryGraph, WindowJoin
 from repro.obs.trace import MemorySink, Tracer
 from repro.simulator import Simulator
@@ -235,6 +236,34 @@ class TestInputValidation:
             sim.run(**workload)
         assert sink.events == []
 
+    def test_unknown_arrival_kind_rejected_before_any_event(self):
+        sink = MemorySink()
+        with pytest.raises(ValueError, match="unknown arrival kind: 'bogus'"):
+            Simulator(
+                single_op_plan(), arrival_kind="bogus", tracer=Tracer(sink)
+            )
+        assert sink.events == []
+
+    @pytest.mark.parametrize("period", [0.0, float("nan"), float("inf")])
+    def test_controller_period_checked_before_any_event(self, period):
+        """The engine polls any object with ``period`` and ``decide``;
+        a period of 0 would never advance the poll clock, and NaN or
+        inf would schedule no poll, so none may build.  Never run here:
+        at 0 the poll loop would not return."""
+
+        class BarePoller:
+            def decide(self, *args, **kwargs):
+                return []
+
+        controller = BarePoller()
+        controller.period = period
+        sink = MemorySink()
+        with pytest.raises(ValueError, match="controller period"):
+            Simulator(
+                single_op_plan(), controller=controller, tracer=Tracer(sink)
+            )
+        assert sink.events == []
+
     def test_work_timeline_sums_to_node_busy(self):
         plan = single_op_plan(cost=0.005)
         result = Simulator(plan, step_seconds=0.1).run(
@@ -244,6 +273,10 @@ class TestInputValidation:
         assert result.work_timeline.sum() == pytest.approx(
             result.node_busy.sum()
         )
+        for array in (result.node_busy, result.node_utilization,
+                      result.backlog_seconds, result.work_timeline):
+            assert isinstance(array, np.ndarray)
+            assert array.dtype == np.float64
 
     def test_utilization_timeline_tracks_burst(self):
         plan = single_op_plan(cost=0.005)
@@ -261,3 +294,66 @@ class TestInputValidation:
             plan, step_seconds=0.1, arrival_kind="poisson", seed=1
         ).run(rates=[100.0], duration=20.0)
         assert result.tuples_in == pytest.approx(2000, rel=0.1)
+
+
+class TestControllersSeeLiveCapacities:
+    """Controllers get the live capacities as a float64 array: degraded
+    inside a brownout window, nominal outside it."""
+
+    NOMINAL = (2.0, 1.0)
+    FACTOR = 0.3
+
+    class Recorder:
+        period = 1.0
+
+        def __init__(self):
+            self.seen = []
+
+        def record(self, hook, now, capacities):
+            assert isinstance(capacities, np.ndarray)
+            assert capacities.dtype == np.float64
+            self.seen.append((hook, now, capacities.tolist()))
+            return []
+
+        def decide(self, now, utilizations, assignment, model, capacities,
+                   operator_loads=None):
+            return self.record("decide", now, capacities)
+
+        def on_node_failed(self, now, node, assignment, model, capacities,
+                           failed):
+            return self.record("on_node_failed", now, capacities)
+
+        def on_node_recovered(self, now, node, assignment, model,
+                              capacities, failed):
+            return self.record("on_node_recovered", now, capacities)
+
+    def test_degrade_window_in_decide_and_failover_hooks(self):
+        g = QueryGraph()
+        i = g.add_input("I")
+        a = g.add_operator(Delay("a", cost=0.002, selectivity=1.0), [i])
+        g.add_operator(Delay("b", cost=0.002, selectivity=1.0), [a])
+        plan = placement_from_mapping(
+            build_load_model(g), list(self.NOMINAL), {"a": 0, "b": 1}
+        )
+        faults = FaultSchedule([
+            FaultEvent(time=2.0, kind="node.degrade", node=0,
+                       factor=self.FACTOR, duration=3.0),
+            FaultEvent(time=3.5, kind="node.crash", node=1),
+            FaultEvent(time=6.5, kind="node.recover", node=1),
+        ])
+        controller = self.Recorder()
+        Simulator(
+            plan, step_seconds=0.1, controller=controller, faults=faults,
+        ).run(rates=[50.0], duration=8.0)
+        degraded = [self.NOMINAL[0] * self.FACTOR, self.NOMINAL[1]]
+        expected = [
+            (hook, now, degraded if 2.0 <= now < 5.0 else list(self.NOMINAL))
+            for hook, now, _ in controller.seen
+        ]
+        assert controller.seen == expected
+        assert ("on_node_failed", 3.5, degraded) in controller.seen
+        assert ("on_node_recovered", 6.5, list(self.NOMINAL)) in (
+            controller.seen
+        )
+        assert [now for hook, now, _ in controller.seen
+                if hook == "decide"] == [float(t) for t in range(1, 9)]

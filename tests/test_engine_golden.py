@@ -324,6 +324,24 @@ def test_reader_golden(name):
     assert reader_digest(run_scenario(name)[3]) == READER_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_loop_numbers_stay_builtin(name):
+    """Every traced time, work sum and latency sample is a builtin
+    ``float``: a numpy scalar that leaks back into the event loop fails
+    here instead of only slowing it down."""
+    leaks = sorted({
+        (event.type, key, type(value).__name__)
+        for event in run_scenario(name)[3]
+        for key, value in (
+            ("t", event.t),
+            *((key, event.fields.get(key))
+              for key in ("start", "work", "latency")),
+        )
+        if value is not None and type(value) is not float
+    })
+    assert leaks == []
+
+
 #: scenario -> SHA-256 of the JSONL file its traced run writes with the
 #: wall clock frozen at 0.0.
 WIRE_GOLDEN = {

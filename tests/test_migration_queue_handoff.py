@@ -73,6 +73,19 @@ class TestQueuedWorkFollowsOperator:
         assert result.migration_count == 0
 
 
+class TestPauseChecked:
+    @pytest.mark.parametrize("pause", [float("nan"), float("inf")])
+    def test_non_finite_pause_rejected_when_applied(
+        self, overloaded_plan, pause
+    ):
+        controller = ForcedMove("heavy", source=0, target=1, pause=pause)
+        sim = Simulator(
+            overloaded_plan, step_seconds=0.1, controller=controller
+        )
+        with pytest.raises(ValueError, match="stall duration"):
+            sim.run(rates=[100.0], duration=5.0)
+
+
 class TestGeometryInfEdges:
     def test_point_distance_with_zero_norm_row(self):
         from repro.core import geometry

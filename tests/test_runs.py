@@ -11,6 +11,7 @@ The acceptance-critical invariants live here:
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ class TestHtmlReport:
         assert "<svg" in html  # sparklines / heatmap rendered inline
         assert run.run_id in html
         out = write_html_report(run, str(tmp_path / "report.html"))
-        assert open(out).read() == html
+        assert Path(out).read_text() == html
 
     def test_experiment_report_renders_rows(self, tmp_path):
         writer = RunWriter(

@@ -97,8 +97,9 @@ class TestSchedulerQueue:
             SchedulerQueue("lottery")
 
     def test_negative_stall_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulerQueue("fifo").push_stall(-1.0)
+        for duration in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="stall duration"):
+                SchedulerQueue("fifo").push_stall(duration)
 
 
 class TestSchedulerQueueProperties:
