@@ -1,35 +1,19 @@
 """Reconstructed Section 6.1 experiment — known lower bounds on rates."""
 
-import numpy as np
-
 from repro.experiments import format_rows, lower_bound
 
 from conftest import save_table
 
 
 def test_lower_bound(benchmark):
-    def run_averaged():
-        """Average the single-graph harness over several workloads."""
-        all_rows = []
-        for seed in (43, 44, 45, 46):
-            all_rows.append(
-                lower_bound.run(
-                    floor_fractions=(0.0, 0.2, 0.4, 0.6),
-                    samples=4096,
-                    seed=seed,
-                )
-            )
-        merged = []
-        for i in range(len(all_rows[0])):
-            row = dict(all_rows[0][i])
-            for key in ("restricted_ratio", "plane_distance_from_floor"):
-                row[key] = float(
-                    np.mean([rows[i][key] for rows in all_rows])
-                )
-            merged.append(row)
-        return merged
-
-    rows = benchmark.pedantic(run_averaged, rounds=1, iterations=1)
+    # The harness averages one workload per seed (43-46 by default).
+    rows = benchmark.pedantic(
+        lambda: lower_bound.run(
+            floor_fractions=(0.0, 0.2, 0.4, 0.6), samples=4096
+        ),
+        rounds=1,
+        iterations=1,
+    )
     save_table("lower_bound", format_rows(rows))
     by_key = {(r["floor_fraction"], r["algorithm"]): r for r in rows}
     # At zero floor the variants coincide.

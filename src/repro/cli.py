@@ -83,7 +83,8 @@ from .obs import (
     list_runs,
     read_trace,
 )
-from .obs.runs import snapshot_from_result
+from . import paper
+from .obs.runs import snapshot_from_result, snapshot_from_rows
 
 if TYPE_CHECKING:
     from .core.load_model import LoadModel
@@ -91,41 +92,6 @@ if TYPE_CHECKING:
     from .obs.index import RunIndex
 
 __all__ = ["main"]
-
-#: Runner per experiment id; each takes the :mod:`repro.experiments`
-#: package, imported only when an experiment runs.
-EXPERIMENTS = {
-    "fig2": lambda ex: ex.fig2_traces.run(),
-    "fig9": lambda ex: ex.fig9_plane_distance.binned(
-        ex.fig9_plane_distance.run()
-    ),
-    "fig14": lambda ex, jobs=1: ex.resiliency.run(jobs=jobs),
-    "fig15": lambda ex, jobs=1: ex.dimensions.run(jobs=jobs),
-    "optimal-gap": lambda ex: ex.optimal_gap.run(),
-    "latency": lambda ex: ex.latency.run(),
-    "lower-bound": lambda ex: ex.lower_bound.run(),
-    "nonlinear": lambda ex: ex.nonlinear.run(),
-    "clustering": lambda ex: ex.clustering_experiment.run(),
-    "fidelity": lambda ex: ex.fidelity.run(),
-    "dynamic": lambda ex: ex.dynamic_migration.run(),
-    "elasticity": lambda ex: ex.elasticity.run(),
-    "fault-tolerance": lambda ex, jobs=1: ex.fault_tolerance.run(jobs=jobs),
-    "heterogeneous": lambda ex: ex.heterogeneous.run(),
-    "partitioning": lambda ex: ex.partitioning.run(),
-    "balance-bound": lambda ex: ex.balance_bound.run(),
-    "qmc-convergence": lambda ex: ex.qmc_convergence.run(),
-    "scheduling": lambda ex: ex.scheduling_ablation.run(),
-    "protocol": lambda ex: ex.fidelity.run_protocol_comparison(),
-    "linearization": lambda ex: ex.linearization_value.run(),
-    "search-gap": lambda ex: ex.search_gap.run(),
-    "scale-solve": lambda ex, jobs=1: ex.scale_solve.run(jobs=jobs),
-}
-
-#: Experiment ids whose runner accepts a ``jobs=`` keyword.
-JOBS_AWARE_EXPERIMENTS = frozenset(
-    {"fig14", "fig15", "fault-tolerance", "scale-solve"}
-)
-
 
 def _build_placer(
     name: str,
@@ -239,6 +205,7 @@ def _run_writer_from_args(
     config: dict,
     placement=None,
     seed: Optional[int] = None,
+    labels: Optional[dict] = None,
 ) -> Optional[RunWriter]:
     """A RunWriter when ``--record [ROOT]`` was passed, else ``None``."""
     root = getattr(args, "record", None)
@@ -252,6 +219,7 @@ def _run_writer_from_args(
         seed=seed,
         argv=getattr(args, "_argv", []),
         placement=placement,
+        labels=labels,
     )
 
 
@@ -520,35 +488,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"feasible at this rate point: {feasible}")
         if args.trace_out:
             print(f"trace written to {args.trace_out}")
-        events = sink.events if isinstance(sink, MemorySink) else []
-        snapshot = snapshot_from_result(result)
-        slo_breached = False
-        if events:
-            from .obs.critical_path import analyze_critical_path
-            from .obs.decisions import decision_snapshot
-            from .obs.drift import drift_snapshot
+        index = None
+        if isinstance(sink, MemorySink) and sink.events:
             from .obs.index import RunIndex
 
-            index = RunIndex(events)
-            snapshot["critical_path"] = analyze_critical_path(
-                index
-            ).to_json_obj()
-            # Always present (zero-valued for controller-less runs) so
-            # baselines gain the keys and `compare` can diff them.
-            snapshot["decisions"] = decision_snapshot(index)
-            snapshot["drift"] = drift_snapshot(index)
-            if slo_objectives is not None:
-                from .obs.slo import (
-                    evaluate_slos,
-                    record_slo_metrics,
-                    render_slo_report,
-                )
+            index = RunIndex(sink.events)
+        snapshot = snapshot_from_result(result, index)
+        slo_breached = False
+        if index is not None and slo_objectives is not None:
+            from .obs.slo import (
+                evaluate_slos,
+                record_slo_metrics,
+                render_slo_report,
+            )
 
-                slo_report = evaluate_slos(index, slo_objectives)
-                record_slo_metrics(obs.registry, slo_report)
-                snapshot["slo"] = slo_report.to_json_obj()
-                print(render_slo_report(slo_report))
-                slo_breached = not slo_report.ok
+            slo_report = evaluate_slos(index, slo_objectives)
+            record_slo_metrics(obs.registry, slo_report)
+            snapshot["slo"] = slo_report.to_json_obj()
+            print(render_slo_report(slo_report))
+            slo_breached = not slo_report.ok
         _emit_metrics(args, obs.registry)
         if writer is not None:
             writer.finish(
@@ -889,9 +847,17 @@ def cmd_report(args: argparse.Namespace) -> int:
             "report: pass a RUN to render a run report, or -o/--output "
             "for the experiment markdown report"
         )
-    from .experiments import report
+    from .experiments import format_rows
 
-    report.write_report(args.output, scale=args.scale, only=args.only)
+    sections = [f"# Reproduction report ({args.scale} scale)\n"]
+    for artifact_id, artifact in paper.ARTIFACTS.items():
+        if args.only and artifact_id not in args.only:
+            continue
+        rows = paper.run(artifact_id, quick=args.scale == "quick")
+        sections.append(f"\n## {artifact_id} — {artifact.title}\n\n"
+                        f"```\n{format_rows(rows)}\n```\n")
+    with open(args.output, "w") as handle:
+        handle.write("".join(sections))
     print(f"report written to {args.output}")
     return 0
 
@@ -919,34 +885,28 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        runner = EXPERIMENTS[args.id]
-    except KeyError:
-        raise SystemExit(
-            f"unknown experiment {args.id!r}; "
-            f"choose from {sorted(EXPERIMENTS)}"
-        ) from None
-    from . import experiments, parallel
+    from . import parallel
+    from .experiments import format_rows
 
     jobs = parallel.resolve_jobs(args.jobs)
-    if args.id in JOBS_AWARE_EXPERIMENTS:
-        rows = runner(experiments, jobs=jobs)
-    else:
-        if jobs > 1:
-            print(f"note: experiment {args.id!r} does not parallelize; "
-                  "--jobs ignored")
-        rows = runner(experiments)
-    print(experiments.format_rows(rows))
-    if getattr(args, "record", None) is not None:
-        manifest = experiments.common.record_experiment_run(
-            root=args.record,
-            experiment_id=args.id,
-            rows=rows,
-            run_id=getattr(args, "run_id", None),
-            argv=getattr(args, "_argv", []),
-            config={"jobs": jobs},
-        )
-        print(f"run recorded to {os.path.join(args.record, manifest.run_id)}")
+    if jobs > 1 and not paper.ARTIFACTS[args.id].takes_jobs:
+        print(f"note: experiment {args.id!r} does not parallelize; "
+              "--jobs ignored")
+    # Opened before the artifact runs: the writer's wall clock starts here.
+    writer = _run_writer_from_args(
+        args,
+        kind="experiment",
+        config={"experiment": args.id, "jobs": jobs},
+        labels={"experiment": args.id},
+    )
+    try:
+        rows = paper.run(args.id, jobs=jobs)
+        print(format_rows(rows))
+        if writer is not None:
+            writer.finish(snapshot=snapshot_from_rows(rows))
+            print(f"run recorded to {writer.path}")
+    finally:
+        _seal_run(writer)
     return 0
 
 
@@ -1279,7 +1239,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.set_defaults(func=cmd_check)
 
     exp = sub.add_parser("experiment", help="regenerate a paper artifact")
-    exp.add_argument("id", choices=sorted(EXPERIMENTS))
+    exp.add_argument("id", choices=sorted(paper.ARTIFACTS))
     exp.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for experiments that parallelize "
@@ -1305,8 +1265,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--root", default="runs",
                      help="run registry root (default ./runs)")
     rep.add_argument("--scale", default="quick", choices=("quick", "full"))
-    rep.add_argument("--only", nargs="*", default=(),
-                     help="restrict to specific artifact ids")
+    rep.add_argument("--only", nargs="*", default=(), metavar="ID",
+                     choices=sorted(paper.ARTIFACTS),
+                     help="restrict to these artifact ids (those of "
+                          "`repro-rod experiment`)")
     rep.set_defaults(func=cmd_report)
 
     return parser

@@ -28,8 +28,9 @@ from .core.plans import Placement
 from .core.rod import RodStep, rod_extend, rod_place
 from .graphs.query_graph import QueryGraph, TransferCosts
 from .obs import Observability
+from .obs.index import RunIndex
 from .obs.runs import RunWriter, config_digest, snapshot_from_result
-from .obs.trace import JsonlSink, Tracer
+from .obs.trace import JsonlSink, MemorySink, TraceSink, Tracer
 from .placement import (
     ConnectedPlacer,
     CorrelationPlacer,
@@ -278,17 +279,20 @@ class Deployment:
         with ``repro-rod runs list``, diff with ``repro-rod compare``,
         render with ``repro-rod report``.  ``run_id`` overrides the
         generated timestamp-digest id; ``run_labels`` attaches free-form
-        provenance labels.
+        provenance labels.  The snapshot is the one ``repro-rod simulate
+        --record`` writes: unless an explicit ``tracer`` claimed the
+        stream, the events are kept in memory as they are written, and
+        their critical-path, decision and drift sections join it.
         """
         tracer = simulator_kwargs.pop("tracer", None)
-        sink = None
+        sink: Optional[TraceSink] = None
         if trace_out is not None:
             if tracer is not None:
                 raise ValueError(
                     "pass either trace_out or an explicit tracer, not both"
                 )
             sink = JsonlSink(trace_out)
-            tracer = Tracer(sink)
+        kept: Optional[MemorySink] = None
         writer: Optional[RunWriter] = None
         if runs_root is not None:
             config: dict = {
@@ -316,7 +320,11 @@ class Deployment:
                 labels=run_labels,
             )
             if tracer is None:
-                tracer = Tracer(writer.trace_sink())
+                kept = sink = MemorySink(
+                    forward=writer.trace_sink() if sink is None else sink
+                )
+        if sink is not None:
+            tracer = Tracer(sink)
         if tracer is None:
             tracer = self.obs.tracer
         metrics = simulator_kwargs.pop("metrics", self.obs.registry)
@@ -333,8 +341,9 @@ class Deployment:
                     rate_series=rate_series, rates=rates, duration=duration
                 )
             if writer is not None:
+                index = None if kept is None else RunIndex(kept.events)
                 writer.finish(
-                    snapshot=snapshot_from_result(result),
+                    snapshot=snapshot_from_result(result, index),
                     registry=metrics,
                     sim_seconds=result.duration,
                 )

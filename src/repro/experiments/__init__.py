@@ -1,22 +1,9 @@
 """Experiment harnesses — one module per paper table/figure.
 
-================  ==============================================
-module            paper artifact
-================  ==============================================
-fig2_traces       Figure 2 (trace burstiness / self-similarity)
-fig9_plane_distance  Figure 9 (volume ratio vs plane distance)
-resiliency        Figure 14 (base resiliency results)
-optimal_gap       §7.3.1 ROD-vs-optimal ratios
-dimensions        Figure 15 (varying the number of inputs)
-latency           prototype latency replay (reconstructed)
-lower_bound       §6.1 extension (reconstructed)
-nonlinear         §6.2 join workloads (reconstructed)
-clustering_experiment  §6.3 clustering (reconstructed)
-dynamic_migration  §1 static-resilient vs reactive migration (reconstructed)
-fault_tolerance   node-crash failover vs static placements (reconstructed)
-fidelity          simulator-vs-analytic cross-check
-ablations         design-choice ablations (DESIGN.md §6)
-================  ==============================================
+Each module's ``run(...)`` returns the artifact's rows as plain
+``list[dict]``.  :data:`repro.paper.ARTIFACTS` maps every artifact id to
+its harness call and its paper and quick scales; ``repro-rod experiment
+ID`` and ``repro-rod report`` read it.
 """
 
 from . import (
@@ -38,7 +25,6 @@ from . import (
     optimal_gap,
     partitioning,
     qmc_convergence,
-    report,
     resiliency,
     scale_solve,
     scheduling_ablation,
@@ -67,7 +53,6 @@ __all__ = [
     "optimal_gap",
     "partitioning",
     "qmc_convergence",
-    "report",
     "resiliency",
     "scale_solve",
     "scheduling_ablation",

@@ -14,8 +14,6 @@ import numpy as np
 from ..check import check_artifact, check_experiment_config
 from ..core.load_model import LoadModel, build_load_model
 from ..graphs.generator import RandomGraphConfig, random_tree_graph
-from ..obs.metrics import MetricsRegistry
-from ..obs.runs import RunManifest, RunWriter, snapshot_from_rows
 from ..parallel import parallel_map
 from ..placement import (
     ConnectedPlacer,
@@ -33,7 +31,6 @@ __all__ = [
     "make_model",
     "make_placer",
     "mean_volume_ratio",
-    "record_experiment_run",
     "validate_run",
     "volume_ratio_runs",
 ]
@@ -162,35 +159,6 @@ def mean_volume_ratio(
             repeats=repeats, samples=samples, base_seed=base_seed,
             jobs=jobs,
         ).mean()
-    )
-
-
-def record_experiment_run(
-    root: str,
-    experiment_id: str,
-    rows: Sequence[Dict[str, object]],
-    run_id: Optional[str] = None,
-    argv: Optional[Sequence[str]] = None,
-    registry: Optional[MetricsRegistry] = None,
-    config: Optional[Dict[str, object]] = None,
-) -> RunManifest:
-    """Record one experiment invocation in the run registry.
-
-    The row table becomes the ``result.json`` snapshot (each numeric
-    cell is a diffable metric under ``rows.<index>.<column>``), so
-    ``repro-rod compare`` can answer "did this change move fig14" the
-    same way it gates simulator runs.
-    """
-    writer = RunWriter(
-        root=root,
-        kind="experiment",
-        run_id=run_id,
-        config={"experiment": experiment_id, **(config or {})},
-        argv=argv,
-        labels={"experiment": experiment_id},
-    )
-    return writer.finish(
-        snapshot=snapshot_from_rows(rows), registry=registry
     )
 
 

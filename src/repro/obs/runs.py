@@ -155,12 +155,19 @@ class RunManifest:
         )
 
 
-def snapshot_from_result(result: object) -> Dict[str, object]:
+def snapshot_from_result(
+    result: object, index: Optional[RunIndex] = None
+) -> Dict[str, object]:
     """Flatten a ``SimulationResult`` into the ``result.json`` snapshot.
 
     Every value is a plain JSON number/list so :mod:`repro.obs.diff` can
     compare snapshots key by key.  Accepts the result duck-typed to keep
     this module import-light (no simulator dependency).
+
+    ``index``, the indexed events of a traced run, adds the
+    ``critical_path``, ``decisions`` and ``drift`` sections: every
+    recorder of a simulate run (``repro-rod simulate --record`` and
+    ``Deployment.simulate(runs_root=...)``) builds its snapshot here.
     """
     latency = result.latency  # type: ignore[attr-defined]
     snapshot: Dict[str, object] = {
@@ -225,6 +232,16 @@ def snapshot_from_result(result: object) -> Dict[str, object]:
         snapshot["stranded_tuples"] = int(
             getattr(result, "stranded_tuples", 0)
         )
+    if index is not None:
+        from .critical_path import analyze_critical_path
+        from .decisions import decision_snapshot
+        from .drift import drift_snapshot
+
+        snapshot["critical_path"] = analyze_critical_path(index).to_json_obj()
+        # Always present (zero-valued for controller-less runs) so
+        # baselines gain the keys and `compare` can diff them.
+        snapshot["decisions"] = decision_snapshot(index)
+        snapshot["drift"] = drift_snapshot(index)
     return snapshot
 
 

@@ -263,8 +263,7 @@ METRIC_SCHEMAS: Dict[str, MetricSchema] = {
         _metric("repro_parallel_tasks", "counter",
                 "tasks executed through repro.parallel", ("mode",)),
         _metric("repro_parallel_failures", "counter",
-                "tasks that raised or timed out in repro.parallel",
-                ("mode",)),
+                "tasks that raised in repro.parallel", ("mode",)),
         _metric("repro_parallel_pools", "counter",
                 "process pools spun up by repro.parallel"),
         _metric("repro_parallel_pool_retries", "counter",

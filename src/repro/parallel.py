@@ -13,23 +13,19 @@ shape, with the properties every caller needs:
   their arguments (derive any randomness from seeds in the task tuple —
   :func:`derive_seed` builds per-task seeds that are stable across runs
   and across ``jobs`` values).
-* **Batching** — ``chunksize`` groups tasks into one pool submission
-  each, so thousands of tiny scoring tasks do not pay per-task pickle
-  and IPC overhead; ``chunksize=None`` derives a chunk size from the
-  task count and pool size.  Results, their order, and the per-task
-  statistics are identical for every ``(jobs, chunksize)`` combination.
+* **Batching** — tasks are grouped into chunks, one pool submission
+  each (:func:`auto_chunksize` sizes them from the task count and pool
+  size), so thousands of tiny scoring tasks do not pay per-task pickle
+  and IPC overhead.  Results, their order, and the per-task statistics
+  do not depend on the chunking.
 * **Resilience** — chunks are submitted individually, so results that
   completed before a worker crash survive it.  A
-  :class:`~concurrent.futures.process.BrokenProcessPool` triggers up to
-  ``pool_retries`` fresh pools for the unfinished tasks (optionally
-  re-parameterized through ``reseed`` with a :func:`derive_seed`-derived
-  seed); if the pool keeps breaking, the survivors run inline as a last
-  resort.  A per-task ``timeout`` bounds how long one result may take.
-* **Observability** — every call counts its tasks, failures, timeouts,
-  and pool retries; the counters are recorded *even when a task raises*.
-  :func:`publish_metrics` exports them into a metrics registry, and
-  callers may pass their own ``registry`` to :func:`parallel_map` to
-  record per-run counts.
+  :class:`~concurrent.futures.process.BrokenProcessPool` triggers one
+  fresh pool for the unfinished tasks; if that pool breaks too, the
+  survivors run inline as a last resort.
+* **Observability** — every call counts its tasks, failures and pool
+  retries; the counters are recorded *even when a task raises*.
+  :func:`publish_metrics` exports them into a metrics registry.
 
 Workers are separate processes: task functions and arguments must be
 picklable (module-level functions, plain data / NumPy arrays).
@@ -40,7 +36,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import (
     Callable,
@@ -58,7 +53,6 @@ __all__ = [
     "resolve_jobs",
     "auto_chunksize",
     "derive_seed",
-    "derive_seeds",
     "parallel_map",
     "parallel_stats",
     "publish_metrics",
@@ -75,12 +69,14 @@ _STATS = {
     "failures_inline": 0,
     "failures_process": 0,
     "pool_retries": 0,
-    "timeouts": 0,
 }
 
 #: Mixing constant for seed derivation (splitmix64's golden-ratio step).
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+#: Fresh pools tried after a worker crash before the inline fallback.
+_POOL_RETRIES = 1
 
 #: Auto-chunking targets this many chunks per worker, so pools stay
 #: load-balanced (stragglers can be overtaken) without paying per-task
@@ -110,13 +106,6 @@ def derive_seed(base_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_seeds(base_seed: int, count: int) -> List[int]:
-    """``count`` per-task seeds derived from one base seed."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    return [derive_seed(base_seed, index) for index in range(count)]
-
-
 def auto_chunksize(task_count: int, workers: int) -> int:
     """Chunk size targeting ``_CHUNKS_PER_WORKER`` chunks per worker.
 
@@ -134,65 +123,38 @@ def parallel_map(
     fn: Callable[[T], R],
     tasks: Sequence[T],
     jobs: int = 1,
-    chunksize: Optional[int] = None,
-    registry: Optional[MetricsRegistry] = None,
-    timeout: Optional[float] = None,
-    pool_retries: int = 1,
-    reseed: Optional[Callable[[T, int], T]] = None,
 ) -> List[R]:
     """Map ``fn`` over ``tasks``, results in input order.
 
     ``jobs=1`` executes inline; ``jobs>1`` uses a process pool with at
-    most ``min(jobs, len(tasks))`` workers.  The output list is identical
-    for every ``jobs`` and ``chunksize`` value as long as ``fn`` is a
-    pure function of its task.
+    most ``min(jobs, len(tasks))`` workers, fed :func:`auto_chunksize`
+    chunks.  The output list is identical for every ``jobs`` value as
+    long as ``fn`` is a pure function of its task.
 
-    ``chunksize`` groups tasks into one pool submission each
-    (``None`` — the default — derives :func:`auto_chunksize` from the
-    task count and pool size), amortizing per-task pickle and IPC
-    overhead for large batches of small tasks.  Statistics stay
-    per-task and results stay ordered regardless of chunking.
-
-    ``timeout`` bounds, in seconds, how long any single chunk's results
-    may take past the point they are awaited (process mode only);
-    exceeding it kills the pool and raises :class:`TimeoutError`.  When
-    a worker process dies (:class:`BrokenProcessPool`),
+    When a worker process dies (:class:`BrokenProcessPool`),
     already-completed results are kept and the unfinished tasks are
-    retried in up to ``pool_retries`` fresh pools; ``reseed(task,
-    seed)``, when given, builds the retry variant of each unfinished
-    task from a :func:`derive_seed`-derived seed (stable in attempt
-    number and task index).  If every pool breaks, the survivors run
-    inline so one bad worker cannot lose the whole batch.
+    retried in one fresh pool; if that pool breaks too, the survivors
+    run inline so one bad worker cannot lose the whole batch.
 
-    Task, failure, timeout, and retry counters are recorded in the
-    module statistics (and ``registry`` when given) even when this call
-    raises.
+    Task, failure and retry counters are recorded in the module
+    statistics even when this call raises.
     """
     jobs = resolve_jobs(jobs)
-    if chunksize is not None and chunksize < 1:
-        raise ValueError("chunksize must be >= 1")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be > 0")
-    if pool_retries < 0:
-        raise ValueError("pool_retries must be >= 0")
     tasks = list(tasks)
     counts = dict.fromkeys(_STATS, 0)
-    mode = "inline" if jobs == 1 or len(tasks) <= 1 else "process"
     try:
-        if mode == "inline":
+        if jobs == 1 or len(tasks) <= 1:
             results = _run_inline(fn, list(enumerate(tasks)), counts)
         else:
             workers = min(jobs, len(tasks))
-            effective = (
-                auto_chunksize(len(tasks), workers)
-                if chunksize is None else chunksize
-            )
             results = _run_pool(
-                fn, tasks, workers, timeout,
-                pool_retries, reseed, effective, counts,
+                fn, tasks, workers, auto_chunksize(len(tasks), workers),
+                counts,
             )
     finally:
-        _record(counts, registry)
+        with _LOCK:
+            for key, value in counts.items():
+                _STATS[key] += value
     return [results[index] for index in range(len(tasks))]
 
 
@@ -234,28 +196,18 @@ def _run_pool(
     fn: Callable[[T], R],
     tasks: Sequence[T],
     workers: int,
-    timeout: Optional[float],
-    pool_retries: int,
-    reseed: Optional[Callable[[T, int], T]],
     chunksize: int,
     counts: Dict[str, int],
 ) -> Dict[int, R]:
     results: Dict[int, R] = {}
     pending: List[Tuple[int, T]] = list(enumerate(tasks))
-    for attempt in range(pool_retries + 1):
-        got, pending = _run_one_pool(
-            fn, pending, workers, timeout, chunksize, counts
-        )
+    for attempt in range(_POOL_RETRIES + 1):
+        got, pending = _run_one_pool(fn, pending, workers, chunksize, counts)
         results.update(got)
         if not pending:
             return results
-        if attempt < pool_retries:
+        if attempt < _POOL_RETRIES:
             counts["pool_retries"] += 1
-            if reseed is not None:
-                pending = [
-                    (index, reseed(task, derive_seed(attempt + 1, index)))
-                    for index, task in pending
-                ]
     # Every pool broke: run the survivors inline as the last resort.
     results.update(_run_inline(fn, pending, counts))
     return results
@@ -268,7 +220,6 @@ def _run_one_pool(
     fn: Callable[[T], R],
     pending: Sequence[Tuple[int, T]],
     workers: int,
-    timeout: Optional[float],
     chunksize: int,
     counts: Dict[str, int],
 ) -> Tuple[Dict[int, R], List[Tuple[int, T]]]:
@@ -281,26 +232,14 @@ def _run_one_pool(
         max_workers=min(workers, len(chunks))
     )
     counts["pools"] += 1
-    futures = [
-        (chunk, pool.submit(_chunk_worker, fn, [t for _, t in chunk]))
-        for chunk in chunks
-    ]
+    futures = [(chunk, _submit(pool, fn, chunk)) for chunk in chunks]
     results: Dict[int, R] = {}
     try:
         for chunk, future in futures:
             try:
-                status, values, error = future.result(timeout=timeout)
+                status, values, error = future.result()
             except BrokenProcessPool:
                 return results, _harvest(futures, results, counts)
-            except _FuturesTimeout:
-                counts["timeouts"] += 1
-                counts["failures_process"] += 1
-                _abort_pool(pool, futures)
-                pool = None
-                raise TimeoutError(
-                    f"parallel task {chunk[0][0]} did not finish "
-                    f"within {timeout}s"
-                ) from None
             for (index, _task), value in zip(chunk, values):
                 results[index] = value
             counts["process"] += len(values)
@@ -316,6 +255,20 @@ def _run_one_pool(
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
+
+
+def _submit(
+    pool: ProcessPoolExecutor, fn: Callable[[T], R], chunk: _Chunk
+) -> "Future":
+    """Submit one chunk.  A worker can die while later chunks are still
+    being submitted; the pool then refuses them, and each gets a failed
+    future so it joins the unfinished tasks like any other."""
+    try:
+        return pool.submit(_chunk_worker, fn, [t for _, t in chunk])
+    except BrokenProcessPool as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
 
 
 def _harvest(
@@ -351,9 +304,10 @@ def _abort_pool(
 ) -> None:
     """Tear the pool down without waiting for in-flight work.
 
-    ``shutdown(wait=True)`` would block on a stuck or long task — the
-    exact situation a timeout exists to escape — so queued futures are
-    cancelled and live workers killed before the non-blocking shutdown.
+    Once a task has raised, the batch has failed: ``shutdown(wait=True)``
+    would still block until every queued chunk ran, so queued futures
+    are cancelled and live workers killed before the non-blocking
+    shutdown.
     """
     for _chunk, future in futures:
         future.cancel()
@@ -364,33 +318,6 @@ def _abort_pool(
         except Exception:  # pragma: no cover - teardown is best-effort
             pass
     pool.shutdown(wait=False)
-
-
-def _record(
-    counts: Dict[str, int], registry: Optional[MetricsRegistry]
-) -> None:
-    with _LOCK:
-        for key, value in counts.items():
-            _STATS[key] += value
-    if registry is None:
-        return
-    tasks_family = registry.counter(
-        "repro_parallel_tasks",
-        "tasks executed through repro.parallel",
-        labelnames=("mode",),
-    )
-    failures_family = registry.counter(
-        "repro_parallel_failures",
-        "tasks that raised or timed out in repro.parallel",
-        labelnames=("mode",),
-    )
-    for mode in ("inline", "process"):
-        if counts[mode]:
-            tasks_family.labels(mode=mode).inc(counts[mode])
-        if counts[f"failures_{mode}"]:
-            failures_family.labels(mode=mode).inc(
-                counts[f"failures_{mode}"]
-            )
 
 
 def parallel_stats() -> dict:
@@ -409,7 +336,7 @@ def publish_metrics(registry: MetricsRegistry) -> None:
     )
     failures_family = registry.counter(
         "repro_parallel_failures",
-        "tasks that raised or timed out in repro.parallel",
+        "tasks that raised in repro.parallel",
         labelnames=("mode",),
     )
     for mode in ("inline", "process"):

@@ -6,7 +6,7 @@ module reproduces that protocol on the simulator: run each candidate rate
 point for a fixed horizon and declare it feasible iff no node's demand
 reaches its capacity and all queues drain.
 
-The ``fig-sim-fid`` experiment cross-checks these empirical verdicts
+The ``fidelity`` experiment cross-checks these empirical verdicts
 against the analytic predicate ``L^n R <= C``.
 """
 

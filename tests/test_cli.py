@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.paper import ARTIFACTS
 
 
 @pytest.fixture
@@ -260,13 +261,24 @@ class TestCheck:
 
 class TestExperiment:
     def test_registry_covers_every_artifact(self):
-        assert set(EXPERIMENTS) == {
+        assert set(ARTIFACTS) == {
             "fig2", "fig9", "fig14", "fig15", "optimal-gap", "latency",
             "lower-bound", "nonlinear", "clustering", "fidelity", "dynamic",
             "fault-tolerance", "heterogeneous", "partitioning",
             "balance-bound", "qmc-convergence", "scheduling", "protocol",
             "linearization", "search-gap", "scale-solve", "elasticity",
+            "ablations",
         }
+
+    def test_experiment_and_report_take_the_same_ids(self):
+        parser = build_parser()
+        for artifact_id in ARTIFACTS:
+            assert parser.parse_args(["experiment", artifact_id]).id == (
+                artifact_id
+            )
+            assert parser.parse_args(
+                ["report", "-o", "r.md", "--only", artifact_id]
+            ).only == [artifact_id]
 
     def test_runs_fig2(self, capsys):
         assert main(["experiment", "fig2"]) == 0
@@ -292,20 +304,33 @@ class TestReport:
         assert "fig2" in content
         assert "fig14" not in content
 
-    def test_report_module_validation(self):
-        from repro.experiments import report
+    @pytest.mark.parametrize("argv", [
+        ["--scale", "galactic"], ["--only", "fig2", "fig999"],
+    ])
+    def test_parser_rejects_unknown_scale_and_ids(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["report", "-o", "r.md", *argv])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-        with pytest.raises(ValueError, match="scale"):
-            report.generate(scale="galactic")
-        with pytest.raises(ValueError, match="artifact ids"):
-            report.generate(only=("fig999",))
-
-    def test_artifact_ids_unique(self):
-        from repro.experiments.report import ARTIFACTS
-
-        ids = [artifact_id for artifact_id, _, _ in ARTIFACTS]
-        assert len(ids) == len(set(ids))
-        assert len(ids) >= 18
+    @pytest.mark.parametrize("artifact_id", ["fig2", "fig9"])
+    def test_full_scale_prints_what_experiment_prints(
+        self, artifact_id, tmp_path, capsys
+    ):
+        """``report --scale full`` runs each artifact at paper scale,
+        exactly as ``experiment ID`` does."""
+        path = tmp_path / "full.md"
+        assert main([
+            "report", "-o", str(path), "--scale", "full",
+            "--only", artifact_id,
+        ]) == 0
+        capsys.readouterr()
+        assert main(["experiment", artifact_id]) == 0
+        table = capsys.readouterr().out
+        assert path.read_text().endswith(
+            f"\n## {artifact_id} — {ARTIFACTS[artifact_id].title}\n\n"
+            f"```\n{table}```\n"
+        )
 
 
 class TestObservabilityFlags:

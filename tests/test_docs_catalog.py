@@ -6,17 +6,21 @@ rewrites them from ``repro.obs.schema``.  This pins the committed file
 to the registry so a schema change cannot land without regenerating the
 docs (CI runs the same check via ``--check``).  The fault and
 simulator docs must name every fault kind the engine understands, the
-static-analysis code table must list every lint rule, and every test or
-benchmark a doc cites must exist.
+static-analysis code table must list every lint rule, every test or
+benchmark a doc cites must exist, and the CLI reference must cover
+every subcommand, option and artifact id the parser declares.
 """
 
+import argparse
 import ast
 import importlib.util
 import re
 from pathlib import Path
 
 from repro.check.lint import LINT_CODES
+from repro.cli import build_parser
 from repro.faults import FAULT_KINDS
+from repro.paper import ARTIFACTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,3 +124,39 @@ class TestDocCitations:
         ]
         assert len(citations) > 100  # the pattern still matches the docs
         assert [c for c in citations if not _resolves(c[1])] == []
+
+
+def _parsers(parser):
+    """``parser`` and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+class TestCliReference:
+    def test_every_subcommand_option_and_artifact_is_documented(self):
+        text = (ROOT / "docs" / "cli.md").read_text()
+        parser = build_parser()
+        commands = next(
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert set(re.findall(r"^## `([\w-]+)`", text, re.M)) == set(commands)
+        undocumented = [
+            action.option_strings
+            for each in _parsers(parser)
+            for action in each._actions
+            if action.option_strings
+            and not isinstance(action, argparse._HelpAction)
+            and not any(
+                re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+                for option in action.option_strings
+            )
+        ]
+        assert undocumented == []
+        section = text[text.index("## `experiment`"):]
+        section = section[:section.index("\n## ")]
+        ids = re.findall(r"^\| `([\w-]+)` \|", section, re.M)
+        assert sorted(ids) == sorted(ARTIFACTS)

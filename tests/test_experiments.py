@@ -1,5 +1,7 @@
 """Smoke and shape tests for every experiment harness."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from repro.experiments import (
     scheduling_ablation,
 )
 from repro.experiments.common import ALGORITHMS, make_model, make_placer
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestCommon:
@@ -168,6 +172,17 @@ class TestLowerBound:
     def test_floor_validation(self):
         with pytest.raises(ValueError):
             lower_bound.run(floor_fractions=(1.5,))
+        with pytest.raises(ValueError, match="seeds"):
+            lower_bound.run(seeds=())
+
+    def test_paper_scale_is_the_committed_table(self):
+        """The default call averages seeds 43-46, as the committed
+        ``benchmarks/results/lower_bound.txt`` (and EXPERIMENTS.md) do."""
+        committed = (RESULTS / "lower_bound.txt").read_text()
+        table = format_rows(lower_bound.run())
+        assert [line.rstrip() for line in table.splitlines()] == [
+            line.rstrip() for line in committed.splitlines()
+        ]
 
 
 class TestNonlinear:

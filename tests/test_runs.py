@@ -11,13 +11,16 @@ The acceptance-critical invariants live here:
 
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.deploy import Deployment
 from repro.graphs import monitoring_graph
+from repro.graphs.serialize import dump_graph
 from repro.obs import read_trace
 from repro.obs.analyze import analyze_trace
 from repro.obs.diff import (
@@ -391,6 +394,29 @@ class TestDeploymentRecording:
         assert not run.has_trace  # stream went to the explicit file
         assert read_trace(trace)[0].type == "sim.start"
 
+    def test_result_json_equals_the_cli_record(self, tmp_path, capsys):
+        """The API and ``simulate --record`` build one snapshot: the same
+        run recorded both ways writes the same ``result.json`` bytes,
+        trace-derived sections included."""
+        deployment = Deployment.plan(monitoring_graph(2, seed=1), [1.0, 1.0])
+        graph, plan = tmp_path / "g.json", tmp_path / "p.json"
+        dump_graph(deployment.model.graph, str(graph))
+        plan.write_text(json.dumps(deployment.placement.to_document()))
+        root = tmp_path / "runs"
+        deployment.simulate(
+            rates=[40.0, 40.0], duration=5.0,
+            runs_root=str(root), run_id="api",
+        )
+        assert main([
+            "simulate", "--graph", str(graph), "--plan", str(plan),
+            "--rates", "40,40", "--duration", "5",
+            "--record", str(root), "--run-id", "cli",
+        ]) == 0
+        api = (root / "api" / "result.json").read_bytes()
+        cli = (root / "cli" / "result.json").read_bytes()
+        assert b'"critical_path"' in cli
+        assert api == cli
+
     def test_failed_simulation_still_seals_manifest(
         self, tmp_path, deployment
     ):
@@ -405,16 +431,21 @@ class TestDeploymentRecording:
 
 
 class TestExperimentRecording:
-    def test_record_experiment_run(self, tmp_path):
-        from repro.experiments.common import record_experiment_run
-
-        manifest = record_experiment_run(
-            root=str(tmp_path), experiment_id="fig9",
-            rows=[{"alg": "rod", "ratio": 0.91}], run_id="e1",
-        )
-        run = find_run("e1", root=str(tmp_path))
-        assert manifest.labels == {"experiment": "fig9"}
-        assert run.result["rows"][0]["ratio"] == 0.91
+    def test_record_experiment_run(self, tmp_path, capsys):
+        root = str(tmp_path)
+        start = time.perf_counter()
+        assert main([
+            "experiment", "fig2", "--record", root, "--run-id", "e1",
+        ]) == 0
+        elapsed = time.perf_counter() - start
+        run = find_run("e1", root=root)
+        assert run.manifest.labels == {"experiment": "fig2"}
+        assert run.manifest.config == {"experiment": "fig2", "jobs": 1}
+        assert [row["trace"] for row in run.result["rows"]] == [
+            "PKT", "TCP", "HTTP",
+        ]
+        # The run's clock covers the artifact, not just the recording.
+        assert run.manifest.wall_seconds >= elapsed / 2
 
 
 class TestHtmlReport:
