@@ -28,14 +28,10 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from ..core.load_model import LoadModel
+from ..placers import PLACERS
 from .diagnostics import CheckReport, Diagnostic, Severity
 
-__all__ = ["check_experiment_config", "KNOWN_STRATEGIES"]
-
-#: Placement strategies the deployment facade accepts.
-KNOWN_STRATEGIES = (
-    "rod", "llf", "connected", "correlation", "random", "optimal", "milp",
-)
+__all__ = ["check_experiment_config"]
 
 
 def _check_rate_vector(
@@ -90,13 +86,13 @@ def _iter_config_diagnostics(
         )
 
     strategy = config.get("strategy")
-    if strategy is not None and strategy not in KNOWN_STRATEGIES:
+    if strategy is not None and strategy not in PLACERS:
         yield Diagnostic(
             code="REPRO404",
             severity=Severity.ERROR,
             message=(
                 f"unknown placement strategy {strategy!r}; expected one of "
-                f"{list(KNOWN_STRATEGIES)}"
+                f"{list(PLACERS)}"
             ),
             location=location,
         )

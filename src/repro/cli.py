@@ -70,74 +70,23 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 # imports the layers it runs, so `--help`, `generate` and the trace
 # viewers never load the placers, the engine or the experiments.
 from .obs import (
-    JsonlSink,
-    MemorySink,
     MetricsRegistry,
     Observability,
     Run,
-    RunWriter,
     TraceFormatError,
-    Tracer,
     configure,
     find_run,
     list_runs,
     read_trace,
 )
-from . import paper
-from .obs.runs import snapshot_from_result, snapshot_from_rows
+from . import paper, placers
+from .obs.runs import Recording, snapshot_from_result, snapshot_from_rows
 
 if TYPE_CHECKING:
-    from .core.load_model import LoadModel
     from .core.plans import Placement
     from .obs.index import RunIndex
 
 __all__ = ["main"]
-
-def _build_placer(
-    name: str,
-    model: LoadModel,
-    seed: Optional[int],
-    score_batch: int = 1,
-    jobs: int = 1,
-    group_size: int = 16,
-):
-    from .placement import (
-        AnnealingPlacer,
-        ConnectedPlacer,
-        CorrelationPlacer,
-        HierarchicalPlacer,
-        LLFPlacer,
-        MilpBalancePlacer,
-        OptimalPlacer,
-        RODPlacer,
-        RandomPlacer,
-    )
-    from .workload.rates import rate_series
-
-    if name == "rod":
-        return RODPlacer()
-    if name == "llf":
-        return LLFPlacer()
-    if name == "connected":
-        return ConnectedPlacer()
-    if name == "random":
-        return RandomPlacer(seed=seed)
-    if name == "correlation":
-        series = rate_series(model.num_variables, 128, seed=seed or 0)
-        return CorrelationPlacer(series)
-    if name == "optimal":
-        return OptimalPlacer()
-    if name == "milp":
-        return MilpBalancePlacer()
-    if name == "annealing":
-        return AnnealingPlacer(seed=seed, score_batch=score_batch, jobs=jobs)
-    if name == "hierarchical":
-        return HierarchicalPlacer(
-            group_size=group_size, seed=seed,
-            score_batch=score_batch, jobs=jobs,
-        )
-    raise SystemExit(f"unknown algorithm: {name!r}")
-
 
 def _load_placement(
     graph_path: str, plan_path: str, nodes: Optional[int]
@@ -171,62 +120,6 @@ def _print_plan_summary(placement: Placement) -> None:
     print(placement.describe())
     print(f"feasible-set ratio to ideal: {placement.volume_ratio():.4f}")
     print(f"inter-node arcs: {placement.inter_node_arcs()}")
-
-
-def _obs_from_args(
-    args: argparse.Namespace,
-    writer: Optional[RunWriter] = None,
-    keep_events: bool = False,
-):
-    """Build the Observability bundle ``--trace-out`` / ``--record`` ask
-    for.
-
-    Returns ``(obs, sink)``; the caller must close ``sink`` (may be
-    ``None``) when the command finishes so the JSONL file is flushed.
-    An explicit ``--trace-out`` wins the event stream; otherwise a run
-    recorder captures it into its ``trace.jsonl``.  With
-    ``keep_events`` the sink is a :class:`MemorySink` that forwards to
-    that file, if any, and keeps every event it wrote.
-    """
-    sink = None
-    if getattr(args, "trace_out", None):
-        sink = JsonlSink(args.trace_out)
-    elif writer is not None:
-        sink = writer.trace_sink()
-    if keep_events:
-        sink = MemorySink(forward=sink)
-    tracer = None if sink is None else Tracer(sink)
-    return Observability(tracer=tracer), sink
-
-
-def _run_writer_from_args(
-    args: argparse.Namespace,
-    kind: str,
-    config: dict,
-    placement=None,
-    seed: Optional[int] = None,
-    labels: Optional[dict] = None,
-) -> Optional[RunWriter]:
-    """A RunWriter when ``--record [ROOT]`` was passed, else ``None``."""
-    root = getattr(args, "record", None)
-    if root is None:
-        return None
-    return RunWriter(
-        root=root,
-        kind=kind,
-        run_id=getattr(args, "run_id", None),
-        config=config,
-        seed=seed,
-        argv=getattr(args, "_argv", []),
-        placement=placement,
-        labels=labels,
-    )
-
-
-def _seal_run(writer: Optional[RunWriter]) -> None:
-    """Seal a half-finished run directory after a failure."""
-    if writer is not None and not writer.finished:
-        writer.finish()
 
 
 def _emit_metrics(args: argparse.Namespace, registry: MetricsRegistry) -> None:
@@ -288,9 +181,9 @@ def cmd_place(args: argparse.Namespace) -> int:
     from .placement import ElasticPlacer
 
     model = build_load_model(load_graph(args.graph))
-    algorithm = "hierarchical" if args.hierarchical else args.algorithm
-    placer = _build_placer(
-        algorithm, model, args.seed,
+    placer = placers.build_placer(
+        "hierarchical" if args.hierarchical else args.algorithm,
+        model, args.seed,
         score_batch=args.score_batch,
         jobs=parallel.resolve_jobs(args.jobs),
         group_size=args.group_size,
@@ -335,15 +228,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     from .core.volume import cache as volume_cache
 
     placement = _load_placement(args.graph, args.plan, args.nodes)
-    jobs = parallel.resolve_jobs(getattr(args, "jobs", 1))
-    writer = _run_writer_from_args(
-        args,
-        kind="evaluate",
-        config={"graph": args.graph, "plan": args.plan, "jobs": jobs},
+    jobs = parallel.resolve_jobs(args.jobs)
+    with Recording(
+        args.record, "evaluate",
+        {"graph": args.graph, "plan": args.plan, "jobs": jobs},
+        trace_out=args.trace_out,
+        run_id=args.run_id, argv=args._argv,
         placement=placement.to_document(),
-    )
-    obs, sink = _obs_from_args(args, writer)
-    try:
+    ) as run:
+        obs = Observability(tracer=run.tracer)
         print(placement.describe())
         if args.axis_budget is not None:
             with obs.phase("evaluate.volume_ratio"):
@@ -369,8 +262,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         volume_cache.publish_metrics(obs.registry)
         parallel.publish_metrics(obs.registry)
         _emit_metrics(args, obs.registry)
-        if writer is not None:
-            writer.finish(
+        if run.writer is not None:
+            run.writer.finish(
                 snapshot={
                     "kind": "evaluate",
                     "volume_ratio": ratio,
@@ -379,12 +272,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 },
                 registry=obs.registry,
             )
-            print(f"run recorded to {writer.path}")
-        return 0
-    finally:
-        if sink is not None:
-            sink.close()
-        _seal_run(writer)
+            print(f"run recorded to {run.writer.path}")
+    return 0
 
 
 def _faults_from_args(
@@ -456,19 +345,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config["failover"] = args.failover
     if getattr(args, "elastic", False):
         config["elastic"] = True
-    writer = _run_writer_from_args(
-        args,
-        kind="simulate",
-        config=config,
+    with Recording(
+        args.record, "simulate", config,
+        trace_out=args.trace_out,
+        # The recorded snapshot and `--slo` analyze the events the run
+        # emitted, kept as they are written to the trace file, if any.
+        keep_events=args.record is not None or slo_objectives is not None,
+        run_id=args.run_id, argv=args._argv,
         placement=placement.to_document(),
-    )
-    # The recorded snapshot and `--slo` analyze the events the run
-    # emitted, kept as they are written to the trace file, if any.
-    obs, sink = _obs_from_args(
-        args, writer,
-        keep_events=writer is not None or slo_objectives is not None,
-    )
-    try:
+    ) as run:
+        obs = Observability(tracer=run.tracer)
         simulator = Simulator(
             placement,
             step_seconds=args.step,
@@ -488,11 +374,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"feasible at this rate point: {feasible}")
         if args.trace_out:
             print(f"trace written to {args.trace_out}")
-        index = None
-        if isinstance(sink, MemorySink) and sink.events:
-            from .obs.index import RunIndex
-
-            index = RunIndex(sink.events)
+        index = run.index()
         snapshot = snapshot_from_result(result, index)
         slo_breached = False
         if index is not None and slo_objectives is not None:
@@ -508,26 +390,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(render_slo_report(slo_report))
             slo_breached = not slo_report.ok
         _emit_metrics(args, obs.registry)
-        if writer is not None:
-            writer.finish(
+        if run.writer is not None:
+            run.writer.finish(
                 snapshot=snapshot,
                 registry=obs.registry,
                 sim_seconds=result.duration,
             )
-            print(f"run recorded to {writer.path}")
-        if slo_breached:
-            return 1
-        return 0 if feasible or not args.check else 1
-    finally:
-        if sink is not None:
-            sink.close()
-        _seal_run(writer)
+            print(f"run recorded to {run.writer.path}")
+    if slo_breached:
+        return 1
+    return 0 if feasible or not args.check else 1
+
+
+class _Refusal(Exception):
+    """A command that cannot run on what it was given: :func:`main`
+    prints the message and returns 1."""
+
+
+def _find_run(ref: str, root: str) -> Run:
+    """The run ``ref`` names (a directory, or an id under ``root``)."""
+    try:
+        return find_run(ref, root)
+    except FileNotFoundError as exc:
+        raise _Refusal(str(exc)) from None
 
 
 @contextlib.contextmanager
-def _indexed(source: Union[str, Run]) -> Iterator[RunIndex]:
+def _indexed(
+    source: Union[str, Run], needed_by: Optional[str] = None
+) -> Iterator[RunIndex]:
     """The indexed trace of a file or a recorded run, as every viewer
-    reads it; an untraced run reads as an empty trace.
+    reads it; an untraced run reads as an empty trace, which the
+    ``needed_by`` command refuses.
 
     A malformed line or a structurally impossible trace (a span closed
     twice, a node the header does not declare) exits 1 with
@@ -539,7 +433,13 @@ def _indexed(source: Union[str, Run]) -> Iterator[RunIndex]:
 
     is_run = isinstance(source, Run)
     try:
-        yield source.index() if is_run else RunIndex(read_trace(source))
+        index = source.index() if is_run else RunIndex(read_trace(source))
+        if isinstance(source, Run) and needed_by and not index.events:
+            raise _Refusal(
+                f"run {source.run_id} has no trace; {needed_by} needs a "
+                "traced recording (simulate --record)"
+            )
+        yield index
     except TraceFormatError as exc:
         path = source.trace_path if is_run else source
         raise SystemExit(f"{path}: {exc}") from None
@@ -648,11 +548,7 @@ def cmd_runs(args: argparse.Namespace) -> int:
         print("\n".join(text_table(rows)))
         return 0
     # show
-    try:
-        run = find_run(args.run, args.root)
-    except FileNotFoundError as exc:
-        print(exc)
-        return 1
+    run = _find_run(args.run, args.root)
     manifest = run.manifest
     print(f"run {manifest.run_id} ({manifest.kind})")
     print(f"  path: {run.path}")
@@ -702,12 +598,8 @@ def _run_list_obj(run) -> dict:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .obs.diff import compare_runs, parse_thresholds
 
-    try:
-        run_a = find_run(args.run_a, args.root)
-        run_b = find_run(args.run_b, args.root)
-    except FileNotFoundError as exc:
-        print(exc)
-        return 1
+    run_a = _find_run(args.run_a, args.root)
+    run_b = _find_run(args.run_b, args.root)
     try:
         thresholds = parse_thresholds(args.threshold or [])
     except ValueError as exc:
@@ -728,16 +620,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         render_critical_path_report,
     )
 
-    try:
-        run = find_run(args.run, args.root)
-    except FileNotFoundError as exc:
-        print(exc)
-        return 1
-    with _indexed(run) as index:
-        if not index.events:
-            print(f"run {run.run_id} has no trace; explain needs a traced "
-                  "recording (simulate --record)")
-            return 1
+    run = _find_run(args.run, args.root)
+    with _indexed(run, "explain") as index:
         analysis = analyze_critical_path(index)
     if analysis.spans_total == 0:
         print(f"run {run.run_id}: trace carries no span events "
@@ -754,16 +638,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_why(args: argparse.Namespace) -> int:
     from .obs.decisions import render_why_report, why_json_obj
 
-    try:
-        run = find_run(args.run, args.root)
-    except FileNotFoundError as exc:
-        print(exc)
-        return 1
-    with _indexed(run) as index:
-        if not index.events:
-            print(f"run {run.run_id} has no trace; why needs a traced "
-                  "recording (simulate --record)")
-            return 1
+    run = _find_run(args.run, args.root)
+    with _indexed(run, "why") as index:
         if not index.decisions:
             print(f"run {run.run_id}: trace carries no decision events "
                   "(no controller attached, or recorded before decision "
@@ -780,20 +656,12 @@ def cmd_why(args: argparse.Namespace) -> int:
 def cmd_slo(args: argparse.Namespace) -> int:
     from .obs.slo import evaluate_slos, load_slo_config, render_slo_report
 
-    try:
-        run = find_run(args.run, args.root)
-    except FileNotFoundError as exc:
-        print(exc)
-        return 1
+    run = _find_run(args.run, args.root)
     try:
         objectives = load_slo_config(args.config)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"--config {args.config}: {exc}") from None
-    with _indexed(run) as index:
-        if not index.events:
-            print(f"run {run.run_id} has no trace; slo needs a traced "
-                  "recording (simulate --record)")
-            return 1
+    with _indexed(run, "slo") as index:
         report = evaluate_slos(index, objectives)
     print(f"run {run.run_id}")
     print(render_slo_report(report))
@@ -832,11 +700,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.run:
         from .obs.report_html import write_html_report
 
-        try:
-            run = find_run(args.run, args.root)
-        except FileNotFoundError as exc:
-            print(exc)
-            return 1
+        run = _find_run(args.run, args.root)
         output = args.output or os.path.join(run.path, "report.html")
         with _indexed(run):  # the report renders the same index
             write_html_report(run, output)
@@ -893,20 +757,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"note: experiment {args.id!r} does not parallelize; "
               "--jobs ignored")
     # Opened before the artifact runs: the writer's wall clock starts here.
-    writer = _run_writer_from_args(
-        args,
-        kind="experiment",
-        config={"experiment": args.id, "jobs": jobs},
+    with Recording(
+        args.record, "experiment", {"experiment": args.id, "jobs": jobs},
+        traced=False, run_id=args.run_id, argv=args._argv,
         labels={"experiment": args.id},
-    )
-    try:
+    ) as run:
         rows = paper.run(args.id, jobs=jobs)
         print(format_rows(rows))
-        if writer is not None:
-            writer.finish(snapshot=snapshot_from_rows(rows))
-            print(f"run recorded to {writer.path}")
-    finally:
-        _seal_run(writer)
+        if run.writer is not None:
+            run.writer.finish(snapshot=snapshot_from_rows(rows))
+            print(f"run recorded to {run.writer.path}")
     return 0
 
 
@@ -978,12 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument("--graph", required=True)
     place.add_argument("--nodes", type=int, required=True)
     place.add_argument("--capacity", type=float, default=1.0)
-    place.add_argument(
-        "--algorithm",
-        default="rod",
-        choices=("rod", "llf", "connected", "correlation", "random",
-                 "optimal", "milp", "annealing", "hierarchical"),
-    )
+    place.add_argument("--algorithm", default="rod",
+                       choices=tuple(placers.PLACERS))
     place.add_argument(
         "--hierarchical", action="store_true",
         help="shortcut for --algorithm hierarchical: cluster-then-place "
@@ -1279,7 +1135,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Recorded run manifests carry the invocation for provenance.
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     configure(verbosity=args.verbose - args.quiet)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refusal as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

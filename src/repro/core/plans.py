@@ -119,37 +119,6 @@ class Placement:
             object.__setattr__(self, "_node_coefficients", cached)
         return cached.copy()
 
-    def with_move(self, operator_index: int, node: int) -> "Placement":
-        """Copy-on-write candidate plan: one operator moved to ``node``.
-
-        The returned placement shares the model and capacities and gets
-        its ``L^n`` cache seeded by *delta*: copy the current matrix and
-        patch the source and target rows — ``O(n d)`` per candidate
-        instead of re-accumulating all ``m`` operator rows.  This is the
-        constructor placers use to score candidate moves.
-        """
-        if not 0 <= operator_index < self.model.num_operators:
-            raise IndexError(f"operator index {operator_index} out of range")
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} out of range")
-        source = self.assignment[operator_index]
-        assignment = list(self.assignment)
-        assignment[operator_index] = node
-        moved = Placement(
-            model=self.model,
-            capacities=self.capacities,
-            assignment=tuple(assignment),
-            lower_bound=self.lower_bound,
-        )
-        cached = self.__dict__.get("_node_coefficients")
-        if cached is not None and node != source:
-            ln = cached.copy()
-            row = self.model.coefficients[operator_index]
-            ln[source] = ln[source] - row
-            ln[node] = ln[node] + row
-            object.__setattr__(moved, "_node_coefficients", ln)
-        return moved
-
     def inter_node_arcs(self) -> int:
         """Operator→operator arcs whose endpoints sit on different nodes.
 

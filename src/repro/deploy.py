@@ -28,28 +28,14 @@ from .core.plans import Placement
 from .core.rod import RodStep, rod_extend, rod_place
 from .graphs.query_graph import QueryGraph, TransferCosts
 from .obs import Observability
-from .obs.index import RunIndex
-from .obs.runs import RunWriter, config_digest, snapshot_from_result
-from .obs.trace import JsonlSink, MemorySink, TraceSink, Tracer
-from .placement import (
-    ConnectedPlacer,
-    CorrelationPlacer,
-    LLFPlacer,
-    MilpBalancePlacer,
-    OptimalPlacer,
-    RandomPlacer,
-)
+from .obs.runs import Recording, config_digest, snapshot_from_result
 from .placement.rod_placer import emit_rod_steps
+from .placers import build_placer
 from .simulator.engine import Simulator
 from .simulator.feasibility import FeasibilityProbe
 from .simulator.metrics import SimulationResult
-from .workload.rates import rate_series
 
 __all__ = ["Deployment"]
-
-STRATEGIES = (
-    "rod", "llf", "connected", "correlation", "random", "optimal", "milp",
-)
 
 
 def _digest_array(array: np.ndarray) -> str:
@@ -61,31 +47,6 @@ def _charges_transfer(graph: QueryGraph, costs: TransferCosts) -> bool:
     """Whether shipping some stream between nodes costs CPU; validates
     ``costs`` against ``graph``."""
     return any(cost > 0 for cost in graph.transfer_costs(costs).values())
-
-
-def _build_baseline(
-    strategy: str,
-    model: LoadModel,
-    seed: Optional[int],
-    tracer: Optional[Tracer] = None,
-):
-    if strategy == "llf":
-        return LLFPlacer()
-    if strategy == "connected":
-        return ConnectedPlacer()
-    if strategy == "random":
-        return RandomPlacer(seed=seed)
-    if strategy == "correlation":
-        return CorrelationPlacer(
-            rate_series(model.num_variables, 128, seed=seed or 0)
-        )
-    if strategy == "optimal":
-        return OptimalPlacer()
-    if strategy == "milp":
-        return MilpBalancePlacer(tracer=tracer)
-    raise ValueError(
-        f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-    )
 
 
 class Deployment:
@@ -121,8 +82,9 @@ class Deployment:
     ) -> "Deployment":
         """Plan a deployment of ``graph`` onto a cluster.
 
-        ``strategy`` picks the placement algorithm (``"rod"`` by
-        default).  Non-linear graphs are linearized automatically.  When
+        ``strategy`` names the placement algorithm, one of
+        :data:`repro.placers.PLACERS` (``"rod"`` by default).
+        Non-linear graphs are linearized automatically.  When
         ``transfer_costs`` are non-zero, operator clustering (Section
         6.3) runs before ROD by default (``cluster=None`` means "auto");
         pass ``cluster=False`` to skip it or ``cluster=True`` to force
@@ -185,7 +147,7 @@ class Deployment:
                 raise ValueError(
                     "lower bounds are only supported with the ROD strategy"
                 )
-            placer = _build_baseline(strategy, model, seed, obs.tracer)
+            placer = build_placer(strategy, model, seed, tracer=obs.tracer)
             with obs.phase(f"plan.place.{strategy}"):
                 placement = placer.place(model, capacities)
         if verify:
@@ -285,17 +247,13 @@ class Deployment:
         their critical-path, decision and drift sections join it.
         """
         tracer = simulator_kwargs.pop("tracer", None)
-        sink: Optional[TraceSink] = None
-        if trace_out is not None:
-            if tracer is not None:
-                raise ValueError(
-                    "pass either trace_out or an explicit tracer, not both"
-                )
-            sink = JsonlSink(trace_out)
-        kept: Optional[MemorySink] = None
-        writer: Optional[RunWriter] = None
+        if trace_out is not None and tracer is not None:
+            raise ValueError(
+                "pass either trace_out or an explicit tracer, not both"
+            )
+        config: dict = {}
         if runs_root is not None:
-            config: dict = {
+            config = {
                 "graph": self.model.graph.name,
                 "step_seconds": simulator_kwargs.get("step_seconds", 0.1),
                 "scheduling": simulator_kwargs.get("scheduling", "fifo"),
@@ -310,29 +268,18 @@ class Deployment:
                 series = np.asarray(rate_series, dtype=float)
                 config["rate_series_shape"] = list(series.shape)
                 config["rate_series_digest"] = _digest_array(series)
-            writer = RunWriter(
-                root=runs_root,
-                kind="simulate",
-                run_id=run_id,
-                config=config,
-                seed=simulator_kwargs.get("seed"),
-                placement=self.placement.to_document(),
-                labels=run_labels,
-            )
-            if tracer is None:
-                kept = sink = MemorySink(
-                    forward=writer.trace_sink() if sink is None else sink
-                )
-        if sink is not None:
-            tracer = Tracer(sink)
-        if tracer is None:
-            tracer = self.obs.tracer
         metrics = simulator_kwargs.pop("metrics", self.obs.registry)
-        try:
+        with Recording(
+            runs_root, "simulate", config, trace_out=trace_out,
+            traced=tracer is None,
+            keep_events=runs_root is not None and tracer is None,
+            run_id=run_id, seed=simulator_kwargs.get("seed"),
+            placement=self.placement.to_document(), labels=run_labels,
+        ) as run:
             simulator = Simulator(
                 self.placement,
                 transfer_costs=self.transfer_costs,
-                tracer=tracer,
+                tracer=tracer or run.tracer or self.obs.tracer,
                 metrics=metrics,
                 **simulator_kwargs,
             )
@@ -340,23 +287,13 @@ class Deployment:
                 result = simulator.run(
                     rate_series=rate_series, rates=rates, duration=duration
                 )
-            if writer is not None:
-                index = None if kept is None else RunIndex(kept.events)
-                writer.finish(
-                    snapshot=snapshot_from_result(result, index),
+            if run.writer is not None:
+                run.writer.finish(
+                    snapshot=snapshot_from_result(result, run.index()),
                     registry=metrics,
                     sim_seconds=result.duration,
                 )
-                writer = None
-            return result
-        finally:
-            if sink is not None:
-                sink.close()
-            if writer is not None:
-                # The simulator raised before the run completed; seal the
-                # directory with what exists so the registry never holds
-                # an unreadable half-run.
-                writer.finish()
+        return result
 
     def probe(
         self,

@@ -1,13 +1,13 @@
 """Shared plumbing for the experiment harnesses.
 
 Each experiment module exposes ``run(...) -> list[dict]`` returning the
-rows of the corresponding paper table/figure, plus uses
-:func:`format_rows` so benchmarks and examples print uniformly.
+rows of the corresponding paper table/figure; benchmarks and examples
+print them with :func:`repro.experiments.table.format_rows`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from ..workload.rates import rate_series
 
 __all__ = [
     "ALGORITHMS",
-    "format_rows",
     "make_model",
     "make_placer",
     "mean_volume_ratio",
@@ -160,32 +159,3 @@ def mean_volume_ratio(
             jobs=jobs,
         ).mean()
     )
-
-
-def format_rows(
-    rows: List[Dict[str, object]],
-    columns: Optional[Sequence[str]] = None,
-    float_format: str = "{:.4f}",
-) -> str:
-    """Render experiment rows as an aligned text table."""
-    if not rows:
-        return "(no rows)"
-    if columns is None:
-        columns = list(rows[0].keys())
-
-    def cell(value: object) -> str:
-        if isinstance(value, float):
-            return float_format.format(value)
-        return str(value)
-
-    table = [[cell(row.get(c, "")) for c in columns] for row in rows]
-    widths = [
-        max(len(str(c)), *(len(line[i]) for line in table))
-        for i, c in enumerate(columns)
-    ]
-    header = "  ".join(str(c).ljust(w) for c, w in zip(columns, widths))
-    rule = "  ".join("-" * w for w in widths)
-    body = "\n".join(
-        "  ".join(v.ljust(w) for v, w in zip(line, widths)) for line in table
-    )
-    return f"{header}\n{rule}\n{body}"

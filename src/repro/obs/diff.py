@@ -167,14 +167,6 @@ class RunDiff:
     def changed(self) -> List[MetricDelta]:
         return [d for d in self.deltas if d.delta != 0]
 
-    @property
-    def max_abs_relative(self) -> float:
-        finite = [
-            abs(d.relative) for d in self.deltas
-            if math.isfinite(d.relative)
-        ]
-        return max(finite) if finite else 0.0
-
     def format(self, show_unchanged: bool = False) -> str:
         """Aligned text table of the diff, breaches flagged ``!``."""
         name_a, name_b = self.names

@@ -19,7 +19,9 @@ self-contained HTML report.
 
 A :class:`RunWriter` records one run; :class:`Run` reads one back;
 :func:`list_runs` / :func:`find_run` locate them under a root directory
-(``runs/`` by default).  Everything is plain JSON — no database, no
+(``runs/`` by default).  A :class:`Recording` is how every recorder
+opens a run: it owns the choice of trace sink and seals a run that
+failed.  Everything is plain JSON — no database, no
 external dependency — so run directories can be committed as regression
 baselines (see the CI compare step).
 """
@@ -31,13 +33,14 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import MetricsRegistry
-from .trace import JsonlSink, _jsonable, read_trace
+from .trace import JsonlSink, MemorySink, Tracer, _jsonable, read_trace
 
 if TYPE_CHECKING:
     from .index import RunIndex
+    from .trace import TraceSink
 
 __all__ = [
     "MANIFEST_NAME",
@@ -46,6 +49,7 @@ __all__ = [
     "RUN_FORMAT_VERSION",
     "TRACE_NAME",
     "DEFAULT_ROOT",
+    "Recording",
     "RunManifest",
     "RunWriter",
     "Run",
@@ -361,6 +365,65 @@ class RunWriter:
             json.dump(obj, handle, indent=2, sort_keys=True,
                       default=_jsonable)
             handle.write("\n")
+
+
+class Recording:
+    """One invocation's run directory and trace sink, for a ``with``
+    block: how the CLI and ``Deployment.simulate`` record.
+
+    A ``root`` records the invocation under it through a
+    :class:`RunWriter` (``manifest`` holds its ``run_id``, ``seed``,
+    ``argv``, ``placement`` and ``labels``); without one, :attr:`writer`
+    is ``None``.  The events go to ``trace_out`` when it names a file,
+    else to the run's ``trace.jsonl``; ``traced=False`` opens no sink,
+    and :attr:`tracer` is ``None`` when no sink is open.  With
+    ``keep_events`` the sink also keeps every event it wrote, for
+    :meth:`index`.
+
+    The caller seals a completed run with ``writer.finish(...)``.  On
+    exit the sink is closed, and a run an error left unfinished is
+    sealed with what exists, so the registry never holds an unreadable
+    half-run.
+    """
+
+    def __init__(
+        self,
+        root: Optional[str],
+        kind: str,
+        config: Mapping[str, object],
+        trace_out: Optional[str] = None,
+        traced: bool = True,
+        keep_events: bool = False,
+        **manifest: Any,
+    ) -> None:
+        # A trace file that cannot be opened fails before a run exists.
+        sink: Optional[TraceSink] = None
+        if traced and trace_out is not None:
+            sink = JsonlSink(trace_out)
+        self.writer = None if root is None else RunWriter(
+            root, kind=kind, config=config, **manifest
+        )
+        if traced and sink is None and self.writer is not None:
+            sink = self.writer.trace_sink()
+        self.sink = MemorySink(forward=sink) if keep_events else sink
+        self.tracer = None if self.sink is None else Tracer(self.sink)
+
+    def __enter__(self) -> Recording:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.sink is not None:
+            self.sink.close()
+        if self.writer is not None and not self.writer.finished:
+            self.writer.finish()
+
+    def index(self) -> Optional[RunIndex]:
+        """The kept events, indexed; ``None`` when none were kept."""
+        if not isinstance(self.sink, MemorySink) or not self.sink.events:
+            return None
+        from .index import RunIndex
+
+        return RunIndex(self.sink.events)
 
 
 class Run:

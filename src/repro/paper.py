@@ -72,7 +72,8 @@ def _ablations(**overrides: object) -> Rows:
     return ablations.run_ordering(**overrides) + [
         {"ordering": f"class-one policy: {row['policy']}",
          "volume_ratio": row["volume_ratio"],
-         "plane_distance": row["plane_distance"]}
+         "plane_distance": row["plane_distance"],
+         "inter_node_arcs": row["inter_node_arcs"]}
         for row in ablations.run_class_one_policy(**overrides)
     ]
 

@@ -369,8 +369,11 @@ class AnnealingPlacer(Placer):
                 target_viols = (
                     node_dots[:, targets] + moved_cols
                 ) > thresholds[targets]
+                # Summed in the count's dtype: int8 would wrap a sample
+                # violated on 256 nodes to zero, a feasible score.
                 deltas = np.subtract(
-                    source_viols.view(np.int8), violations[:, sources]
+                    source_viols.view(np.int8), violations[:, sources],
+                    dtype=violation_count.dtype,
                 )
                 deltas += target_viols.view(np.int8)
                 deltas -= violations[:, targets]

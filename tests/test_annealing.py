@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.rod import rod_place
 from repro.core.volume import cache, qmc
+from repro.experiments.common import make_model
 from repro.placement import AnnealingPlacer
 
 
@@ -225,6 +226,22 @@ class TestBatchedScoring:
             iterations=200, samples=512, seed=7, score_batch=8, jobs=2
         ).place(small_tree_model, four_nodes)
         assert serial.assignment == fanned.assignment
+
+    def test_count_of_256_violated_nodes_does_not_wrap(self):
+        # 256 near-zero nodes each hold two operators, so every sample
+        # is violated on exactly 256 nodes and most moves keep it so;
+        # an int8 sum reads that count as 0, a feasible sample, which
+        # the per-move bundles of the pool path never do.
+        model = make_model(2, 256, seed=0)
+        capacities = [1e-9] * 256 + [1.0]
+        config = dict(
+            iterations=16, samples=64, seed=0, score_batch=8,
+            initial_assignment=[j // 2 for j in range(512)],
+        )
+        serial = AnnealingPlacer(jobs=1, **config).place(model, capacities)
+        fanned = AnnealingPlacer(jobs=2, **config).place(model, capacities)
+        assert serial.assignment == fanned.assignment
+        assert serial.volume_ratio(samples=64) == 0.0
 
     def test_batch_counts_against_iteration_budget(self, small_tree_model,
                                                    four_nodes):

@@ -1120,7 +1120,9 @@ def budget_root(tmp_path_factory):
     (["explain", "run", "--root", "{work}/runs"], ("numpy",)),
     (["report", "run", "--root", "{work}/runs", "-o", "{work}/r.html"],
      ("numpy",)),
-], ids=["help", "generate", "why", "explain", "report"])
+    # Its harness needs only NumPy and the trace generators.
+    (["experiment", "fig2"], ("numpy", "repro.experiments")),
+], ids=["help", "generate", "why", "explain", "report", "experiment-fig2"])
 def test_start_up_import_budget(budget_root, argv, allowed):
     """Each step imports only the layers it runs: in a fresh
     interpreter, ``main(argv)`` loads none of ``HEAVY_MODULES`` beyond
@@ -1154,7 +1156,8 @@ def test_start_up_import_budget(budget_root, argv, allowed):
 
 
 @pytest.mark.parametrize(
-    "package", ["repro", "repro.simulator", "repro.workload"]
+    "package",
+    ["repro", "repro.simulator", "repro.workload", "repro.experiments"],
 )
 def test_lazy_re_exports_resolve(package):
     """Every ``__all__`` name of a lazily re-exporting package imports."""

@@ -21,6 +21,7 @@ from repro.check.lint import LINT_CODES
 from repro.cli import build_parser
 from repro.faults import FAULT_KINDS
 from repro.paper import ARTIFACTS
+from repro.placers import PLACERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -156,7 +157,12 @@ class TestCliReference:
             )
         ]
         assert undocumented == []
-        section = text[text.index("## `experiment`"):]
-        section = section[:section.index("\n## ")]
-        ids = re.findall(r"^\| `([\w-]+)` \|", section, re.M)
-        assert sorted(ids) == sorted(ARTIFACTS)
+        assert sorted(_first_cells(text, "experiment")) == sorted(ARTIFACTS)
+        assert _first_cells(text, "place") == list(PLACERS)
+
+
+def _first_cells(text, command):
+    """The backticked first cells of the table in a command's section."""
+    section = text[text.index(f"## `{command}`"):]
+    section = section[:section.index("\n## ")]
+    return re.findall(r"^\| `([\w-]+)` \|", section, re.M)

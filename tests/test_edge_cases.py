@@ -7,7 +7,8 @@ from repro import build_load_model, placement_from_mapping, rod_place
 from repro.core.clustering import ClusteredModel, Clustering, cluster_operators
 from repro.core.plans import diff_placements
 from repro.core.viz import compare_feasible_sets
-from repro.experiments.common import format_rows, volume_ratio_runs
+from repro.experiments import format_rows
+from repro.experiments.common import volume_ratio_runs
 from repro.graphs import Delay, QueryGraph, WindowJoin, join_graph
 from repro.graphs.partition import partition_operator
 from repro.runtime import FnCountWindow, Interpreter, Record, StreamProgram

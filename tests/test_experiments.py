@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import paper
 from repro.experiments import (
     ablations,
     balance_bound,
@@ -335,3 +336,33 @@ class TestAblations:
         assert {r["policy"] for r in rows} == {
             "plane", "first", "random", "connections"
         }
+
+    def test_artifact_shows_the_committed_class_one_arcs(self):
+        """``experiment ablations`` keeps the Class I arc counts, the
+        numbers behind "connections yields the fewest inter-node arcs"."""
+        committed = (RESULTS / "ablation_class_one_policy.txt").read_text()
+        expected = {
+            line.split()[0]: int(line.split()[3])
+            for line in committed.splitlines()[2:]
+        }
+        arcs = {
+            row["ordering"].replace("class-one policy: ", ""):
+                row["inter_node_arcs"]
+            for row in paper.run("ablations", quick=True)
+            if "inter_node_arcs" in row
+        }
+        assert arcs == expected == {
+            "plane": 63, "first": 65, "random": 65, "connections": 63,
+        }
+
+
+class TestArtifactTables:
+    @pytest.mark.parametrize("artifact_id, key", [
+        ("optimal-gap", "mean_ratio"),   # the aggregate row
+        ("elasticity", "p95_latency_ms"),  # the runtime legs
+    ])
+    def test_every_column_a_row_carries_is_printed(self, artifact_id, key):
+        rows = paper.run(artifact_id, quick=True)
+        header, _, *lines = format_rows(rows).splitlines()
+        assert set(header.split()) == {k for row in rows for k in row}
+        assert f"{rows[-1][key]:.4f}" in lines[-1]
