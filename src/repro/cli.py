@@ -64,7 +64,9 @@ import contextlib
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union,
+)
 
 # Only the light observability core is imported here.  Each command
 # imports the layers it runs, so `--help`, `generate` and the trace
@@ -175,7 +177,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_place(args: argparse.Namespace) -> int:
-    from . import parallel
     from .core.load_model import build_load_model
     from .graphs.serialize import dump_graph, load_graph
     from .placement import ElasticPlacer
@@ -185,7 +186,6 @@ def cmd_place(args: argparse.Namespace) -> int:
         "hierarchical" if args.hierarchical else args.algorithm,
         model, args.seed,
         score_batch=args.score_batch,
-        jobs=parallel.resolve_jobs(args.jobs),
         group_size=args.group_size,
     )
     if args.elastic:
@@ -222,16 +222,14 @@ def cmd_place(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from . import parallel
     from .core.analysis import resilience_summary
     from .core.viz import render_feasible_set
     from .core.volume import cache as volume_cache
 
     placement = _load_placement(args.graph, args.plan, args.nodes)
-    jobs = parallel.resolve_jobs(args.jobs)
     with Recording(
         args.record, "evaluate",
-        {"graph": args.graph, "plan": args.plan, "jobs": jobs},
+        {"graph": args.graph, "plan": args.plan},
         trace_out=args.trace_out,
         run_id=args.run_id, argv=args._argv,
         placement=placement.to_document(),
@@ -249,7 +247,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
         else:
             with obs.phase("evaluate.volume_ratio"):
-                ratio = placement.volume_ratio(jobs=jobs)
+                ratio = placement.volume_ratio()
             print(f"feasible-set ratio to ideal: {ratio:.4f}")
         print(f"inter-node arcs: {placement.inter_node_arcs()}")
         print()
@@ -260,7 +258,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             print()
             print(render_feasible_set(feasible_set, title="feasible set"))
         volume_cache.publish_metrics(obs.registry)
-        parallel.publish_metrics(obs.registry)
         _emit_metrics(args, obs.registry)
         if run.writer is not None:
             run.writer.finish(
@@ -784,6 +781,26 @@ def _failover_policy(value: str) -> str:
     return value
 
 
+def _bounded(
+    kind: Callable[[str], float], low: float, strict: bool = False
+) -> Callable[[str], float]:
+    """An argparse ``type``: ``kind(text)``, turned into a usage error
+    (exit 2, naming the option) unless it is at least ``low``, or above
+    it when ``strict``.  The library keeps its own checks for callers
+    that do not come through the parser."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-rod",
@@ -828,16 +845,17 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", default="random",
                      choices=("random", "monitoring", "joins",
                               "elastic"))
-    gen.add_argument("--inputs", type=int, default=3)
-    gen.add_argument("--ops-per-tree", type=int, default=10)
+    gen.add_argument("--inputs", type=_bounded(int, 1), default=3)
+    gen.add_argument("--ops-per-tree", type=_bounded(int, 1), default=10)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
     place = sub.add_parser("place", help="place a graph on a cluster")
     place.add_argument("--graph", required=True)
-    place.add_argument("--nodes", type=int, required=True)
-    place.add_argument("--capacity", type=float, default=1.0)
+    place.add_argument("--nodes", type=_bounded(int, 1), required=True)
+    place.add_argument("--capacity", type=_bounded(float, 0, strict=True),
+                       default=1.0)
     place.add_argument("--algorithm", default="rod",
                        choices=tuple(placers.PLACERS))
     place.add_argument(
@@ -846,18 +864,13 @@ def build_parser() -> argparse.ArgumentParser:
              "for large clusters (hundreds to 1000 nodes)",
     )
     place.add_argument(
-        "--score-batch", type=int, default=1, metavar="K",
+        "--score-batch", type=_bounded(int, 1), default=1, metavar="K",
         help="score K candidate moves per search round in the annealing "
              "kernels (K=1 is bit-identical to the classic loop)",
     )
     place.add_argument(
-        "--group-size", type=int, default=16, metavar="N",
+        "--group-size", type=_bounded(int, 1), default=16, metavar="N",
         help="nodes per refinement group for --hierarchical",
-    )
-    place.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for candidate scoring / group refinement "
-             "(0 = all cores)",
     )
     place.add_argument(
         "--elastic", action="store_true",
@@ -870,7 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop splitting once the ratio reaches R (default 0.5)",
     )
     place.add_argument(
-        "--elastic-ways", type=int, default=2, metavar="W",
+        "--elastic-ways", type=_bounded(int, 2), default=2, metavar="W",
         help="instances per split; escalation doubles an existing "
              "group (default 2)",
     )
@@ -892,12 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--plan", required=True)
     ev.add_argument("--nodes", type=int, default=None)
     ev.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the QMC volume estimate "
-             "(0 = all cores); the result is identical for any value",
-    )
-    ev.add_argument(
-        "--axis-budget", type=int, default=None, metavar="K",
+        "--axis-budget", type=_bounded(int, 1), default=None, metavar="K",
         help="estimate the volume ratio with importance-weighted "
              "axis-sampled QMC (Halton on the K hardest-binding axes, "
              "seeded uniforms elsewhere) and report its standard error; "
@@ -914,8 +922,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--nodes", type=int, default=None)
     sim.add_argument("--rates", required=True,
                      help="comma-separated tuples/second per input")
-    sim.add_argument("--duration", type=float, default=20.0)
-    sim.add_argument("--step", type=float, default=0.1)
+    sim.add_argument("--duration", type=_bounded(float, 0, strict=True),
+                     default=20.0)
+    sim.add_argument("--step", type=_bounded(float, 0, strict=True),
+                     default=0.1)
     sim.add_argument("--check", action="store_true",
                      help="exit non-zero if the point is infeasible")
     sim.add_argument(
@@ -929,7 +939,8 @@ def build_parser() -> argparse.ArgumentParser:
              "loading one (same seed = same faults, bit for bit)",
     )
     sim.add_argument(
-        "--chaos-intensity", type=float, default=1.0, metavar="X",
+        "--chaos-intensity", type=_bounded(float, 0, strict=True),
+        default=1.0, metavar="X",
         help="scale the number of generated chaos faults (default 1.0)",
     )
     sim.add_argument(
@@ -959,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="render a JSONL event trace as text timelines"
     )
     tr.add_argument("path", help="trace file written by --trace-out")
-    tr.add_argument("--width", type=int, default=60,
+    tr.add_argument("--width", type=_bounded(int, 1), default=60,
                     help="timeline width in characters")
     tr.add_argument(
         "--type", dest="types", action="append", metavar="TYPE",
@@ -1097,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="regenerate a paper artifact")
     exp.add_argument("id", choices=sorted(paper.ARTIFACTS))
     exp.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_bounded(int, 0), default=1,
         help="worker processes for experiments that parallelize "
              "(0 = all cores); results are identical for any value",
     )

@@ -182,16 +182,13 @@ class FeasibleSet:
         method: str = "halton",
         seed: Optional[int] = None,
         target_se: Optional[float] = None,
-        jobs: int = 1,
         representation: str = "auto",
     ) -> float:
         """QMC estimate of ``V(F) / V(F*)`` (in ``[0, 1]``).
 
         ``target_se`` enables early termination once the streaming
         standard-error estimate reaches the target (``samples`` caps the
-        budget); ``jobs > 1`` splits the sample budget across worker
-        processes without changing the result (see
-        :func:`repro.core.volume.qmc.feasible_fraction`).
+        budget; see :func:`repro.core.volume.qmc.feasible_fraction`).
         ``representation`` selects the dense or sparse scoring kernel —
         a speed/memory knob only; the returned ratio is identical either
         way.
@@ -206,7 +203,6 @@ class FeasibleSet:
             seed=seed,
             lower_bound=bound,
             target_se=target_se,
-            jobs=jobs,
             representation=representation,
         )
 

@@ -154,16 +154,14 @@ class Placement:
         samples: int = 4096,
         seed: Optional[int] = None,
         target_se: Optional[float] = None,
-        jobs: int = 1,
     ) -> float:
         """QMC feasible-set size relative to the ideal set.
 
-        ``target_se`` and ``jobs`` pass through to
-        :meth:`FeasibleSet.volume_ratio` (early termination / parallel
-        sample evaluation; neither changes the converged result).
+        ``target_se`` passes through to :meth:`FeasibleSet.volume_ratio`
+        (early termination once the standard error reaches it).
         """
         return self.feasible_set().volume_ratio(
-            samples=samples, seed=seed, target_se=target_se, jobs=jobs
+            samples=samples, seed=seed, target_se=target_se
         )
 
     # -------------------------------------------------------- serialization

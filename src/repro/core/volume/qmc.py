@@ -29,8 +29,8 @@ Performance notes (this module is the repro's inner loop):
 * Point ``skip + i`` of a stream equals point ``i`` of the same stream
   generated with ``skip`` more points skipped — streams are resumable,
   which is what lets :func:`feasible_fraction` split its sample budget
-  across batches (``target_se``) or worker processes (``jobs``) and
-  still return exactly the sequential answer.
+  across batches (``target_se``) and still return exactly the one-pass
+  answer.
 """
 
 from __future__ import annotations
@@ -262,20 +262,6 @@ def _feasible_count(
     return int(np.count_nonzero(feasible))
 
 
-def _feasible_count_task(
-    task: Tuple[np.ndarray, int, int, str, Optional[int],
-                Optional[np.ndarray], float, str],
-) -> int:
-    """Process-pool task: feasibility count over one chunk of the stream."""
-    w, skip, count, method, seed, bound, scale, representation = task
-    points = sample_unit_simplex(
-        count, w.shape[1], method=method, seed=seed, skip=skip
-    )
-    return _feasible_count(
-        w, points, bound, scale, sparse=_resolve_sparse(w, representation)
-    )
-
-
 def stream_feasible_fraction(
     weights: np.ndarray,
     batch: int = 1024,
@@ -328,7 +314,6 @@ def feasible_fraction(
     lower_bound: Optional[Sequence[float]] = None,
     target_se: Optional[float] = None,
     batch: int = 1024,
-    jobs: int = 1,
     representation: str = "auto",
 ) -> float:
     """Estimate ``V(F(A)) / V(F*)`` for a weight matrix ``W``.
@@ -343,10 +328,7 @@ def feasible_fraction(
     With ``target_se`` set, the estimate streams the points in
     ``batch``-size chunks and stops early once the running standard
     error (see :func:`stream_feasible_fraction`) drops to the target;
-    ``samples`` caps the budget.  With ``jobs > 1``, the sample budget
-    is split into per-worker chunks evaluated in parallel processes;
-    chunk feasibility counts are integers over the identical resumable
-    point stream, so the result is exactly the sequential one.
+    ``samples`` caps the budget.
 
     ``representation`` picks the scoring kernel: ``"dense"`` (the
     reference ``points @ W.T``), ``"sparse"`` (per-node active-column
@@ -358,8 +340,6 @@ def feasible_fraction(
     w = _prepare_weights(weights)
     if samples < 1:
         raise ValueError("need at least one sample")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     bound, scale = _prepare_bound(lower_bound, w.shape[1])
     if bound is not None and scale <= 0.0:
         return 0.0
@@ -374,20 +354,6 @@ def feasible_fraction(
             if se <= target_se:
                 break
         return fraction
-
-    if jobs > 1 and samples > 1:
-        from ... import parallel as _parallel
-
-        chunk = -(-samples // jobs)  # ceil division
-        tasks = [
-            (w, skip, min(chunk, samples - skip), method, seed, bound,
-             scale, representation)
-            for skip in range(0, samples, chunk)
-        ]
-        counts = _parallel.parallel_map(
-            _feasible_count_task, tasks, jobs=jobs
-        )
-        return sum(counts) / samples
 
     points = sample_unit_simplex(samples, w.shape[1], method=method, seed=seed)
     return _feasible_count(

@@ -16,7 +16,7 @@ Everything the facade does is available piecemeal in ``repro.core`` /
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,11 +25,11 @@ from .core.analysis import resilience_summary
 from .core.clustering import communication_feasible_set, search_clusterings
 from .core.load_model import LoadModel, build_load_model
 from .core.plans import Placement
-from .core.rod import RodStep, rod_extend, rod_place
+from .core.rod import rod_extend
 from .graphs.query_graph import QueryGraph, TransferCosts
 from .obs import Observability
 from .obs.runs import Recording, config_digest, snapshot_from_result
-from .placement.rod_placer import emit_rod_steps
+from .placement import RODPlacer
 from .placers import build_placer
 from .simulator.engine import Simulator
 from .simulator.feasibility import FeasibilityProbe
@@ -133,15 +133,11 @@ class Deployment:
                     )
                     placement = result.placement
             else:
-                tracing = obs.tracer.enabled
-                steps: Optional[List[RodStep]] = [] if tracing else None
                 with obs.phase("plan.place.rod"):
-                    placement = rod_place(
-                        model, capacities, lower_bound=lower_bound,
-                        seed=seed, steps=steps,
-                    )
-                if tracing and steps is not None:
-                    emit_rod_steps(obs.tracer, steps)
+                    placement = RODPlacer(
+                        lower_bound=lower_bound, seed=seed,
+                        tracer=obs.tracer,
+                    ).place(model, capacities)
         else:
             if lower_bound is not None:
                 raise ValueError(

@@ -19,8 +19,7 @@ node count while the hierarchical path's refinement cost is fixed per
 group.
 
 Rows report planning seconds, the QMC volume ratio, and the
-hierarchical-over-flat speedup per scale.  ``jobs > 1`` fans the
-hierarchical group refinements out over worker processes.
+hierarchical-over-flat speedup per scale.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ def run(
     ),
     samples: int = 4096,
     seed: int = 7,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """Two rows (flat, hierarchical) per ``(inputs, ops_per_tree, nodes)``.
 
@@ -65,7 +63,6 @@ def run(
             samples=512,
             score_batch=16,
             seed=seed,
-            jobs=jobs,
         ).place(model, capacities)
         hier_seconds = time.perf_counter() - start
 

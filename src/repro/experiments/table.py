@@ -6,29 +6,27 @@ artifact's rows loads no placer and no verifier.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 __all__ = ["format_rows"]
 
+#: Every float cell, in every table.
+_FLOAT_FORMAT = "{:.4f}"
 
-def format_rows(
-    rows: List[Dict[str, object]],
-    columns: Optional[Sequence[str]] = None,
-    float_format: str = "{:.4f}",
-) -> str:
+
+def format_rows(rows: List[Dict[str, object]]) -> str:
     """Render experiment rows as an aligned text table.
 
-    The columns default to every key any row carries, in the order the
-    rows first show them; a row lacking a column leaves its cell blank.
+    The columns are every key any row carries, in the order the rows
+    first show them; a row lacking a column leaves its cell blank.
     """
     if not rows:
         return "(no rows)"
-    if columns is None:
-        columns = list(dict.fromkeys(key for row in rows for key in row))
+    columns = list(dict.fromkeys(key for row in rows for key in row))
 
     def cell(value: object) -> str:
         if isinstance(value, float):
-            return float_format.format(value)
+            return _FLOAT_FORMAT.format(value)
         return str(value)
 
     table = [[cell(row.get(c, "")) for c in columns] for row in rows]

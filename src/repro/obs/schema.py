@@ -260,14 +260,6 @@ METRIC_SCHEMAS: Dict[str, MetricSchema] = {
                 ("objective",)),
         _metric("repro_phase_seconds", "histogram",
                 "wall-clock seconds spent per profiled phase", ("phase",)),
-        _metric("repro_parallel_tasks", "counter",
-                "tasks executed through repro.parallel", ("mode",)),
-        _metric("repro_parallel_failures", "counter",
-                "tasks that raised in repro.parallel", ("mode",)),
-        _metric("repro_parallel_pools", "counter",
-                "process pools spun up by repro.parallel"),
-        _metric("repro_parallel_pool_retries", "counter",
-                "fresh pools spun up after a BrokenProcessPool"),
         _metric("repro_volume_cache_hits", "counter",
                 "QMC sample-point cache hits"),
         _metric("repro_volume_cache_misses", "counter",

@@ -160,7 +160,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         _harness("elasticity"), {}),
     "scale-solve": Artifact(
         "Flat annealing vs hierarchical placement at scale (extension)",
-        _harness("scale_solve"), {}, takes_jobs=True),
+        _harness("scale_solve"), {}),
 }
 
 

@@ -3,20 +3,23 @@
 The experiments repeat one embarrassingly-parallel shape over and over:
 map a pure task function across a list of seeded work items and collect
 the results *in order*.  This module is the one implementation of that
-shape, with the properties every caller needs:
+shape, and the only place the repository opens process pools: each task
+is a whole experiment run (a placement plus its volume estimate, or a
+simulated fault variant).  The kernels below it — QMC estimates and the
+placers' searches — run inline, because a pool costs more than one of
+them takes (see "Parallel experiment runs" in ``docs/performance.md``).
+The properties every caller needs:
 
 * **Determinism** — results are identical for any ``jobs`` value.
   ``jobs=1`` runs the tasks inline (no pool, no pickling) and is the
   reference; ``jobs>1`` fans the same task tuples out to a
   :class:`~concurrent.futures.ProcessPoolExecutor`, and results are
   reassembled in input order.  Task functions must be pure functions of
-  their arguments (derive any randomness from seeds in the task tuple —
-  :func:`derive_seed` builds per-task seeds that are stable across runs
-  and across ``jobs`` values).
+  their arguments (derive any randomness from seeds in the task tuple).
 * **Batching** — tasks are grouped into chunks, one pool submission
   each (:func:`auto_chunksize` sizes them from the task count and pool
-  size), so thousands of tiny scoring tasks do not pay per-task pickle
-  and IPC overhead.  Results, their order, and the per-task statistics
+  size), so many small tasks do not pay per-task pickle and IPC
+  overhead.  Results, their order, and the per-task statistics
   do not depend on the chunking.
 * **Resilience** — chunks are submitted individually, so results that
   completed before a worker crash survive it.  A
@@ -24,8 +27,8 @@ shape, with the properties every caller needs:
   fresh pool for the unfinished tasks; if that pool breaks too, the
   survivors run inline as a last resort.
 * **Observability** — every call counts its tasks, failures and pool
-  retries; the counters are recorded *even when a task raises*.
-  :func:`publish_metrics` exports them into a metrics registry.
+  retries; the counters are recorded *even when a task raises*, and
+  :func:`parallel_stats` reads them.
 
 Workers are separate processes: task functions and arguments must be
 picklable (module-level functions, plain data / NumPy arrays).
@@ -47,15 +50,11 @@ from typing import (
     TypeVar,
 )
 
-from .obs.metrics import MetricsRegistry
-
 __all__ = [
     "resolve_jobs",
     "auto_chunksize",
-    "derive_seed",
     "parallel_map",
     "parallel_stats",
-    "publish_metrics",
 ]
 
 T = TypeVar("T")
@@ -70,10 +69,6 @@ _STATS = {
     "failures_process": 0,
     "pool_retries": 0,
 }
-
-#: Mixing constant for seed derivation (splitmix64's golden-ratio step).
-_SEED_MIX = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 
 #: Fresh pools tried after a worker crash before the inline fallback.
 _POOL_RETRIES = 1
@@ -91,19 +86,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return jobs
-
-
-def derive_seed(base_seed: int, index: int) -> int:
-    """A per-task seed, deterministic in ``(base_seed, index)``.
-
-    Uses a splitmix64 finalizer so neighbouring indices land far apart —
-    unlike ``base_seed + index``, two tasks of different runs can never
-    collide just because their bases are close.
-    """
-    z = (base_seed * _SEED_MIX + index + 1) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
 
 
 def auto_chunksize(task_count: int, workers: int) -> int:
@@ -324,29 +306,3 @@ def parallel_stats() -> dict:
     """Process-wide counters (tasks by mode, pools, failures, retries)."""
     with _LOCK:
         return dict(_STATS)
-
-
-def publish_metrics(registry: MetricsRegistry) -> None:
-    """Export the process-wide counters into ``registry`` (snapshot)."""
-    stats = parallel_stats()
-    tasks_family = registry.counter(
-        "repro_parallel_tasks",
-        "tasks executed through repro.parallel",
-        labelnames=("mode",),
-    )
-    failures_family = registry.counter(
-        "repro_parallel_failures",
-        "tasks that raised in repro.parallel",
-        labelnames=("mode",),
-    )
-    for mode in ("inline", "process"):
-        tasks_family.labels(mode=mode).inc(stats[mode])
-        failures_family.labels(mode=mode).inc(stats[f"failures_{mode}"])
-    registry.counter(
-        "repro_parallel_pools",
-        "process pools spun up by repro.parallel",
-    ).inc(stats["pools"])
-    registry.counter(
-        "repro_parallel_pool_retries",
-        "fresh pools spun up after a BrokenProcessPool",
-    ).inc(stats["pool_retries"])

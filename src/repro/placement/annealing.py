@@ -26,13 +26,12 @@ nodes — ``O(samples)`` per iteration instead of the full
 decisions for the same seed.
 
 With ``score_batch=K > 1`` the search draws K proposals per round,
-scores them all from the *current* state (optionally fanned out through
-:func:`repro.parallel.parallel_map` with ``jobs > 1``, amortizing the
-pool round-trip over the whole batch), then walks them in draw order
-and applies the first accepted move; the round's remaining proposals
-are discarded because their scores went stale the moment one was
-applied.  The default ``score_batch=1`` keeps the classic
-one-proposal-per-iteration loop bit-identical to previous releases.
+scores them all from the *current* state in one vectorized pass, then
+walks them in draw order and applies the first accepted move; the
+round's remaining proposals are discarded because their scores went
+stale the moment one was applied.  The default ``score_batch=1`` keeps
+the classic one-proposal-per-iteration loop bit-identical to previous
+releases.
 
 ``total_capacity`` overrides the denominator ``C_T`` of the capacity
 shares.  The hierarchical placer uses this to refine a node *group*
@@ -58,28 +57,6 @@ from .base import Placer
 __all__ = ["AnnealingPlacer"]
 
 
-def _candidate_violation_count(
-    task: Tuple[np.ndarray, np.ndarray, np.ndarray, float, float,
-                np.ndarray, np.ndarray, np.ndarray],
-) -> int:
-    """Samples left violated by one candidate move (pool-friendly task).
-
-    The task carries only the columns the move touches — the moved
-    operator's dot column, the source/target node dot columns and
-    violation flags, the two thresholds, and the per-sample violation
-    count — so a batch of K candidates ships K such bundles per pool
-    round-trip instead of the full scoring state.
-    """
-    (moved, source_col, target_col, thr_source, thr_target,
-     viol_source, viol_target, violation_count) = task
-    source_viol = (source_col - moved) > thr_source
-    target_viol = (target_col + moved) > thr_target
-    count_delta = np.subtract(source_viol.view(np.int8), viol_source)
-    count_delta += target_viol.view(np.int8)
-    count_delta -= viol_target
-    return int(np.count_nonzero(violation_count + count_delta))
-
-
 class AnnealingPlacer(Placer):
     """Metropolis search over placements, maximizing QMC volume ratio."""
 
@@ -96,7 +73,6 @@ class AnnealingPlacer(Placer):
         tracer: Optional[Tracer] = None,
         trace_every: int = 250,
         score_batch: int = 1,
-        jobs: int = 1,
         total_capacity: Optional[float] = None,
         initial_assignment: Optional[Sequence[int]] = None,
         sample_mask: Optional[np.ndarray] = None,
@@ -106,10 +82,9 @@ class AnnealingPlacer(Placer):
         ``placement.iteration`` event is emitted every ``trace_every``
         iterations and whenever the search finds a new best plan.
         ``score_batch`` draws and scores K proposals per round (first
-        accepted wins); ``jobs > 1`` fans a round's candidate scoring
-        through :func:`repro.parallel.parallel_map`.  ``total_capacity``
-        overrides the normalization denominator ``C_T`` (hierarchical
-        refinement scores a node group against the cluster-wide total).
+        accepted wins).  ``total_capacity`` overrides the normalization
+        denominator ``C_T`` (hierarchical refinement scores a node group
+        against the cluster-wide total).
         ``initial_assignment`` overrides ``start`` with an explicit
         warm-start assignment.  ``sample_mask`` (bool per sample)
         excludes masked-out samples from the objective — the
@@ -130,8 +105,6 @@ class AnnealingPlacer(Placer):
             raise ValueError("trace_every must be >= 1")
         if score_batch < 1:
             raise ValueError("score_batch must be >= 1")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if total_capacity is not None and total_capacity <= 0:
             raise ValueError("total_capacity must be > 0")
         if sample_mask is not None:
@@ -150,7 +123,6 @@ class AnnealingPlacer(Placer):
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.trace_every = trace_every
         self.score_batch = score_batch
-        self.jobs = jobs
         self.total_capacity = total_capacity
         self.initial_assignment = (
             None if initial_assignment is None
@@ -306,13 +278,12 @@ class AnnealingPlacer(Placer):
         """Metropolis search scoring ``score_batch`` proposals per round.
 
         Each round draws K independent proposals from the current state,
-        scores them all (through :func:`repro.parallel.parallel_map`
-        when ``jobs > 1``), then walks the proposals in draw order and
-        applies the *first* one that passes the acceptance test; the
-        rest are discarded, their scores having gone stale.  Temperature
-        decays once per scored proposal, so a run of ``iterations``
-        proposals explores the same cooling schedule as the classic
-        loop, just K at a time.
+        scores them all in one vectorized pass, then walks the proposals
+        in draw order and applies the *first* one that passes the
+        acceptance test; the rest are discarded, their scores having
+        gone stale.  Temperature decays once per scored proposal, so a
+        run of ``iterations`` proposals explores the same cooling
+        schedule as the classic loop, just K at a time.
         """
         n = caps.shape[0]
         m = model.num_operators
@@ -336,49 +307,35 @@ class AnnealingPlacer(Placer):
                     target += 1
                 moves.append((j, source, target))
 
-            if self.jobs > 1:
-                from .. import parallel as _parallel
-
-                tasks = [
-                    (op_dots[:, j], node_dots[:, source],
-                     node_dots[:, target], thresholds[source],
-                     thresholds[target], violations[:, source],
-                     violations[:, target], violation_count)
-                    for j, source, target in moves
-                ]
-                counts = _parallel.parallel_map(
-                    _candidate_violation_count, tasks, jobs=self.jobs
-                )
-            else:
-                # Vectorized over the whole batch: gather the touched
-                # columns side by side and count violated samples per
-                # candidate in one pass.
-                js = np.fromiter(
-                    (mv[0] for mv in moves), dtype=np.intp, count=take
-                )
-                sources = np.fromiter(
-                    (mv[1] for mv in moves), dtype=np.intp, count=take
-                )
-                targets = np.fromiter(
-                    (mv[2] for mv in moves), dtype=np.intp, count=take
-                )
-                moved_cols = op_dots[:, js]
-                source_viols = (
-                    node_dots[:, sources] - moved_cols
-                ) > thresholds[sources]
-                target_viols = (
-                    node_dots[:, targets] + moved_cols
-                ) > thresholds[targets]
-                # Summed in the count's dtype: int8 would wrap a sample
-                # violated on 256 nodes to zero, a feasible score.
-                deltas = np.subtract(
-                    source_viols.view(np.int8), violations[:, sources],
-                    dtype=violation_count.dtype,
-                )
-                deltas += target_viols.view(np.int8)
-                deltas -= violations[:, targets]
-                deltas += violation_count[:, None]
-                counts = np.count_nonzero(deltas, axis=0)
+            # Vectorized over the whole batch: gather the touched
+            # columns side by side and count violated samples per
+            # candidate in one pass.
+            js = np.fromiter(
+                (mv[0] for mv in moves), dtype=np.intp, count=take
+            )
+            sources = np.fromiter(
+                (mv[1] for mv in moves), dtype=np.intp, count=take
+            )
+            targets = np.fromiter(
+                (mv[2] for mv in moves), dtype=np.intp, count=take
+            )
+            moved_cols = op_dots[:, js]
+            source_viols = (
+                node_dots[:, sources] - moved_cols
+            ) > thresholds[sources]
+            target_viols = (
+                node_dots[:, targets] + moved_cols
+            ) > thresholds[targets]
+            # Summed in the count's dtype: int8 would wrap a sample
+            # violated on 256 nodes to zero, a feasible score.
+            deltas = np.subtract(
+                source_viols.view(np.int8), violations[:, sources],
+                dtype=violation_count.dtype,
+            )
+            deltas += target_viols.view(np.int8)
+            deltas -= violations[:, targets]
+            deltas += violation_count[:, None]
+            counts = np.count_nonzero(deltas, axis=0)
 
             # The whole batch was scored, whether or not the walk below
             # reaches every proposal — all of it counts against the

@@ -26,8 +26,8 @@ where structure matters, and recurse.
    operators and nodes only.  Each refinement scores against the
    *cluster-wide* capacity normalization (``total_capacity`` override),
    so a group never trades global feasibility for local gain.  Groups
-   are independent subproblems; ``jobs > 1`` fans them out through
-   :func:`repro.parallel.parallel_map`.
+   are independent subproblems, refined one after another, each with
+   its own seed from :func:`derive_seed`.
 
 The result is a placement whose cost scales with
 ``num_groups * (group_size solve)`` instead of one monolithic
@@ -48,11 +48,27 @@ from ..core.load_model import LoadModel
 from ..core.plans import Placement
 from ..core.rod import rod_place
 from ..core.volume import qmc
-from .. import parallel as _parallel
 from .annealing import AnnealingPlacer
 from .base import Placer
 
-__all__ = ["HierarchicalPlacer", "RestrictedModel"]
+__all__ = ["HierarchicalPlacer", "RestrictedModel", "derive_seed"]
+
+#: Mixing constant for seed derivation (splitmix64's golden-ratio step).
+_SEED_MIX = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
+
+
+def derive_seed(base_seed: int, index: int) -> int:
+    """A per-group seed, deterministic in ``(base_seed, index)``.
+
+    Uses a splitmix64 finalizer so neighbouring indices land far apart —
+    unlike ``base_seed + index``, two groups of different runs can never
+    collide just because their bases are close.
+    """
+    z = (base_seed * _SEED_MIX + index + 1) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
 
 
 class RestrictedModel:
@@ -101,34 +117,6 @@ class RestrictedModel:
             raise KeyError(f"unknown operator: {name!r}") from None
 
 
-def _refine_group_task(
-    task: Tuple[LoadModel, Tuple[int, ...], Tuple[float, ...], float,
-                int, int, int, int, Tuple[int, ...], np.ndarray],
-) -> Tuple[int, ...]:
-    """Refine one node group (picklable pool task).
-
-    Returns the group-local node index of every group operator, in
-    ``operator_indices`` order.  ``sample_mask`` marks the samples
-    feasible *outside* this group under the warm-start assignment, so
-    the refinement maximizes the globally feasible count, not the
-    group-local one.
-    """
-    (model, operator_indices, node_capacities, total_capacity,
-     iterations, samples, score_batch, seed, initial_local,
-     sample_mask) = task
-    placer = AnnealingPlacer(
-        iterations=iterations,
-        samples=samples,
-        seed=seed,
-        score_batch=score_batch,
-        total_capacity=total_capacity,
-        initial_assignment=initial_local,
-        sample_mask=sample_mask,
-    )
-    sub = RestrictedModel(model, operator_indices)
-    return tuple(placer.place(sub, node_capacities).assignment)
-
-
 class HierarchicalPlacer(Placer):
     """Cluster-then-place-then-refine placement for large clusters."""
 
@@ -143,7 +131,6 @@ class HierarchicalPlacer(Placer):
         samples: int = 512,
         seed: Optional[int] = None,
         score_batch: int = 1,
-        jobs: int = 1,
     ) -> None:
         """``group_size`` bounds each refinement subproblem's node
         count.  ``max_clusters`` bounds the cluster-level solve's unit
@@ -153,8 +140,7 @@ class HierarchicalPlacer(Placer):
         ``max_weight_multiplier`` scales the cluster weight cap
         (multiples of the smallest group's capacity share);
         ``refine_iterations`` / ``samples`` / ``score_batch``
-        parameterize each group's annealing refinement; ``jobs > 1``
-        refines groups in parallel worker processes."""
+        parameterize each group's annealing refinement."""
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
         if max_clusters is not None and max_clusters < 1:
@@ -167,8 +153,6 @@ class HierarchicalPlacer(Placer):
             raise ValueError("samples must be >= 1")
         if score_batch < 1:
             raise ValueError("score_batch must be >= 1")
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
         self.group_size = group_size
         self.max_clusters = max_clusters
         self.max_weight_multiplier = max_weight_multiplier
@@ -176,7 +160,6 @@ class HierarchicalPlacer(Placer):
         self.samples = samples
         self.seed = seed
         self.score_batch = score_batch
-        self.jobs = jobs
 
     # ------------------------------------------------------------ phases
 
@@ -213,7 +196,6 @@ class HierarchicalPlacer(Placer):
                 samples=self.samples,
                 seed=self.seed,
                 score_batch=self.score_batch,
-                jobs=self.jobs,
             ).place(model, caps)
 
         total_capacity = float(caps.sum())
@@ -289,8 +271,6 @@ class HierarchicalPlacer(Placer):
 
         # Phase 4c: refine each group's operators on its own nodes.
         base_seed = self.seed if self.seed is not None else 0
-        tasks = []
-        task_groups: List[Tuple[int, Tuple[int, ...]]] = []
         for group_index, nodes in enumerate(groups):
             ops = group_ops[group_index]
             if len(ops) < 2 or len(nodes) < 2:
@@ -300,21 +280,18 @@ class HierarchicalPlacer(Placer):
                 # cannot move the global count, skip the search.
                 continue
             node_index = {node: local for local, node in enumerate(nodes)}
-            initial_local = tuple(node_index[assignment[j]] for j in ops)
-            tasks.append((
-                model, ops, tuple(float(caps[i]) for i in nodes),
-                total_capacity, self.refine_iterations, self.samples,
-                self.score_batch,
-                _parallel.derive_seed(base_seed, group_index),
-                initial_local, masks[group_index],
-            ))
-            task_groups.append((group_index, ops))
-        locals_per_group = _parallel.parallel_map(
-            _refine_group_task, tasks, jobs=self.jobs
-        )
-
-        for (group_index, ops), local in zip(task_groups, locals_per_group):
-            nodes = groups[group_index]
+            local = AnnealingPlacer(
+                iterations=self.refine_iterations,
+                samples=self.samples,
+                seed=derive_seed(base_seed, group_index),
+                score_batch=self.score_batch,
+                total_capacity=total_capacity,
+                initial_assignment=[node_index[assignment[j]] for j in ops],
+                sample_mask=masks[group_index],
+            ).place(
+                RestrictedModel(model, ops),
+                [float(caps[i]) for i in nodes],
+            ).assignment
             for j, local_node in zip(ops, local):
                 assignment[j] = nodes[local_node]
         return Placement(

@@ -1,12 +1,14 @@
 """Placer adapter around the ROD algorithm.
 
 Lets the experiment harness treat ROD uniformly with the baselines of
-Section 7.2.  ROD needs neither a rate point nor a rate history.
+Section 7.2.  ROD needs neither a rate point nor a rate history.  With
+an enabled tracer it emits one ``placement.step`` event per greedy
+assignment; timing the placement is the caller's
+:class:`~repro.obs.timer.PhaseTimer`'s job.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 from ..core.load_model import LoadModel
@@ -15,10 +17,10 @@ from ..core.rod import RodStep, rod_place
 from ..obs.trace import NULL_TRACER, Tracer
 from .base import Placer
 
-__all__ = ["RODPlacer", "emit_rod_steps"]
+__all__ = ["RODPlacer"]
 
 
-def emit_rod_steps(tracer: Tracer, steps: Sequence[RodStep]) -> None:
+def _emit_rod_steps(tracer: Tracer, steps: Sequence[RodStep]) -> None:
     """Emit one ``placement.step`` trace event per greedy assignment."""
     for index, step in enumerate(steps):
         tracer.emit(
@@ -55,7 +57,6 @@ class RODPlacer(Placer):
         self._validated(model, capacities)
         tracing = self.tracer.enabled
         steps: Optional[List[RodStep]] = [] if tracing else None
-        start = time.perf_counter()
         placement = rod_place(
             model,
             capacities,
@@ -64,12 +65,6 @@ class RODPlacer(Placer):
             seed=self.seed,
             steps=steps,
         )
-        if tracing and steps is not None:
-            emit_rod_steps(self.tracer, steps)
-            self.tracer.emit(
-                "phase",
-                name="placement.rod",
-                seconds=time.perf_counter() - start,
-                operators=model.num_operators,
-            )
+        if steps is not None:
+            _emit_rod_steps(self.tracer, steps)
         return placement

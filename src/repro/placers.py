@@ -31,11 +31,9 @@ PLACERS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "random": ("RandomPlacer", ("seed",)),
     "optimal": ("OptimalPlacer", ()),
     "milp": ("MilpBalancePlacer", ("tracer",)),
-    "annealing": (
-        "AnnealingPlacer", ("seed", "tracer", "score_batch", "jobs"),
-    ),
+    "annealing": ("AnnealingPlacer", ("seed", "tracer", "score_batch")),
     "hierarchical": (
-        "HierarchicalPlacer", ("group_size", "seed", "score_batch", "jobs"),
+        "HierarchicalPlacer", ("group_size", "seed", "score_batch"),
     ),
 }
 
@@ -46,7 +44,6 @@ def build_placer(
     seed: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     score_batch: int = 1,
-    jobs: int = 1,
     group_size: int = 16,
 ) -> Placer:
     """The placer ``name`` stands for, given the settings it takes; the
@@ -62,7 +59,7 @@ def build_placer(
 
     class_name, taken = PLACERS[name]
     settings: Dict[str, object] = dict(
-        seed=seed, tracer=tracer, score_batch=score_batch, jobs=jobs,
+        seed=seed, tracer=tracer, score_batch=score_batch,
         group_size=group_size,
     )
     if "rate_series" in taken:

@@ -195,6 +195,21 @@ class TestSharedSampleCache:
         assert stats["hits"] >= 1
 
 
+class _Spy:
+    """An enabled tracer that keeps what it is sent."""
+
+    enabled = True
+
+    def __init__(self):
+        self.events = []
+
+    def emit(self, event_type, **fields):
+        self.events.append((event_type, fields))
+
+    def fields(self, event_type):
+        return [f for t, f in self.events if t == event_type]
+
+
 class TestBatchedScoring:
     def test_batched_plan_is_valid_and_deterministic(self, small_tree_model,
                                                      four_nodes):
@@ -214,52 +229,34 @@ class TestBatchedScoring:
         ).place(small_tree_model, four_nodes)
         assert plan.volume_ratio(samples=2048) >= rod_volume - 1e-9
 
-    def test_jobs_do_not_change_the_batched_trajectory(self,
-                                                       small_tree_model,
-                                                       four_nodes):
-        # The pool path scores candidates through per-move bundles; it
-        # must reproduce the vectorized local scoring move for move.
-        serial = AnnealingPlacer(
-            iterations=200, samples=512, seed=7, score_batch=8, jobs=1
-        ).place(small_tree_model, four_nodes)
-        fanned = AnnealingPlacer(
-            iterations=200, samples=512, seed=7, score_batch=8, jobs=2
-        ).place(small_tree_model, four_nodes)
-        assert serial.assignment == fanned.assignment
-
     def test_count_of_256_violated_nodes_does_not_wrap(self):
         # 256 near-zero nodes each hold two operators, so every sample
         # is violated on exactly 256 nodes and most moves keep it so;
-        # an int8 sum reads that count as 0, a feasible sample, which
-        # the per-move bundles of the pool path never do.
+        # an int8 sum reads that count as 0, a feasible sample, and a
+        # traced round would score above 0.0.
         model = make_model(2, 256, seed=0)
         capacities = [1e-9] * 256 + [1.0]
-        config = dict(
+        spy = _Spy()
+        plan = AnnealingPlacer(
             iterations=16, samples=64, seed=0, score_batch=8,
             initial_assignment=[j // 2 for j in range(512)],
-        )
-        serial = AnnealingPlacer(jobs=1, **config).place(model, capacities)
-        fanned = AnnealingPlacer(jobs=2, **config).place(model, capacities)
-        assert serial.assignment == fanned.assignment
-        assert serial.volume_ratio(samples=64) == 0.0
+            tracer=spy, trace_every=1,
+        ).place(model, capacities)
+        rounds = spy.fields("placement.iteration")
+        assert len(rounds) == 2
+        assert all(f["current"] == 0.0 and f["best"] == 0.0 for f in rounds)
+        assert plan.volume_ratio(samples=64) == 0.0
 
     def test_batch_counts_against_iteration_budget(self, small_tree_model,
                                                    four_nodes):
         # A K-proposal round spends K iterations: a budget of K draws
         # exactly one round, so huge K cannot multiply the work done.
-        events = []
-
-        class Spy:
-            enabled = True
-
-            def emit(self, event_type, **fields):
-                events.append((event_type, fields))
-
+        spy = _Spy()
         AnnealingPlacer(
             iterations=64, samples=256, seed=0, score_batch=64,
-            tracer=Spy(), trace_every=1,
+            tracer=spy, trace_every=1,
         ).place(small_tree_model, four_nodes)
-        rounds = [f for t, f in events if t == "placement.iteration"]
+        rounds = spy.fields("placement.iteration")
         assert rounds, "batched search should trace its rounds"
         assert max(f["iteration"] for f in rounds) <= 64
 
@@ -298,8 +295,9 @@ class TestRefinementKnobs:
     def test_score_batch_and_jobs_validated(self):
         with pytest.raises(ValueError):
             AnnealingPlacer(score_batch=0)
-        with pytest.raises(ValueError):
-            AnnealingPlacer(jobs=0)
+        # Candidates are scored inline; there is no worker-count knob.
+        with pytest.raises(TypeError):
+            AnnealingPlacer(jobs=2)
 
     def test_total_capacity_override_scores_against_global_share(
             self, small_tree_model):

@@ -293,6 +293,71 @@ class TestExperiment:
             build_parser().parse_args([])
 
 
+_SIMULATE = ["simulate", "--graph", "{graph}", "--plan", "{plan}",
+             "--rates", "20,20"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["generate", "--inputs", "0", "-o", "{work}/g.json"], "--inputs"),
+    (["generate", "--ops-per-tree", "0", "-o", "{work}/g.json"],
+     "--ops-per-tree"),
+    (["place", "--graph", "{graph}", "--nodes", "0"], "--nodes"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--capacity", "0"],
+     "--capacity"),
+    (["place", "--graph", "{graph}", "--nodes", "4", "--hierarchical",
+      "--group-size", "0"], "--group-size"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--elastic",
+      "--elastic-ways", "1"], "--elastic-ways"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--algorithm",
+      "annealing", "--score-batch", "0"], "--score-batch"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--score-batch", "0"],
+     "--score-batch"),
+    (["evaluate", "--graph", "{graph}", "--plan", "{plan}",
+      "--axis-budget", "0"], "--axis-budget"),
+    ([*_SIMULATE, "--duration", "0"], "--duration"),
+    ([*_SIMULATE, "--step", "0"], "--step"),
+    ([*_SIMULATE, "--chaos-seed", "1", "--chaos-intensity", "-1"],
+     "--chaos-intensity"),
+    (["trace", "{work}/run.jsonl", "--width", "0"], "--width"),
+    (["experiment", "fig2", "--jobs", "-1"], "--jobs"),
+], ids=[
+    "generate-inputs", "generate-ops-per-tree", "place-nodes",
+    "place-capacity", "place-group-size", "place-elastic-ways",
+    "annealing-score-batch", "rod-score-batch", "evaluate-axis-budget",
+    "simulate-duration", "simulate-step", "simulate-chaos-intensity",
+    "trace-width", "experiment-jobs",
+])
+def test_out_of_range_numbers_are_usage_errors(
+    argv, option, tmp_path, graph_file, plan_file, capsys
+):
+    """The parser rejects a number the library would raise on (or, for
+    ``rod --score-batch 0``, silently accept) with exit 2, naming the
+    option, before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            arg.format(work=tmp_path, graph=graph_file, plan=plan_file)
+            for arg in argv
+        ])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["place", "--graph", "g.json", "--nodes", "2", "--jobs", "2"],
+    ["evaluate", "--graph", "g.json", "--plan", "p.json", "--jobs", "2"],
+], ids=["place", "evaluate"])
+def test_only_experiment_takes_jobs(argv, capsys):
+    """Placement and scoring run inline; ``--jobs`` fans out whole
+    experiment runs only."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert build_parser().parse_args(
+        ["experiment", "fig14", "--jobs", "0"]
+    ).jobs == 0
+
+
 class TestReport:
     def test_writes_selected_artifacts(self, tmp_path, capsys):
         path = str(tmp_path / "report.md")
@@ -1016,10 +1081,15 @@ class TestImpossibleTrace:
             main(["report", "run", "--root", root])
         assert "trace.jsonl" not in str(exc.value)
 
-    def test_a_bad_option_is_not_a_trace_defect(self, root):
+    def test_a_bad_option_is_not_a_trace_defect(self, root, capsys):
+        # The parser refuses the option before the trace is opened.
         trace = os.path.join(root, "run", "trace.jsonl")
-        with pytest.raises(ValueError, match="^width must be >= 1$"):
+        with pytest.raises(SystemExit) as exc:
             main(["trace", trace, "--width", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --width: must be >= 1, got 0" in err
+        assert trace not in err
 
 
 class TestRecordOnce:
@@ -1086,11 +1156,12 @@ class TestRecordOnce:
 
 
 #: Modules no start-up path may load: SciPy and NumPy, and the layers
-#: that pull them in.  ``explain`` and ``report`` may load NumPy.
+#: that pull them in.  ``explain`` and ``report`` may load NumPy; only
+#: ``experiment`` fans runs out, so only it may load the process pools.
 HEAVY_MODULES = (
     "numpy", "scipy", "repro.core", "repro.simulator.engine",
     "repro.placement", "repro.dynamics", "repro.experiments",
-    "repro.check",
+    "repro.check", "repro.parallel",
 )
 
 
@@ -1120,9 +1191,14 @@ def budget_root(tmp_path_factory):
     (["explain", "run", "--root", "{work}/runs"], ("numpy",)),
     (["report", "run", "--root", "{work}/runs", "-o", "{work}/r.html"],
      ("numpy",)),
+    # The placers run inline: no process-pool module.
+    (["place", "--graph", "{work}/graph.json", "--nodes", "2"],
+     ("numpy", "repro.core", "repro.placement")),
     # Its harness needs only NumPy and the trace generators.
-    (["experiment", "fig2"], ("numpy", "repro.experiments")),
-], ids=["help", "generate", "why", "explain", "report", "experiment-fig2"])
+    (["experiment", "fig2"],
+     ("numpy", "repro.experiments", "repro.parallel")),
+], ids=["help", "generate", "why", "explain", "report", "place",
+        "experiment-fig2"])
 def test_start_up_import_budget(budget_root, argv, allowed):
     """Each step imports only the layers it runs: in a fresh
     interpreter, ``main(argv)`` loads none of ``HEAVY_MODULES`` beyond

@@ -3,7 +3,7 @@
 Four layers: :func:`repro.check.determinism.compare_runs` unit tests on
 synthetic run directories, the harness's plan comparison with stubbed
 subprocesses, an actual two-subprocess PYTHONHASHSEED stability check
-on the simulator and the parallel placers, and the jobs-invariance
+on the simulator and the seeded placers, and the jobs-invariance
 guarantee of the fault-tolerance experiment.
 """
 
@@ -121,15 +121,15 @@ result = Simulator(
 ).run(rates=[30.0, 30.0], duration=4.0)
 sys.stdout.write(trace_digest(sink.events))
 sys.stdout.write("|%d" % result.tuples_out)
-# Placers that fan work out to worker processes (on four nodes the
-# hierarchical placer refines two node groups in parallel), on a model
-# where both plans depend on the placer seed.
+# Seeded placers (on four nodes the hierarchical placer refines two
+# node groups, each with its own derived seed), on a model where both
+# plans depend on the placer seed.
 placer_model = make_model(3, 8, seed=5)
 for placer in (
     HierarchicalPlacer(group_size=2, refine_iterations=60, samples=128,
-                       seed=3, score_batch=2, jobs=2),
+                       seed=3, score_batch=2),
     AnnealingPlacer(iterations=40, samples=128, seed=3, score_batch=2,
-                    jobs=2, start="random"),
+                    start="random"),
 ):
     assignment = placer.place(placer_model, [1.0] * 4).assignment
     sys.stdout.write("|" + ",".join(map(str, assignment)))

@@ -7,14 +7,16 @@ to the registry so a schema change cannot land without regenerating the
 docs (CI runs the same check via ``--check``).  The fault and
 simulator docs must name every fault kind the engine understands, the
 static-analysis code table must list every lint rule, every test or
-benchmark a doc cites must exist, and the CLI reference must cover
-every subcommand, option and artifact id the parser declares.
+benchmark a doc cites must exist, the CLI reference must cover
+every subcommand, option and artifact id the parser declares, and every
+``repro-rod`` command a doc shows must parse.
 """
 
 import argparse
 import ast
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 from repro.check.lint import LINT_CODES
@@ -159,6 +161,48 @@ class TestCliReference:
         assert undocumented == []
         assert sorted(_first_cells(text, "experiment")) == sorted(ARTIFACTS)
         assert _first_cells(text, "place") == list(PLACERS)
+
+
+#: A fenced block's body.
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+
+#: Shell words that end a command: what follows is another program.
+SHELL_BREAKS = {"|", ">", ">>", "&&", ";"}
+
+
+def _documented_commands():
+    """``(doc name, argv)`` for each ``repro-rod`` command that starts a
+    line of a fenced block in the README or ``docs/``, continuation
+    lines joined; an example elided with ``...`` is not a command."""
+    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        for block in FENCE.findall(doc.read_text()):
+            for line in block.replace("\\\n", " ").splitlines():
+                line = line.strip()
+                line = line[2:] if line.startswith("$ ") else line
+                if not line.startswith("repro-rod "):
+                    continue
+                words = shlex.split(line, comments=True)
+                for index, word in enumerate(words):
+                    if word in SHELL_BREAKS:
+                        words = words[:index]
+                        break
+                if "..." not in words:
+                    yield doc.name, words[1:]
+
+
+def _parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        return False
+    return True
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        commands = list(_documented_commands())
+        assert len(commands) >= 40  # the pattern still matches the docs
+        assert [c for c in commands if not _parses(c[1])] == []
 
 
 def _first_cells(text, command):

@@ -7,7 +7,6 @@ from repro import build_load_model, placement_from_mapping, rod_place
 from repro.core.clustering import ClusteredModel, Clustering, cluster_operators
 from repro.core.plans import diff_placements
 from repro.core.viz import compare_feasible_sets
-from repro.experiments import format_rows
 from repro.experiments.common import volume_ratio_runs
 from repro.graphs import Delay, QueryGraph, WindowJoin, join_graph
 from repro.graphs.partition import partition_operator
@@ -178,10 +177,6 @@ class TestExperimentPlumbing:
         )
         assert runs.shape == (4,)
         assert np.all((runs >= 0) & (runs <= 1))
-
-    def test_format_rows_custom_float_format(self):
-        text = format_rows([{"x": 0.123456}], float_format="{:.2f}")
-        assert "0.12" in text
 
 
 class TestMetricsEdges:

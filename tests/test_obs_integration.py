@@ -125,10 +125,15 @@ class TestDisabledPathUnchanged:
         steps = [e for e in sink.events if e.type == "placement.step"]
         assert len(steps) == deployment.model.num_operators
         assert [e.fields["index"] for e in steps] == list(range(len(steps)))
-        phases = {
+        # Exactly one phase event per planning phase: the placer emits
+        # no phase of its own beside the one timing it.
+        phases = [
             e.fields["name"] for e in sink.events if e.type == "phase"
-        }
-        assert "plan.place.rod" in phases
+        ]
+        assert phases == [
+            "plan.load_model", "plan.verify_model", "plan.place.rod",
+            "plan.verify_plan",
+        ]
 
     def test_probe_emits_feasibility_event(self):
         sink = MemorySink()

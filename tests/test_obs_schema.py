@@ -7,7 +7,6 @@ emissions are validated by ``tests/test_engine_golden.py``.
 
 import pytest
 
-from repro import parallel
 from repro.core.load_model import build_load_model
 from repro.core.volume import cache as volume_cache
 from repro.dynamics import FailoverController
@@ -178,7 +177,6 @@ class TestMetricSourcesConform:
                                 window_seconds=2.0),
         ]))
         volume_cache.publish_metrics(registry)
-        parallel.publish_metrics(registry)
         with PhaseTimer("unit", registry=registry):
             pass
         families = list(registry.families())

@@ -11,7 +11,6 @@ import pytest
 
 from repro import parallel
 from repro.experiments.common import make_model, volume_ratio_runs
-from repro.obs.metrics import MetricsRegistry
 
 
 def _boom(task):
@@ -45,21 +44,6 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             parallel.resolve_jobs(-1)
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert parallel.derive_seed(42, 3) == parallel.derive_seed(42, 3)
-
-    def test_distinct_across_indices_and_bases(self):
-        seeds = {parallel.derive_seed(base, index)
-                 for base in range(10) for index in range(100)}
-        assert len(seeds) == 1000
-
-    def test_neighbouring_bases_do_not_alias(self):
-        # base_seed + index collides trivially (e.g. (7, 1) vs (8, 0));
-        # the mixed derivation must not.
-        assert parallel.derive_seed(7, 1) != parallel.derive_seed(8, 0)
 
 
 class TestParallelMap:
@@ -183,13 +167,3 @@ class TestExperimentEquivalence:
             volume_ratio_runs("rod", model, capacities, repeats=4,
                               samples=256, base_seed=1, jobs=2),
         )
-
-
-class TestMetricsSnapshot:
-    def test_publish_metrics_exports_counters(self):
-        parallel.parallel_map(str, range(3), jobs=1)
-        registry = MetricsRegistry()
-        parallel.publish_metrics(registry)
-        rendered = registry.render_prometheus()
-        assert 'repro_parallel_tasks{mode="inline"}' in rendered
-        assert "repro_parallel_pools" in rendered

@@ -187,22 +187,6 @@ class TestFeasibleFraction:
                 np.ones((1, 2)), lower_bound=np.array([0.1])
             )
 
-    def test_parallel_jobs_identical(self):
-        rng = np.random.default_rng(3)
-        w = rng.uniform(0.5, 3.0, size=(5, 4))
-        sequential = qmc.feasible_fraction(w, samples=4096, jobs=1)
-        split = qmc.feasible_fraction(w, samples=4096, jobs=4)
-        assert sequential == split  # exact, not approx
-
-    def test_parallel_jobs_identical_with_lower_bound(self):
-        w = np.array([[1.5, 1.0], [0.8, 2.0]])
-        bound = np.array([0.1, 0.05])
-        assert qmc.feasible_fraction(
-            w, samples=2048, lower_bound=bound, jobs=3
-        ) == qmc.feasible_fraction(
-            w, samples=2048, lower_bound=bound, jobs=1
-        )
-
 
 class TestStreamingFraction:
     def test_converges_to_batch_estimate(self):

@@ -82,15 +82,6 @@ class TestSparseDenseBitIdentity:
             representation="dense"
         )
 
-    def test_jobs_split_identical_for_sparse(self):
-        rng = np.random.default_rng(11)
-        w = random_sparse_weights(rng, 48, 16)
-        single = qmc.feasible_fraction(w, samples=2048,
-                                       representation="sparse")
-        split = qmc.feasible_fraction(w, samples=2048,
-                                      representation="sparse", jobs=3)
-        assert split == single
-
     def test_guard_band_sample_rescored_densely(self):
         # One node exactly on the threshold at a known sample: the
         # sparse path must flag it and return the dense decision.
