@@ -62,10 +62,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from typing import (
-    TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Union,
+    TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union,
 )
 
 # Only the light observability core is imported here.  Each command
@@ -300,7 +301,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .simulator.engine import Simulator
 
     placement = _load_placement(args.graph, args.plan, args.nodes)
-    rates = [float(r) for r in args.rates.split(",")]
+    rates = args.rates
+    inputs = placement.model.graph.num_inputs
+    if len(rates) != inputs:
+        raise SystemExit(f"--rates: got {len(rates)} rates for a graph "
+                         f"with {inputs} inputs")
     faults = _faults_from_args(args, placement, args.duration)
     controller = None
     if args.failover and getattr(args, "elastic", False):
@@ -782,23 +787,43 @@ def _failover_policy(value: str) -> str:
 
 
 def _bounded(
-    kind: Callable[[str], float], low: float, strict: bool = False
+    kind: Callable[[str], float], low: float, strict: bool = False,
+    high: Optional[float] = None,
 ) -> Callable[[str], float]:
     """An argparse ``type``: ``kind(text)``, turned into a usage error
-    (exit 2, naming the option) unless it is at least ``low``, or above
-    it when ``strict``.  The library keeps its own checks for callers
-    that do not come through the parser."""
+    (exit 2, naming the option) unless it is finite, at least ``low``
+    (above it when ``strict``) and at most ``high``, if given.  The
+    library keeps its own checks for callers that do not come through
+    the parser."""
 
     def parse(text: str) -> float:
         value = kind(text)
+        if not -math.inf < value < math.inf:  # NaN too; any int passes
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {high}, got {text}"
             )
         return value
 
     parse.__name__ = kind.__name__  # "invalid int value: 'x'"
     return parse
+
+
+def _rates(text: str) -> List[float]:
+    """An argparse ``type`` for ``--rates``: comma-separated tuples per
+    second, each a finite number >= 0."""
+    rate = _bounded(float, 0)
+    try:
+        return [rate(entry) for entry in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -879,7 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
              "until the feasible-volume ratio clears the target",
     )
     place.add_argument(
-        "--elastic-target-ratio", type=float, default=0.5, metavar="R",
+        "--elastic-target-ratio", type=_bounded(float, 0, strict=True, high=1),
+        default=0.5, metavar="R",
         help="stop splitting once the ratio reaches R (default 0.5)",
     )
     place.add_argument(
@@ -920,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--graph", required=True)
     sim.add_argument("--plan", required=True)
     sim.add_argument("--nodes", type=int, default=None)
-    sim.add_argument("--rates", required=True,
+    sim.add_argument("--rates", type=_rates, required=True,
                      help="comma-separated tuples/second per input")
     sim.add_argument("--duration", type=_bounded(float, 0, strict=True),
                      default=20.0)

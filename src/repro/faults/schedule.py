@@ -32,6 +32,7 @@ makes chaos runs bit-identical across repeats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -311,10 +312,10 @@ def chaos_schedule(
     """
     if num_nodes < 1:
         raise ValueError("need at least one node")
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
-    if intensity <= 0:
-        raise ValueError("intensity must be > 0")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be finite and > 0")
+    if not 0 < intensity < math.inf:
+        raise ValueError("intensity must be finite and > 0")
     rng = np.random.default_rng(seed)
     events: List[FaultEvent] = []
 

@@ -13,11 +13,16 @@ per-node queue whose service order is set by a scheduling policy
 utilization and backlog plus end-to-end tuple latency at every sink,
 which is everything Section 7's prototype experiments measure.
 
-:meth:`Simulator.run` pops ``(time, priority, sequence, handler,
-payload)`` heap entries and calls ``handler(time, payload)``: a per-run
-``_Run`` holds the state and one handler per event kind (arrival, batch
-served, stall finished, fault injected or reverted, drift detected,
-control poll).  Same-instant entries run by priority, then push order.
+:meth:`Simulator.run` takes ``(time, priority, sequence, handler,
+payload)`` entries in key order and calls ``handler(time, payload)``: a
+per-run ``_Run`` holds the state and one handler per event kind
+(arrival, batch served, stall finished, fault injected or reverted,
+drift detected, control poll).  Same-instant entries run by priority,
+then sequence.  Entries known when the run is built (source arrivals,
+control polls, faults and their reverts, rate-drift detections) wait in
+one list, sorted once; the heap holds only what handlers push
+(completions, stall ends, derived arrivals).  Taking the lesser of the
+two heads at each step pops what one heap holding both would.
 The loop keeps its numbers builtin — live capacities, per-node work,
 last-free times and the flat work timeline are lists of floats — and
 builds float64 arrays only where it hands them out: to controllers, to
@@ -112,6 +117,10 @@ _WINDOWED = ("node.degrade", "operator.slowdown")
 #: QMC sample count for the per-poll feasible-volume drift signal —
 #: small on purpose: it runs once per control period, not per batch.
 _DRIFT_VOLUME_SAMPLES = 128
+
+
+#: An event: ``(time, priority, sequence, handler, payload)``.
+_Entry = Tuple[float, int, int, Callable[[float, Any], None], Any]
 
 
 class _Batch(NamedTuple):
@@ -214,14 +223,27 @@ class Simulator:
 
         ``rate_series`` has shape ``(steps, num_inputs)``, one row per
         ``step_seconds``.  Alternatively pass constant ``rates`` plus a
-        ``duration`` in seconds.  Arrivals stop at the horizon; processing
-        continues until every queued tuple drains, so latency of
-        backlogged tuples is fully observed.
+        finite ``duration`` in seconds.  Arrivals stop at the horizon;
+        processing continues until every queued tuple drains, so latency
+        of backlogged tuples is fully observed.
+
+        The loop drains two event sources in one ``(time, priority,
+        sequence)`` order: ``run.scheduled``, the events known up front,
+        sorted with the next one last, and the ``run.events`` heap of
+        what handlers create.  Each step takes whichever key is least,
+        so handlers run exactly as they would from one heap.
         """
         run = _Run(self, self._resolve_series(rate_series, rates, duration))
-        events = run.events
+        scheduled, events = run.scheduled, run.events
+        heappop = heapq.heappop
+        while scheduled:
+            if events and events[0] < scheduled[-1]:
+                time, _, _, handler, payload = heappop(events)
+            else:
+                time, _, _, handler, payload = scheduled.pop()
+            handler(time, payload)
         while events:
-            time, _, _, handler, payload = heapq.heappop(events)
+            time, _, _, handler, payload = heappop(events)
             handler(time, payload)
         return run.result()
 
@@ -241,8 +263,8 @@ class Simulator:
                 raise ValueError(
                     "pass rate_series, or both rates and duration"
                 )
-            if duration <= 0:
-                raise ValueError("duration must be > 0")
+            if not 0 < duration < math.inf:
+                raise ValueError("duration must be finite and > 0")
             r = np.asarray(rates, dtype=float)
             if r.shape != (d,):
                 raise ValueError(f"expected {d} rates, got shape {r.shape}")
@@ -268,7 +290,8 @@ class Simulator:
 
 class _Run:
     """One run's state and one handler per event kind.  Building it
-    pushes the scheduled events; the handlers push the rest."""
+    sorts the events known up front into ``scheduled``, the next one
+    last; the handlers push the rest onto the ``events`` heap."""
 
     def __init__(self, sim: Simulator, series: np.ndarray) -> None:
         self.graph = graph = sim.graph
@@ -366,7 +389,8 @@ class _Run:
         }
 
         self.sequence = itertools.count()
-        self.events: List[Tuple[float, int, int, Callable, object]] = []
+        self.scheduled: List[_Entry] = []
+        self.events: List[_Entry] = []
 
         # Control polls.
         self.last_work = np.zeros(n)
@@ -375,15 +399,15 @@ class _Run:
             self.period = period = float(controller.period)
             t = period
             while t < self.horizon + period:
-                self.push(t, _CONTROL, self.on_control, None)
+                self.schedule(t, _CONTROL, self.on_control, None)
                 t += period
 
         # Fault events, plus revert markers for windowed faults.
         if sim.faults is not None:
             for fault in sim.faults:
-                self.push(fault.time, _FAULT, self.on_fault, fault)
+                self.schedule(fault.time, _FAULT, self.on_fault, fault)
                 if fault.duration is not None and fault.kind in _WINDOWED:
-                    self.push(
+                    self.schedule(
                         fault.time + fault.duration, _FAULT,
                         self.on_fault_reverted, fault,
                     )
@@ -398,7 +422,7 @@ class _Run:
             for detection in self.drift_monitor.scan_rate_series(
                 series, self.step
             ):
-                self.push(detection.t, _FAULT, self.on_drift, detection)
+                self.schedule(detection.t, _FAULT, self.on_drift, detection)
 
         # Source arrivals.
         for k, input_name in enumerate(graph.input_names):
@@ -412,14 +436,24 @@ class _Run:
             for start, count in process.steps():
                 self.tuples_in += count
                 for consumer, port in routes:
-                    self.push(start, _ARRIVAL, self.on_arrival, _Batch(
+                    self.schedule(start, _ARRIVAL, self.on_arrival, _Batch(
                         birth=start, arrival=start, operator=consumer,
                         port=port, count=count,
                         span=next(self.span_ids) if tracing else -1,
                     ))
+        self.scheduled.sort(reverse=True)
+
+    def schedule(self, time: float, priority: int,
+                 handler: Callable[[float, Any], None],
+                 payload: object) -> None:
+        """Add an event known before the run starts."""
+        self.scheduled.append(
+            (time, priority, next(self.sequence), handler, payload)
+        )
 
     def push(self, time: float, priority: int,
              handler: Callable[[float, Any], None], payload: object) -> None:
+        """Queue an event a handler created."""
         entry = (time, priority, next(self.sequence), handler, payload)
         heapq.heappush(self.events, entry)
 

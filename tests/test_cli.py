@@ -101,21 +101,16 @@ class TestSimulate:
             "--rates", "100000,100000", "--duration", "3", "--check",
         ]) == 1
 
-    @pytest.mark.parametrize("flags", [
-        ["--rates", "nan,20"],
-        ["--rates", "20,20", "--step", "inf"],
-    ], ids=["rates", "step"])
-    def test_non_finite_input_fails_before_any_verdict(
-        self, graph_file, plan_file, capsys, flags
+    def test_rate_count_must_match_the_graph(
+        self, graph_file, plan_file, capsys
     ):
-        with pytest.raises(ValueError, match="must be finite"):
-            main([
-                "simulate", "--graph", graph_file, "--plan", plan_file,
-                "--duration", "3", "--check", *flags,
-            ])
-        out = capsys.readouterr().out
-        assert "duration=" not in out
-        assert "feasible at this rate point" not in out
+        """A rate list that does not fit the graph exits 1 before the
+        run, naming both counts."""
+        with pytest.raises(SystemExit,
+                           match="got 3 rates for a graph with 2 inputs"):
+            main(["simulate", "--graph", graph_file, "--plan", plan_file,
+                  "--rates", "60,1,1"])
+        assert capsys.readouterr().out == ""
 
 
 class TestSimulateFaults:
@@ -293,8 +288,8 @@ class TestExperiment:
             build_parser().parse_args([])
 
 
-_SIMULATE = ["simulate", "--graph", "{graph}", "--plan", "{plan}",
-             "--rates", "20,20"]
+_SIMULATE_AT = ["simulate", "--graph", "{graph}", "--plan", "{plan}"]
+_SIMULATE = [*_SIMULATE_AT, "--rates", "20,20"]
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -306,33 +301,51 @@ _SIMULATE = ["simulate", "--graph", "{graph}", "--plan", "{plan}",
      "--capacity"),
     (["place", "--graph", "{graph}", "--nodes", "4", "--hierarchical",
       "--group-size", "0"], "--group-size"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--capacity", "inf"],
+     "--capacity"),
     (["place", "--graph", "{graph}", "--nodes", "2", "--elastic",
       "--elastic-ways", "1"], "--elastic-ways"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--elastic",
+      "--elastic-target-ratio", "-1"], "--elastic-target-ratio"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--elastic",
+      "--elastic-target-ratio", "1.5"], "--elastic-target-ratio"),
     (["place", "--graph", "{graph}", "--nodes", "2", "--algorithm",
       "annealing", "--score-batch", "0"], "--score-batch"),
     (["place", "--graph", "{graph}", "--nodes", "2", "--score-batch", "0"],
      "--score-batch"),
     (["evaluate", "--graph", "{graph}", "--plan", "{plan}",
       "--axis-budget", "0"], "--axis-budget"),
+    ([*_SIMULATE_AT, "--rates", "60,-5"], "--rates"),
+    ([*_SIMULATE_AT, "--rates", "60,abc"], "--rates"),
+    ([*_SIMULATE_AT, "--rates", "nan,1"], "--rates"),
     ([*_SIMULATE, "--duration", "0"], "--duration"),
+    ([*_SIMULATE, "--duration", "inf"], "--duration"),
     ([*_SIMULATE, "--step", "0"], "--step"),
+    ([*_SIMULATE, "--step", "inf"], "--step"),
     ([*_SIMULATE, "--chaos-seed", "1", "--chaos-intensity", "-1"],
+     "--chaos-intensity"),
+    ([*_SIMULATE, "--chaos-seed", "1", "--chaos-intensity", "inf"],
      "--chaos-intensity"),
     (["trace", "{work}/run.jsonl", "--width", "0"], "--width"),
     (["experiment", "fig2", "--jobs", "-1"], "--jobs"),
 ], ids=[
     "generate-inputs", "generate-ops-per-tree", "place-nodes",
-    "place-capacity", "place-group-size", "place-elastic-ways",
+    "place-capacity", "place-group-size", "place-capacity-inf",
+    "place-elastic-ways", "place-elastic-target-ratio-negative",
+    "place-elastic-target-ratio-above-one",
     "annealing-score-batch", "rod-score-batch", "evaluate-axis-budget",
-    "simulate-duration", "simulate-step", "simulate-chaos-intensity",
-    "trace-width", "experiment-jobs",
+    "simulate-rates-negative", "simulate-rates-not-a-number",
+    "simulate-rates-nan", "simulate-duration", "simulate-duration-inf",
+    "simulate-step", "simulate-step-inf", "simulate-chaos-intensity",
+    "simulate-chaos-intensity-inf", "trace-width", "experiment-jobs",
 ])
 def test_out_of_range_numbers_are_usage_errors(
     argv, option, tmp_path, graph_file, plan_file, capsys
 ):
     """The parser rejects a number the library would raise on (or, for
-    ``rod --score-batch 0``, silently accept) with exit 2, naming the
-    option, before any command runs."""
+    ``rod --score-batch 0``, silently accept), NaN and infinities
+    included, with exit 2, naming the option, before any command
+    runs."""
     with pytest.raises(SystemExit) as exc:
         main([
             arg.format(work=tmp_path, graph=graph_file, plan=plan_file)

@@ -1,13 +1,26 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import heapq
+import types
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import build_load_model, placement_from_mapping
-from repro.faults import FaultEvent, FaultSchedule
+from repro.core.load_model import partition_load_model
+from repro.core.rod import rod_place
+from repro.dynamics import LoadBalancingController
+from repro.experiments.common import make_model
+from repro.faults import FaultEvent, FaultSchedule, chaos_schedule
 from repro.graphs import Delay, Filter, Map, QueryGraph, WindowJoin
-from repro.obs.trace import MemorySink, Tracer
+from repro.graphs.generator import monitoring_graph
+from repro.obs.trace import MemorySink, Tracer, trace_digest
 from repro.simulator import Simulator
+from repro.simulator import engine
+from repro.workload.scenarios import steady_trace_series
+from tests.test_engine_golden import NEUTRALITY_CONTROLLERS, fingerprint
 
 
 def single_op_plan(cost=0.01, selectivity=1.0, capacity=1.0):
@@ -220,6 +233,11 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="step_seconds"):
             Simulator(single_op_plan(), step_seconds=0.0)
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+    def test_duration_finite(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            Simulator(single_op_plan()).run(rates=[1.0], duration=duration)
+
     @pytest.mark.parametrize("step", [float("inf"), float("nan")])
     def test_step_seconds_finite(self, step):
         with pytest.raises(ValueError, match="step_seconds must be finite"):
@@ -357,3 +375,111 @@ class TestControllersSeeLiveCapacities:
         )
         assert [now for hook, now, _ in controller.seen
                 if hook == "decide"] == [float(t) for t in range(1, 9)]
+
+
+class TestEventSources:
+    """The loop takes each event from one of two sources: the events
+    known when the run is built, sorted once, and a heap of what the
+    handlers create.  It must run them in exactly the order one heap
+    holding both would."""
+
+    @staticmethod
+    def single_heap_run(sim, series):
+        """The reference loop: every scheduled entry heapified into the
+        heap the handlers push onto, popped until it is empty."""
+        state = engine._Run(sim, sim._resolve_series(series, None, None))
+        events = state.events
+        events.extend(state.scheduled)
+        state.scheduled.clear()
+        heapq.heapify(events)
+        while events:
+            time, _, _, handler, payload = heapq.heappop(events)
+            handler(time, payload)
+        return state.result()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 2**16 - 1),
+        chaos_seed=st.none() | st.integers(0, 2**16 - 1),
+        controller=st.sampled_from(sorted(NEUTRALITY_CONTROLLERS)),
+        tracing=st.booleans(),
+    )
+    @example(graph_seed=1, chaos_seed=7, controller="failover", tracing=True)
+    def test_merged_loop_equals_single_heap_loop(
+        self, graph_seed, chaos_seed, controller, tracing
+    ):
+        model = build_load_model(monitoring_graph(2, seed=graph_seed))
+        if controller == "elastic":
+            model = partition_load_model(
+                model, "normalize0", 2, fractions=(0.8, 0.2)
+            )
+        names = model.graph.operator_names
+        placement = placement_from_mapping(
+            model, [1.0, 1.0, 1.0],
+            {name: k % 3 for k, name in enumerate(names)},
+        )
+        faults = None if chaos_seed is None else chaos_schedule(
+            3, horizon=6.0, seed=chaos_seed, operator_names=names,
+        )
+        series = np.full((60, 2), 200.0)
+        series[20:40, 0] *= 4.0
+
+        def run(loop):
+            sink = MemorySink()
+            sim = Simulator(
+                placement, step_seconds=0.1, faults=faults,
+                controller=NEUTRALITY_CONTROLLERS[controller](),
+                tracer=Tracer(sink) if tracing else None,
+            )
+            return fingerprint(loop(sim)), trace_digest(sink.events)
+
+        merged = run(lambda sim: sim.run(rate_series=series))
+        assert merged == run(lambda sim: self.single_heap_run(sim, series))
+
+    def test_heap_holds_only_in_flight_work(self, monkeypatch):
+        """On the benchmark's ``steady`` shape the heap never holds more
+        than one completion per node plus the deliveries of same-instant
+        completions; the up-front arrivals never enter it."""
+        longest = 0
+
+        def heappush(heap, entry):
+            nonlocal longest
+            heapq.heappush(heap, entry)
+            longest = max(longest, len(heap))
+
+        monkeypatch.setattr(engine, "heapq", types.SimpleNamespace(
+            heappush=heappush, heappop=heapq.heappop,
+        ))
+        model = make_model(4, 12, seed=5)
+        capacities = [1.0] * 8
+        series = steady_trace_series(model, capacities, 300, 0.7, seed=3)
+        Simulator(
+            rod_place(model, capacities), step_seconds=0.1
+        ).run(rate_series=series)
+        graph = model.graph
+        fan_out = max(
+            len(graph.consumers_of(stream.name))
+            for stream in graph.streams()
+        )
+        assert 0 < longest <= len(capacities) * (1 + fan_out)
+
+    def test_same_instant_events_run_by_priority(self):
+        """At t = 1.0 a fault, a control poll and a source arrival (all
+        scheduled) meet a completion (on the heap): fault, then
+        control, then completion, then arrival."""
+        plan = single_op_plan(cost=0.5)  # one tuple per step, 0.5 s each
+        faults = FaultSchedule([FaultEvent(
+            time=1.0, kind="operator.slowdown", operator="op",
+            factor=2.0, duration=1.0,
+        )])
+        sink = MemorySink()
+        Simulator(
+            plan, step_seconds=0.5, faults=faults, tracer=Tracer(sink),
+            controller=LoadBalancingController(period=1.0),
+        ).run(rates=[2.0], duration=2.0)
+        kinds = ("fault.injected", "decision.evaluated", "batch.serviced",
+                 "batch.enqueued")
+        assert [
+            event.type for event in sink.events
+            if event.t == 1.0 and event.type in kinds
+        ] == list(kinds)

@@ -180,6 +180,13 @@ class TestChaosSchedule:
         with pytest.raises(ValueError):
             chaos_schedule(2, horizon=10.0, seed=1, intensity=0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_horizon_and_intensity_rejected(self, value):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            chaos_schedule(2, horizon=value, seed=1)
+        with pytest.raises(ValueError, match="intensity must be finite"):
+            chaos_schedule(2, horizon=10.0, seed=1, intensity=value)
+
     @staticmethod
     def _max_simultaneous_down(schedule):
         """Walk crash/recover events in time order; peak downed count."""
