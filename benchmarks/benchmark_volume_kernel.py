@@ -1,7 +1,7 @@
 """pytest-benchmark suite for the fast volume kernel.
 
 Covers the four hot paths the perf work targets: raw Halton generation,
-the memoized sample-point cache's hit path, the streaming feasibility
+the memoized sample-point cache's hit path, the feasible-fraction
 estimate, and an annealing placement with incremental scoring.
 
 Run standalone::
@@ -13,7 +13,7 @@ Scale tiers (cumulative, see ``conftest.py``): ``--tier mid`` adds the
 hierarchical-vs-flat placement race at 384 operators / 96 nodes, which
 asserts the scale path's headline numbers — hierarchical+batched at
 least 4x faster than flat annealing with final volume within 5%.
-``--tier large`` adds the 1000-node / 64-stream runs. Refresh the full
+``--tier large`` adds the 1000-node / 64-stream run. Refresh the full
 baseline with ``--tier large``.
 
 CI compares the fresh JSON against the committed baseline
@@ -29,12 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.volume import (
-    SparseWeights,
-    cache,
-    qmc,
-    sparse_feasible_mask,
-)
+from repro.core.volume import cache, qmc
 from repro.experiments.common import make_model
 from repro.placement import AnnealingPlacer, HierarchicalPlacer
 
@@ -157,20 +152,3 @@ def test_large_thousand_node_hierarchical(benchmark, require_tier):
                               rounds=3, iterations=1)
     assert len(plan.assignment) == model.num_operators
     assert len(set(plan.assignment)) == 1000
-
-
-def test_large_sparse_feasible_mask(benchmark, require_tier):
-    """Sparse structure-aware scoring of a 1000-node, 64-axis weight
-    matrix: per-node cost scales with active columns, not dimension."""
-    require_tier("large")
-    rng = np.random.default_rng(17)
-    weights = np.zeros((1000, 64))
-    for i in range(1000):
-        active = rng.choice(64, size=6, replace=False)
-        weights[i, active] = rng.uniform(0.2, 3.0, size=6)
-    sparse = SparseWeights(weights)
-    points = qmc.sample_unit_simplex(4096, 64, method="halton")
-
-    mask, _ = benchmark(sparse_feasible_mask, sparse, points)
-    dense = np.all(points @ weights.T <= 1.0 + 1e-12, axis=1)
-    assert np.array_equal(mask, dense)

@@ -181,18 +181,9 @@ class FeasibleSet:
         samples: int = 4096,
         method: str = "halton",
         seed: Optional[int] = None,
-        target_se: Optional[float] = None,
-        representation: str = "auto",
     ) -> float:
-        """QMC estimate of ``V(F) / V(F*)`` (in ``[0, 1]``).
-
-        ``target_se`` enables early termination once the streaming
-        standard-error estimate reaches the target (``samples`` caps the
-        budget; see :func:`repro.core.volume.qmc.feasible_fraction`).
-        ``representation`` selects the dense or sparse scoring kernel —
-        a speed/memory knob only; the returned ratio is identical either
-        way.
-        """
+        """QMC estimate of ``V(F) / V(F*)`` (in ``[0, 1]``); see
+        :func:`repro.core.volume.qmc.feasible_fraction`."""
         bound = (
             None if self.lower_bound is None else self.normalized_lower_bound()
         )
@@ -202,8 +193,6 @@ class FeasibleSet:
             method=method,
             seed=seed,
             lower_bound=bound,
-            target_se=target_se,
-            representation=representation,
         )
 
     def volume_ratio_axis_sampled(
@@ -211,8 +200,6 @@ class FeasibleSet:
         samples: int = 4096,
         axis_budget: int = 16,
         seed: int = 0,
-        batch: int = 512,
-        representation: str = "auto",
     ) -> "tuple[float, float]":
         """Opt-in high-d estimate of ``V(F) / V(F*)``: ``(ratio, se)``.
 
@@ -231,9 +218,7 @@ class FeasibleSet:
             samples=samples,
             axis_budget=axis_budget,
             seed=seed,
-            batch=batch,
             lower_bound=bound,
-            representation=representation,
         )
 
     def volume(

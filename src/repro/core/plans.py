@@ -153,16 +153,9 @@ class Placement:
         self,
         samples: int = 4096,
         seed: Optional[int] = None,
-        target_se: Optional[float] = None,
     ) -> float:
-        """QMC feasible-set size relative to the ideal set.
-
-        ``target_se`` passes through to :meth:`FeasibleSet.volume_ratio`
-        (early termination once the standard error reaches it).
-        """
-        return self.feasible_set().volume_ratio(
-            samples=samples, seed=seed, target_se=target_se
-        )
+        """QMC feasible-set size relative to the ideal set."""
+        return self.feasible_set().volume_ratio(samples=samples, seed=seed)
 
     # -------------------------------------------------------- serialization
 

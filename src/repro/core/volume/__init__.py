@@ -9,10 +9,8 @@ from .qmc import (
     halton,
     sample_unit_simplex,
     simplex_from_cube,
-    stream_feasible_fraction,
     van_der_corput,
 )
-from .sparse import GUARD_BAND, SparseWeights, sparse_feasible_mask
 from .polytope import (
     feasible_volume,
     polytope_vertices,
@@ -21,8 +19,6 @@ from .polytope import (
 )
 
 __all__ = [
-    "GUARD_BAND",
-    "SparseWeights",
     "axis_sampled_fraction",
     "binding_axis_order",
     "cache_stats",
@@ -37,7 +33,5 @@ __all__ = [
     "simplex_from_cube",
     "simplex_points",
     "simplex_volume",
-    "sparse_feasible_mask",
-    "stream_feasible_fraction",
     "van_der_corput",
 ]

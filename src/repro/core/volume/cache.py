@@ -2,15 +2,17 @@
 
 Every consumer of low-discrepancy points — :meth:`FeasibleSet.volume_ratio`,
 the annealing and exhaustive placers, the experiment harnesses — asks for
-the same kind of stream: ``(dimension, method, seed, skip)`` identifies
-it, ``count`` says how much of it.  Generating Halton points is the
-single most repeated computation in the reproduction, so this module
-keeps one generation per stream and hands out **read-only prefix views**:
+the same kind of stream: ``(dimension, method, seed)`` identifies it,
+``count`` says how much of it.  Halton points do not depend on the seed,
+so every Halton stream is keyed with ``seed=None``.  Generating Halton
+points is the single most repeated computation in the reproduction, so
+this module keeps one generation per stream and hands out **read-only
+prefix views**:
 
 * A request that fits inside an existing generation is a *hit* and costs
   one dictionary lookup plus a slice.
 * A request that extends a Halton generation reuses the cached prefix and
-  generates only the missing tail (streams are ``skip``-resumable, so the
+  generates only the missing tail (Halton streams are resumable, so the
   extension is bit-identical to a one-shot generation).
 * Cached arrays have ``writeable=False``: a caller that tries to mutate
   shared points fails loudly instead of silently poisoning every later
@@ -47,7 +49,7 @@ __all__ = [
 #: Streams kept resident before least-recently-used eviction kicks in.
 MAX_ENTRIES = 64
 
-_Key = Tuple[int, str, Optional[int], int]
+_Key = Tuple[int, str, Optional[int]]
 
 _LOCK = threading.Lock()
 _ENTRIES: "OrderedDict[_Key, np.ndarray]" = OrderedDict()
@@ -55,7 +57,8 @@ _STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _generate(
-    count: int, dimension: int, method: str, seed: Optional[int], skip: int
+    count: int, dimension: int, method: str, seed: Optional[int],
+    skip: int = 0,
 ) -> np.ndarray:
     from . import qmc
 
@@ -74,26 +77,24 @@ def simplex_points(
     dimension: int,
     method: str = "halton",
     seed: Optional[int] = None,
-    skip: int = 0,
 ) -> np.ndarray:
     """``count`` unit-simplex points of the given stream, memoized.
 
     Returns a read-only ``(count, dimension)`` view; identical requests
-    (and shorter prefixes of earlier ones) share storage.
+    (and shorter prefixes of earlier ones) share storage; Halton
+    requests that differ only in ``seed`` are identical.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    if skip < 0:
-        raise ValueError("skip must be >= 0")
     if method not in ("halton", "random"):
         raise ValueError(f"unknown sampling method: {method!r}")
     if method == "random" and seed is None:
         # Non-reproducible stream: nothing to share.
-        return _freeze(_generate(count, dimension, method, seed, skip))
+        return _freeze(_generate(count, dimension, method, seed))
 
-    key: _Key = (dimension, method, seed, skip)
+    key: _Key = (dimension, method, None if method == "halton" else seed)
     with _LOCK:
         cached = _ENTRIES.get(key)
         if cached is not None and cached.shape[0] >= count:
@@ -106,11 +107,10 @@ def simplex_points(
             # Pseudo-random growth replays the stream from its seed (the
             # prefix property makes the result consistent with any views
             # handed out from the smaller generation).
-            points = _generate(count, dimension, method, seed, skip)
+            points = _generate(count, dimension, method, seed)
         else:
             have = cached.shape[0]
-            tail = _generate(count - have, dimension, method, seed,
-                             skip + have)
+            tail = _generate(count - have, dimension, method, seed, have)
             points = np.concatenate([cached, tail], axis=0)
         _freeze(points)
         _ENTRIES[key] = points

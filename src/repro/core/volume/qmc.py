@@ -24,23 +24,20 @@ Performance notes (this module is the repro's inner loop):
   the scalar recurrence, so results are bit-identical to it.
 * :func:`sample_unit_simplex` serves points from the process-wide
   memoized cache in :mod:`repro.core.volume.cache`; every consumer of a
-  ``(count, dimension, method, seed, skip)`` stream shares one
-  generation.  Returned arrays are **read-only** views.
+  ``(dimension, method, seed)`` stream shares one generation.  Returned
+  arrays are **read-only** views.
 * Point ``skip + i`` of a stream equals point ``i`` of the same stream
   generated with ``skip`` more points skipped — streams are resumable,
-  which is what lets :func:`feasible_fraction` split its sample budget
-  across batches (``target_se``) and still return exactly the one-pass
-  answer.
+  which is what lets the cache grow a Halton stream by generating only
+  its missing tail.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .sparse import SparseWeights, sparse_feasible_mask
 
 __all__ = [
     "first_primes",
@@ -49,16 +46,12 @@ __all__ = [
     "simplex_from_cube",
     "sample_unit_simplex",
     "feasible_fraction",
-    "stream_feasible_fraction",
     "axis_sampled_fraction",
     "binding_axis_order",
 ]
 
-#: ``representation="auto"`` switches to the sparse kernel only when the
-#: cluster is large and the weight matrix mostly structural zeros —
-#: below that, building index lists costs more than it saves.
-_SPARSE_AUTO_MIN_NODES = 32
-_SPARSE_AUTO_MAX_DENSITY = 0.25
+#: Points per replicate block of :func:`axis_sampled_fraction`.
+_AXIS_BLOCK = 512
 
 # Seed prime table (enough for 32-dimensional rate spaces without
 # sieving); ``first_primes`` extends it on demand for higher dimensions.
@@ -179,7 +172,6 @@ def sample_unit_simplex(
     dimension: int,
     method: str = "halton",
     seed: Optional[int] = None,
-    skip: int = 0,
 ) -> np.ndarray:
     """Uniform points in the unit simplex, QMC (default) or pseudo-random.
 
@@ -189,15 +181,14 @@ def sample_unit_simplex(
     every experiment harness — share a single generation.  The returned
     array is **read-only**; callers that need to write must copy.
     Unseeded pseudo-random requests bypass the cache (they are
-    non-reproducible by construction) but are read-only too.
+    non-reproducible by construction) but are read-only too.  Halton
+    points do not depend on ``seed``.
     """
     # Imported here, not at module top: the cache generates through this
     # module's functions, so a top-level import would be circular.
     from . import cache as _cache
 
-    return _cache.simplex_points(
-        count, dimension, method=method, seed=seed, skip=skip
-    )
+    return _cache.simplex_points(count, dimension, method=method, seed=seed)
 
 
 def _prepare_weights(weights: np.ndarray) -> np.ndarray:
@@ -221,89 +212,17 @@ def _prepare_bound(
     return b, 1.0 - float(b.sum())
 
 
-def _resolve_sparse(
-    w: np.ndarray, representation: str
-) -> Optional[SparseWeights]:
-    """The :class:`SparseWeights` to score with, or ``None`` for dense."""
-    if representation == "dense":
-        return None
-    if representation not in ("sparse", "auto"):
-        raise ValueError(f"unknown representation: {representation!r}")
-    sparse = SparseWeights(w)
-    if representation == "sparse":
-        return sparse
-    if (
-        w.shape[0] >= _SPARSE_AUTO_MIN_NODES
-        and sparse.density <= _SPARSE_AUTO_MAX_DENSITY
-    ):
-        return sparse
-    return None
-
-
 def _feasible_count(
     w: np.ndarray,
     points: np.ndarray,
     bound: Optional[np.ndarray],
     scale: float,
-    sparse: Optional[SparseWeights] = None,
 ) -> int:
-    """Number of (optionally bound-shifted) points with ``W x <= 1``.
-
-    With ``sparse`` given, scoring runs through the per-node
-    active-column kernel; decisions (and therefore the count) equal the
-    dense expression's — see :mod:`repro.core.volume.sparse`.
-    """
+    """Number of (optionally bound-shifted) points with ``W x <= 1``."""
     if bound is not None:
         points = bound + scale * points
-    if sparse is not None:
-        feasible, _rescored = sparse_feasible_mask(sparse, points)
-    else:
-        feasible = np.all(points @ w.T <= 1.0 + 1e-12, axis=1)
+    feasible = np.all(points @ w.T <= 1.0 + 1e-12, axis=1)
     return int(np.count_nonzero(feasible))
-
-
-def stream_feasible_fraction(
-    weights: np.ndarray,
-    batch: int = 1024,
-    max_samples: int = 1 << 20,
-    method: str = "halton",
-    seed: Optional[int] = None,
-    lower_bound: Optional[Sequence[float]] = None,
-    representation: str = "auto",
-) -> Iterator[Tuple[int, float, float]]:
-    """Streaming ``V(F)/V(F*)`` estimate: yields ``(n, fraction, se)``.
-
-    Draws the point stream in ``batch``-size chunks (resumed via
-    ``skip``, so ``n`` samples seen streaming equal the first ``n`` of a
-    one-shot run) and yields the running sample count, feasible
-    fraction, and a binomial standard-error estimate after every chunk.
-    The SE uses a Laplace-smoothed ``p̂ = (c+1)/(n+2)`` so an all-(in)feasible
-    first batch does not report certainty; it is a heuristic — Halton
-    points are not i.i.d., and QMC error typically decays faster than
-    the binomial rate, making the estimate conservative.
-    """
-    w = _prepare_weights(weights)
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    if max_samples < 1:
-        raise ValueError("need at least one sample")
-    bound, scale = _prepare_bound(lower_bound, w.shape[1])
-    if bound is not None and scale <= 0.0:
-        yield 0, 0.0, 0.0
-        return
-    sparse = _resolve_sparse(w, representation)
-    seen = 0
-    count = 0
-    while seen < max_samples:
-        take = min(batch, max_samples - seen)
-        points = sample_unit_simplex(
-            take, w.shape[1], method=method, seed=seed, skip=seen
-        )
-        count += _feasible_count(w, points, bound, scale, sparse=sparse)
-        seen += take
-        smoothed = (count + 1.0) / (seen + 2.0)
-        se = math.sqrt(smoothed * (1.0 - smoothed) / seen)
-        yield seen, count / seen, se
 
 
 def feasible_fraction(
@@ -312,9 +231,6 @@ def feasible_fraction(
     method: str = "halton",
     seed: Optional[int] = None,
     lower_bound: Optional[Sequence[float]] = None,
-    target_se: Optional[float] = None,
-    batch: int = 1024,
-    representation: str = "auto",
 ) -> float:
     """Estimate ``V(F(A)) / V(F*)`` for a weight matrix ``W``.
 
@@ -324,18 +240,6 @@ def feasible_fraction(
     fraction is relative to that restricted ideal region (the workload-set
     restriction of Section 6.1).  Returns 0.0 when the lower bound itself
     lies on or outside the ideal hyperplane.
-
-    With ``target_se`` set, the estimate streams the points in
-    ``batch``-size chunks and stops early once the running standard
-    error (see :func:`stream_feasible_fraction`) drops to the target;
-    ``samples`` caps the budget.
-
-    ``representation`` picks the scoring kernel: ``"dense"`` (the
-    reference ``points @ W.T``), ``"sparse"`` (per-node active-column
-    dots, see :mod:`repro.core.volume.sparse`), or ``"auto"`` (sparse
-    only for large, mostly-zero matrices).  All three return identical
-    fractions — sparse scoring guard-bands boundary samples back through
-    the dense expression — so the choice is purely a speed/memory knob.
     """
     w = _prepare_weights(weights)
     if samples < 1:
@@ -343,22 +247,8 @@ def feasible_fraction(
     bound, scale = _prepare_bound(lower_bound, w.shape[1])
     if bound is not None and scale <= 0.0:
         return 0.0
-
-    if target_se is not None:
-        fraction = 0.0
-        for seen, fraction, se in stream_feasible_fraction(
-            w, batch=batch, max_samples=samples, method=method,
-            seed=seed, lower_bound=lower_bound,
-            representation=representation,
-        ):
-            if se <= target_se:
-                break
-        return fraction
-
     points = sample_unit_simplex(samples, w.shape[1], method=method, seed=seed)
-    return _feasible_count(
-        w, points, bound, scale, sparse=_resolve_sparse(w, representation)
-    ) / samples
+    return _feasible_count(w, points, bound, scale) / samples
 
 
 def binding_axis_order(weights: np.ndarray) -> np.ndarray:
@@ -382,9 +272,7 @@ def axis_sampled_fraction(
     samples: int = 4096,
     axis_budget: int = 16,
     seed: int = 0,
-    batch: int = 512,
     lower_bound: Optional[Sequence[float]] = None,
-    representation: str = "auto",
 ) -> Tuple[float, float]:
     """High-d volume ratio via importance-weighted axis-sampled QMC.
 
@@ -399,10 +287,10 @@ def axis_sampled_fraction(
     changes is *which* axes enjoy QMC's accelerated convergence.
 
     Returns ``(fraction, se)``.  The standard error comes from treating
-    each ``batch``-size block as one replicate and taking the spread of
-    the per-block fractions — an honest empirical error bar, unlike the
-    binomial heuristic of :func:`stream_feasible_fraction`, because the
-    pseudo-random axes re-randomize every block.
+    each 512-point block as one replicate and taking the spread of the
+    per-block fractions — an honest empirical error bar, because the
+    pseudo-random axes re-randomize every block.  With a single block it
+    falls back to a Laplace-smoothed binomial estimate.
 
     This estimator is **opt-in** (nothing routes through it by default):
     its point stream differs from :func:`feasible_fraction`'s, so it is
@@ -414,8 +302,6 @@ def axis_sampled_fraction(
         raise ValueError("need at least one sample")
     if axis_budget < 1:
         raise ValueError("axis_budget must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
     dimension = w.shape[1]
     bound, scale = _prepare_bound(lower_bound, dimension)
     if bound is not None and scale <= 0.0:
@@ -424,17 +310,16 @@ def axis_sampled_fraction(
     order = binding_axis_order(w)
     qmc_axes = order[:axis_budget]
     rng = np.random.default_rng(seed)
-    sparse = _resolve_sparse(w, representation)
 
     seen = 0
     count = 0
     block_fractions: List[float] = []
     while seen < samples:
-        take = min(batch, samples - seen)
+        take = min(_AXIS_BLOCK, samples - seen)
         cube = rng.random((take, dimension))
         cube[:, qmc_axes] = halton(take, axis_budget, skip=seen)
         points = simplex_from_cube(cube)
-        block = _feasible_count(w, points, bound, scale, sparse=sparse)
+        block = _feasible_count(w, points, bound, scale)
         count += block
         block_fractions.append(block / take)
         seen += take

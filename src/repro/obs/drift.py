@@ -139,30 +139,17 @@ class PageHinkley:
 
 
 class DriftMonitor:
-    """Named Page–Hinkley detectors over the run's drift signals."""
+    """Named Page–Hinkley detectors over the run's drift signals, each
+    a :class:`PageHinkley` with its default settings."""
 
-    def __init__(
-        self,
-        delta: float = 0.05,
-        threshold: float = 0.5,
-        alpha: float = 0.3,
-        min_samples: int = 4,
-    ) -> None:
-        self.delta = delta
-        self.threshold = threshold
-        self.alpha = alpha
-        self.min_samples = min_samples
+    def __init__(self) -> None:
         self._detectors: Dict[str, PageHinkley] = {}
         self.detections: List[DriftDetection] = []
 
     def _detector(self, key: str) -> PageHinkley:
         detector = self._detectors.get(key)
         if detector is None:
-            detector = PageHinkley(
-                delta=self.delta, threshold=self.threshold,
-                alpha=self.alpha, min_samples=self.min_samples,
-            )
-            self._detectors[key] = detector
+            detector = self._detectors[key] = PageHinkley()
         return detector
 
     def observe(

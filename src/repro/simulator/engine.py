@@ -451,22 +451,16 @@ class _Run:
             (time, priority, next(self.sequence), handler, payload)
         )
 
-    def push(self, time: float, priority: int,
-             handler: Callable[[float, Any], None], payload: object) -> None:
-        """Queue an event a handler created."""
-        entry = (time, priority, next(self.sequence), handler, payload)
-        heapq.heappush(self.events, entry)
-
     def start_service(self, node: int, now: float) -> None:
         """Begin serving the next queue entry on an idle node."""
         entry = self.queues[node].pop()
         self.busy[node] = True
         if isinstance(entry, Stall):
             work = entry.duration * self.capacities[node]
-            self.push(
-                now + entry.duration, _COMPLETION, self.on_stall_finished,
-                (node, work, now, entry.decision),
-            )
+            heapq.heappush(self.events, (
+                now + entry.duration, _COMPLETION, next(self.sequence),
+                self.on_stall_finished, (node, work, now, entry.decision),
+            ))
             return
         batch: _Batch = entry
         work, out_count = self.runtimes[batch.operator].process(
@@ -494,11 +488,11 @@ class _Run:
                 send_work += recv
                 deliveries.append((consumer, port, recv))
         total_work = work + send_work
-        self.push(
+        heapq.heappush(self.events, (
             now + total_work / self.capacities[node], _COMPLETION,
-            self.on_batch_served,
+            next(self.sequence), self.on_batch_served,
             (node, batch, out_count, tuple(deliveries), total_work, now),
-        )
+        ))
 
     def wake(self, node: int, now: float) -> None:
         """Start serving on ``node`` if it is idle, up and has work."""
@@ -580,9 +574,11 @@ class _Run:
             if self.tracing:
                 span = next(self.span_ids)
                 self.parents[span] = batch.span
-            self.push(now, _ARRIVAL, self.on_arrival, _Batch(
-                birth=batch.birth, arrival=now, operator=consumer,
-                port=port, count=out_count, extra_work=recv, span=span,
+            heapq.heappush(self.events, (
+                now, _ARRIVAL, next(self.sequence), self.on_arrival,
+                _Batch(birth=batch.birth, arrival=now, operator=consumer,
+                       port=port, count=out_count, extra_work=recv,
+                       span=span),
             ))
         if sink_stream is not None:
             self.tuples_out += out_count

@@ -7,9 +7,10 @@ to the registry so a schema change cannot land without regenerating the
 docs (CI runs the same check via ``--check``).  The fault and
 simulator docs must name every fault kind the engine understands, the
 static-analysis code table must list every lint rule, every test or
-benchmark a doc cites must exist, the CLI reference must cover
-every subcommand, option and artifact id the parser declares, and every
-``repro-rod`` command a doc shows must parse.
+benchmark and every dotted ``repro.`` name a doc cites must exist, the
+CLI reference must cover every subcommand, option and artifact id the
+parser declares, and every ``repro-rod`` command a doc shows must
+parse.
 """
 
 import argparse
@@ -49,6 +50,30 @@ def _resolves(citation: str) -> bool:
             return False
         scope = found[0].body
     return True
+
+
+#: An inline code span, and a dotted ``repro.`` name inside one; a
+#: trailing ``*`` marks a glob such as ``repro.check.verify_*``.
+CODE_SPAN = re.compile(r"`[^`\n]+`")
+REPRO_NAME = re.compile(r"(?<![\w.-])repro(?:\.\w+)+\*?")
+
+
+def _imports(dotted: str) -> bool:
+    """Whether the longest importable prefix of ``dotted`` has each
+    remaining part as an attribute, in turn."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for part in parts[cut:]:
+                found = getattr(found, part)
+        except AttributeError:
+            return False
+        return True
+    return False
 
 
 def _load_generator():
@@ -127,6 +152,19 @@ class TestDocCitations:
         ]
         assert len(citations) > 100  # the pattern still matches the docs
         assert [c for c in citations if not _resolves(c[1])] == []
+
+    def test_every_cited_repro_name_resolves(self):
+        docs = [ROOT / "README.md", ROOT / "DESIGN.md",
+                ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md"))]
+        citations = [
+            (doc.name, name)
+            for doc in docs
+            for span in CODE_SPAN.findall(doc.read_text())
+            for name in REPRO_NAME.findall(span)
+            if not name.endswith("*")
+        ]
+        assert len(citations) > 100  # the pattern still matches the docs
+        assert [c for c in citations if not _imports(c[1])] == []
 
 
 def _parsers(parser):

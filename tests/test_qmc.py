@@ -1,11 +1,20 @@
 """Unit tests for Quasi-Monte-Carlo volume estimation."""
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.core.volume import qmc
+from repro.core.feasible_set import FeasibleSet
+from repro.core.volume import axis_sampled_fraction, binding_axis_order, qmc
+
+
+def random_sparse_weights(rng, n, d, density=0.15):
+    """A weight matrix shaped like a large-cluster plan: few active
+    columns per node, magnitudes straddling the feasibility threshold."""
+    w = np.zeros((n, d))
+    for i in range(n):
+        active = rng.choice(d, size=max(1, int(density * d)), replace=False)
+        w[i, active] = rng.uniform(0.2, 3.0, size=active.size)
+    return w
 
 
 class TestVanDerCorput:
@@ -188,54 +197,58 @@ class TestFeasibleFraction:
             )
 
 
-class TestStreamingFraction:
-    def test_converges_to_batch_estimate(self):
-        rng = np.random.default_rng(11)
-        w = rng.uniform(0.5, 2.5, size=(3, 3))
-        final = None
-        for n, frac, se in qmc.stream_feasible_fraction(
-            w, batch=512, max_samples=4096
-        ):
-            final = (n, frac, se)
-        assert final is not None
-        n, frac, se = final
-        assert n == 4096
-        assert frac == qmc.feasible_fraction(w, samples=4096)
-        assert se > 0
+class TestBindingAxisOrder:
+    def test_orders_by_worst_column_weight(self):
+        w = np.array([[0.1, 3.0, 0.5], [0.2, 0.1, 0.4]])
+        assert list(binding_axis_order(w)) == [1, 2, 0]
 
-    def test_standard_error_shrinks(self):
-        w = 1.5 * np.ones((2, 2))
-        ses = [
-            se
-            for _, _, se in qmc.stream_feasible_fraction(
-                w, batch=256, max_samples=4096
-            )
-        ]
-        assert ses[-1] < ses[0]
+    def test_ties_stay_stable(self):
+        w = np.array([[0.5, 0.5, 0.5]])
+        assert list(binding_axis_order(w)) == [0, 1, 2]
 
-    def test_target_se_terminates_early(self):
+
+class TestAxisSampledFraction:
+    def test_matches_reference_within_error_bars(self):
+        # Moderate dimension: the reference full-Halton estimate is
+        # trustworthy, so the axis-sampled one must agree within a few
+        # standard errors.
+        rng = np.random.default_rng(3)
+        w = random_sparse_weights(rng, 32, 12, density=0.3)
+        reference = qmc.feasible_fraction(w, samples=8192)
+        ratio, se = axis_sampled_fraction(w, samples=8192, axis_budget=6,
+                                          seed=0)
+        assert se > 0.0
+        assert abs(ratio - reference) <= max(5.0 * se, 0.02)
+
+    def test_deterministic_for_seed(self):
         rng = np.random.default_rng(5)
-        w = rng.uniform(0.5, 2.5, size=(3, 3))
-        # A loose target stops well short of the full budget...
-        loose = qmc.feasible_fraction(
-            w, samples=1 << 16, target_se=0.05, batch=256
-        )
-        # ...and the early value matches a direct estimate at the
-        # point where the stream would have stopped.
-        stopped_at = None
-        for n, frac, se in qmc.stream_feasible_fraction(
-            w, batch=256, max_samples=1 << 16
-        ):
-            if se <= 0.05:
-                stopped_at = (n, frac)
-                break
-        assert stopped_at is not None
-        assert loose == stopped_at[1]
+        w = random_sparse_weights(rng, 32, 12)
+        a = axis_sampled_fraction(w, samples=2048, axis_budget=4, seed=9)
+        b = axis_sampled_fraction(w, samples=2048, axis_budget=4, seed=9)
+        assert a == b
 
-    def test_target_se_caps_at_budget(self):
-        w = 1.5 * np.ones((2, 2))
-        # Unreachable target: runs to the sample cap, matching the
-        # plain estimate exactly.
-        assert qmc.feasible_fraction(
-            w, samples=2048, target_se=1e-9, batch=512
-        ) == qmc.feasible_fraction(w, samples=2048)
+    def test_different_seed_changes_filler_axes(self):
+        rng = np.random.default_rng(5)
+        w = random_sparse_weights(rng, 32, 24, density=0.1)
+        a, _ = axis_sampled_fraction(w, samples=1024, axis_budget=4, seed=1)
+        b, _ = axis_sampled_fraction(w, samples=1024, axis_budget=4, seed=2)
+        # Not required to differ mathematically, but identical values on
+        # both seeds would mean the seed is ignored; allow equality only
+        # when the estimate is saturated.
+        assert a != b or a in (0.0, 1.0)
+
+    def test_axis_budget_at_least_dimension_is_full_halton(self):
+        rng = np.random.default_rng(8)
+        w = random_sparse_weights(rng, 16, 6, density=0.4)
+        ratio, _ = axis_sampled_fraction(w, samples=2048, axis_budget=6,
+                                         seed=0)
+        assert 0.0 <= ratio <= 1.0
+
+    def test_feasible_set_surface(self):
+        rng = np.random.default_rng(13)
+        ln = rng.uniform(0.0, 1.0, size=(24, 10))
+        ln[rng.random(ln.shape) < 0.7] = 0.0
+        fs = FeasibleSet(ln, np.ones(24))
+        ratio, se = fs.volume_ratio_axis_sampled(samples=2048, axis_budget=4)
+        assert 0.0 <= ratio <= 1.0
+        assert se >= 0.0

@@ -42,10 +42,18 @@ class TestHitsAndMisses:
         cache.simplex_points(64, 3)
         cache.simplex_points(64, 4)
         cache.simplex_points(64, 3, method="random", seed=1)
-        cache.simplex_points(64, 3, skip=10)
         stats = cache.cache_stats()
-        assert stats["misses"] == 4
-        assert stats["entries"] == 4
+        assert stats["misses"] == 3
+        assert stats["entries"] == 3
+
+    def test_halton_streams_ignore_the_seed(self):
+        # Halton points do not depend on the seed: two requests that
+        # differ only in it share one generation.
+        first = cache.simplex_points(64, 3, seed=1)
+        second = cache.simplex_points(64, 3, seed=2)
+        stats = cache.cache_stats()
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+        assert np.shares_memory(first, second)
 
 
 class TestCorrectness:
@@ -124,8 +132,6 @@ class TestValidationAndMetrics:
             cache.simplex_points(-1, 2)
         with pytest.raises(ValueError):
             cache.simplex_points(8, 0)
-        with pytest.raises(ValueError):
-            cache.simplex_points(8, 2, skip=-1)
         with pytest.raises(ValueError, match="method"):
             cache.simplex_points(8, 2, method="sobol")
 
