@@ -27,14 +27,14 @@ LLF, and correlation balancing; variants are ``no_fault``, ``crash``
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.load_model import LoadModel
 from ..core.plans import Placement
 from ..core.rod import rod_place
 from ..dynamics import FailoverController, residual_volume_ratio
 from ..faults import FaultEvent, FaultSchedule
-from ..obs import MemorySink, TraceEvent, Tracer
+from ..obs import MemorySink, Tracer
 from ..obs.index import RunIndex
 from ..parallel import parallel_map
 from ..placement.correlation import CorrelationPlacer
@@ -76,7 +76,7 @@ def _final_assignment(
 
 
 def _recovery_latency(
-    events: Sequence[TraceEvent], displaced: Sequence[str]
+    events: Sequence[Mapping[str, Any]], displaced: Sequence[str]
 ) -> Optional[float]:
     """Seconds from the crash to a displaced operator's next batch,
     measured from the latest crash at or before that batch (faults

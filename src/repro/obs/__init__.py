@@ -76,7 +76,6 @@ from .trace import (
     NullSink,
     NULL_SINK,
     NULL_TRACER,
-    TraceEvent,
     TraceFormatError,
     TraceSink,
     Tracer,
@@ -106,7 +105,6 @@ __all__ = [
     "Run",
     "RunManifest",
     "RunWriter",
-    "TraceEvent",
     "TraceFormatError",
     "TraceSink",
     "Tracer",

@@ -22,10 +22,15 @@ one-off calls keep working on plain lists.  Sums that depend on order
 still add in trace order, so every analyzer reconciles bit for bit
 with the engine's result.
 
+An event is a trace record (:mod:`repro.obs.trace`): a plain ``dict``
+holding ``type`` and ``t`` (and usually ``wall``), whose other keys are
+its fields, which the views read by key.
+
 A trace no run can have written raises
 :class:`~repro.obs.trace.TraceFormatError` naming the culprit: a span
-opened twice, closed twice or closed without an open, or an event on a
-node the ``sim.start`` header does not declare.
+opened twice, closed twice or closed without an open, an event on a
+node the ``sim.start`` header does not declare, or a field a view reads
+that is missing or holds no number.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from typing import Union
 
-from .trace import TraceEvent, TraceFormatError
+from .trace import _RESERVED_KEYS, TraceFormatError
 
 __all__ = [
     "DecisionView",
@@ -142,12 +147,46 @@ class MigrationExplanation:
     pause_served: float = 0.0         # stall seconds attributed via trace
 
 
-def _clock(event: TraceEvent) -> float:
-    return 0.0 if event.t is None else float(event.t)
+def _clock(event: Mapping[str, Any]) -> float:
+    return 0.0 if event["t"] is None else float(event["t"])
 
 
 def _opt(kind: Any, value: Any) -> Any:
     return None if value is None else kind(value)
+
+
+#: What reading an event's field can raise: it is missing, or it holds
+#: no number.  Each view catches these around its whole loop.
+_UNREADABLE = (KeyError, TypeError, ValueError, OverflowError)
+
+#: The numeric fields the views read, and how they convert them.
+_NUMBERS: Dict[str, Any] = {
+    **dict.fromkeys(("nodes", "node", "span", "parent", "port", "count",
+                     "out", "decision", "actions", "source", "target"), int),
+    **dict.fromkeys(("step_seconds", "horizon", "work", "start", "birth",
+                     "latency", "pause", "factor", "duration"), float),
+}
+
+
+def _unreadable(event: Mapping[str, Any], exc: Exception) -> ValueError:
+    """The error for a view that could not read ``event``: it names the
+    missing field, or else the first numeric field holding no number.
+    A :class:`TraceFormatError` the view raised itself passes through."""
+    if isinstance(exc, TraceFormatError):
+        return exc
+    where = f"{event.get('type')} at t={event.get('t')}"
+    if isinstance(exc, KeyError):
+        return TraceFormatError(f"{where} has no {exc.args[0]!r} field")
+    for name, value in event.items():
+        kind = _NUMBERS.get(name)
+        if kind is not None:
+            try:
+                kind(value)
+            except _UNREADABLE:
+                return TraceFormatError(
+                    f"{where} has a {name!r} that is not a number: {value!r}"
+                )
+    return TraceFormatError(f"{where} has a field that cannot be read: {exc}")
 
 
 class RunIndex:
@@ -160,16 +199,16 @@ class RunIndex:
 
     def __init__(
         self,
-        events: Sequence[TraceEvent],
+        events: Sequence[Mapping[str, Any]],
         meta: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.events = events
-        queue: List[TraceEvent] = []
-        transitions: List[TraceEvent] = []
-        control: List[TraceEvent] = []
+        queue: List[Mapping[str, Any]] = []
+        transitions: List[Mapping[str, Any]] = []
+        control: List[Mapping[str, Any]] = []
         serviced = busy = 0  # tallied here, so type_counts needs no walk
         for event in events:
-            kind = event.type
+            kind = event["type"]
             if kind == "batch.serviced":
                 queue.append(event)
                 serviced += 1
@@ -192,9 +231,9 @@ class RunIndex:
         if meta is not None:
             self.meta = dict(meta)
 
-    def _of_type(self, *kinds: str) -> List[TraceEvent]:
+    def _of_type(self, *kinds: str) -> List[Mapping[str, Any]]:
         """The control events of the given types, in trace order."""
-        return [event for event in self._control if event.type in kinds]
+        return [event for event in self._control if event["type"] in kinds]
 
     # ------------------------------------------------------------ geometry
 
@@ -207,26 +246,29 @@ class RunIndex:
         the header; the fallback, which walks the events a second time,
         lets hand-built event lists render too.
         """
-        for event in self._of_type("sim.start"):
-            f: Any = event.fields
-            nodes = int(f.get("nodes", 1))
-            capacities = [float(c) for c in f.get("capacities", ())]
-            # A short or missing list would mis-scale every node past it.
-            capacities.extend([1.0] * (nodes - len(capacities)))
-            return {
-                "nodes": nodes,
-                "step_seconds": float(f.get("step_seconds", 0.1)),
-                "horizon": float(f.get("horizon", 0.0)),
-                "capacities": capacities,
-            }
-        nodes = 0
-        last_t = 0.0
-        for event in self.events:
-            node: Any = event.fields.get("node")
-            if node is not None:
-                nodes = max(nodes, int(node) + 1)
-            if event.t is not None:
-                last_t = max(last_t, float(event.t))
+        try:
+            for event in self._of_type("sim.start"):
+                nodes = int(event.get("nodes", 1))
+                capacities = [float(c) for c in event.get("capacities", ())]
+                # A short or missing list would mis-scale every node
+                # past it.
+                capacities.extend([1.0] * (nodes - len(capacities)))
+                return {
+                    "nodes": nodes,
+                    "step_seconds": float(event.get("step_seconds", 0.1)),
+                    "horizon": float(event.get("horizon", 0.0)),
+                    "capacities": capacities,
+                }
+            nodes = 0
+            last_t = 0.0
+            for event in self.events:
+                node = event.get("node")
+                if node is not None:
+                    nodes = max(nodes, int(node) + 1)
+                if event["t"] is not None:
+                    last_t = max(last_t, float(event["t"]))
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         nodes = max(nodes, 1)
         return {
             "nodes": nodes,
@@ -239,20 +281,22 @@ class RunIndex:
     def _nodes(self) -> int:
         return int(self.meta["nodes"])
 
-    def _node(self, event: TraceEvent) -> int:
-        """The event's ``node``, checked against the run geometry."""
-        node = int(event.fields["node"])  # type: ignore[call-overload]
+    def _node(self, event: Mapping[str, Any]) -> int:
+        """The event's ``node``, checked against the run geometry (the
+        caller's loop turns a missing or non-numeric one into a
+        :class:`TraceFormatError`)."""
+        node = int(event["node"])
         if not 0 <= node < self._nodes:
             raise TraceFormatError(
-                f"{event.type} at t={event.t} names node {node}, but the "
-                f"trace declares {self._nodes} node(s)"
+                f"{event['type']} at t={event['t']} names node {node}, "
+                f"but the trace declares {self._nodes} node(s)"
             )
         return node
 
     @cached_property
     def type_counts(self) -> Dict[str, int]:
         """Events per type: the pass's tallies plus the control events."""
-        counts = Counter(event.type for event in self._control)
+        counts = Counter(event["type"] for event in self._control)
         counts["batch.serviced"] = self._serviced
         counts["batch.enqueued"] = (
             len(self._queue) - self._serviced - counts["node.stall"]
@@ -270,20 +314,24 @@ class RunIndex:
         count, out)`` per batch service and ``(t, node, work, None, 0,
         0)`` per migration stall."""
         served = []
-        for event in self._queue:
-            kind = event.type
-            if kind == "batch.enqueued":
-                continue
-            f: Any = event.fields
-            work = float(f.get("work", 0.0))
-            if kind == "node.stall":
-                served.append((event.t, self._node(event), work, None, 0, 0))
-            else:
-                served.append((
-                    event.t, self._node(event), work,
-                    str(f.get("operator", "?")), int(f.get("count", 0)),
-                    int(f.get("out", 0)),
-                ))
+        try:
+            for event in self._queue:
+                kind = event["type"]
+                if kind == "batch.enqueued":
+                    continue
+                work = float(event.get("work", 0.0))
+                if kind == "node.stall":
+                    served.append(
+                        (event["t"], self._node(event), work, None, 0, 0)
+                    )
+                else:
+                    served.append((
+                        event["t"], self._node(event), work,
+                        str(event.get("operator", "?")),
+                        int(event.get("count", 0)), int(event.get("out", 0)),
+                    ))
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return served
 
     @cached_property
@@ -291,18 +339,20 @@ class RunIndex:
         """``(t, latency, out, sink)`` per sink completion, in trace
         order: the samples the engine recorded, in the order it did."""
         samples = []
-        for event in self._queue:
-            if event.type != "batch.serviced":
-                continue
-            f: Any = event.fields
-            sink = f.get("sink")
-            if sink is None:
-                continue
-            samples.append((
-                None if event.t is None else float(event.t),
-                float(f.get("latency", 0.0)), int(f.get("out", 0)),
-                str(sink),
-            ))
+        try:
+            for event in self._queue:
+                if event["type"] != "batch.serviced":
+                    continue
+                sink = event.get("sink")
+                if sink is None:
+                    continue
+                samples.append((
+                    None if event["t"] is None else float(event["t"]),
+                    float(event.get("latency", 0.0)),
+                    int(event.get("out", 0)), str(sink),
+                ))
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return samples
 
     @cached_property
@@ -312,27 +362,33 @@ class RunIndex:
         enqueued = [0] * self._nodes
         outstanding = [0] * self._nodes
         peak = [0] * self._nodes
-        for event in self._queue:
-            kind = event.type
-            if kind == "node.stall":
-                continue
-            node = self._node(event)
-            if kind == "batch.enqueued":
-                enqueued[node] += 1
-                outstanding[node] += 1
-                if outstanding[node] > peak[node]:
-                    peak[node] = outstanding[node]
-            elif outstanding[node]:
-                outstanding[node] -= 1
+        try:
+            for event in self._queue:
+                kind = event["type"]
+                if kind == "node.stall":
+                    continue
+                node = self._node(event)
+                if kind == "batch.enqueued":
+                    enqueued[node] += 1
+                    outstanding[node] += 1
+                    if outstanding[node] > peak[node]:
+                        peak[node] = outstanding[node]
+                elif outstanding[node]:
+                    outstanding[node] -= 1
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return list(zip(enqueued, peak))
 
     @cached_property
     def idle_transitions(self) -> List[int]:
         """Per node: busy -> idle transitions."""
         counts = [0] * self._nodes
-        for event in self._transitions:
-            if event.type == "node.idle":
-                counts[self._node(event)] += 1
+        try:
+            for event in self._transitions:
+                if event["type"] == "node.idle":
+                    counts[self._node(event)] += 1
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return counts
 
     @cached_property
@@ -346,42 +402,48 @@ class RunIndex:
         violations) are left to :func:`repro.obs.spans.validate_span_dag`.
         """
         spans: Dict[int, SpanRecord] = {}
-        for event in self._queue:
-            f: Any = event.fields
-            if "span" not in f:
-                continue
-            span_id = int(f["span"])
-            if event.type == "batch.enqueued":
-                if span_id in spans:
-                    raise TraceFormatError(f"span {span_id} opened twice")
-                parent = f.get("parent")
-                spans[span_id] = SpanRecord(
-                    span=span_id,
-                    operator=str(f["operator"]),
-                    port=int(f["port"]),
-                    count=int(f["count"]),
-                    birth=float(f["birth"]),
-                    open_t=0.0 if event.t is None else float(event.t),
-                    parent=None if parent is None else int(parent),
-                )
-            elif event.type == "batch.serviced":
-                record = spans.get(span_id)
-                if record is None:
-                    raise TraceFormatError(
-                        f"span {span_id} closed without an open"
+        try:
+            for event in self._queue:
+                if "span" not in event:
+                    continue
+                span_id = int(event["span"])
+                kind = event["type"]
+                t = event["t"]
+                if kind == "batch.enqueued":
+                    if span_id in spans:
+                        raise TraceFormatError(f"span {span_id} opened twice")
+                    parent = event.get("parent")
+                    spans[span_id] = SpanRecord(
+                        span=span_id,
+                        operator=str(event["operator"]),
+                        port=int(event["port"]),
+                        count=int(event["count"]),
+                        birth=float(event["birth"]),
+                        open_t=0.0 if t is None else float(t),
+                        parent=None if parent is None else int(parent),
                     )
-                if record.closed:
-                    raise TraceFormatError(f"span {span_id} closed twice")
-                record.closed = True
-                record.node = int(f["node"])
-                record.start = float(f["start"])
-                record.end = 0.0 if event.t is None else float(event.t)
-                record.work = float(f["work"])
-                record.out = int(f["out"])
-                sink = f.get("sink")
-                record.sink = None if sink is None else str(sink)
-                latency = f.get("latency")
-                record.latency = None if latency is None else float(latency)
+                elif kind == "batch.serviced":
+                    record = spans.get(span_id)
+                    if record is None:
+                        raise TraceFormatError(
+                            f"span {span_id} closed without an open"
+                        )
+                    if record.closed:
+                        raise TraceFormatError(f"span {span_id} closed twice")
+                    record.closed = True
+                    record.node = int(event["node"])
+                    record.start = float(event["start"])
+                    record.end = 0.0 if t is None else float(t)
+                    record.work = float(event["work"])
+                    record.out = int(event["out"])
+                    sink = event.get("sink")
+                    record.sink = None if sink is None else str(sink)
+                    latency = event.get("latency")
+                    record.latency = (
+                        None if latency is None else float(latency)
+                    )
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return dict(sorted(spans.items()))
 
     # --------------------------------------------------------- control side
@@ -391,30 +453,34 @@ class RunIndex:
         """Per node, the ``[start, end]`` windows of served migration
         stalls (stalls of a trace without interval bounds are left out)."""
         intervals: Dict[int, List[Interval]] = {}
-        for event in self._of_type("node.stall"):
-            f: Any = event.fields
-            if f.get("start") is None or event.t is None:
-                continue
-            intervals.setdefault(int(f["node"]), []).append(
-                (float(f["start"]), float(event.t))
-            )
+        try:
+            for event in self._of_type("node.stall"):
+                if event.get("start") is None or event["t"] is None:
+                    continue
+                intervals.setdefault(int(event["node"]), []).append(
+                    (float(event["start"]), float(event["t"]))
+                )
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return intervals
 
     @cached_property
     def faults(self) -> List[FaultRecord]:
         """Injected and reverted faults, in trace order."""
         faults = []
-        for event in self._of_type("fault.injected", "fault.reverted"):
-            f: Any = event.fields
-            faults.append(FaultRecord(
-                t=_clock(event),
-                kind=str(f.get("kind", "?")),
-                node=_opt(int, f.get("node")),
-                operator=_opt(str, f.get("operator")),
-                factor=_opt(float, f.get("factor")),
-                duration=_opt(float, f.get("duration")),
-                reverted=event.type == "fault.reverted",
-            ))
+        try:
+            for event in self._of_type("fault.injected", "fault.reverted"):
+                faults.append(FaultRecord(
+                    t=_clock(event),
+                    kind=str(event.get("kind", "?")),
+                    node=_opt(int, event.get("node")),
+                    operator=_opt(str, event.get("operator")),
+                    factor=_opt(float, event.get("factor")),
+                    duration=_opt(float, event.get("duration")),
+                    reverted=event["type"] == "fault.reverted",
+                ))
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return faults
 
     @cached_property
@@ -442,22 +508,24 @@ class RunIndex:
     def decisions(self) -> List[DecisionView]:
         """Every controller deliberation, in trace order."""
         views = []
-        for event in self._of_type("decision.evaluated"):
-            f: Any = event.fields
-            views.append(DecisionView(
-                decision=int(f["decision"]),
-                t=_clock(event),
-                trigger=str(f["trigger"]),
-                controller=str(f["controller"]),
-                reason=str(f["reason"]),
-                actions=int(f["actions"]),
-                loads=list(f.get("loads", ())),
-                candidates=list(f.get("candidates", ())),
-                node=f.get("node"),
-                volume_before=f.get("volume_before"),
-                volume_after=f.get("volume_after"),
-                burn_rate=f.get("burn_rate"),
-            ))
+        try:
+            for event in self._of_type("decision.evaluated"):
+                views.append(DecisionView(
+                    decision=int(event["decision"]),
+                    t=_clock(event),
+                    trigger=str(event["trigger"]),
+                    controller=str(event["controller"]),
+                    reason=str(event["reason"]),
+                    actions=int(event["actions"]),
+                    loads=list(event.get("loads", ())),
+                    candidates=list(event.get("candidates", ())),
+                    node=event.get("node"),
+                    volume_before=event.get("volume_before"),
+                    volume_after=event.get("volume_after"),
+                    burn_rate=event.get("burn_rate"),
+                ))
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return views
 
     @cached_property
@@ -470,34 +538,38 @@ class RunIndex:
         """
         stall_seconds: Dict[int, float] = {}
         moves: Dict[int, int] = {}
-        for event in self._of_type("node.stall", "migration.applied"):
-            f: Any = event.fields
-            if f.get("decision") is None:
-                continue
-            did = int(f["decision"])
-            if event.type == "migration.applied":
-                moves[did] = moves.get(did, 0) + 1
-            else:
-                stall_seconds[did] = (
-                    stall_seconds.get(did, 0.0) + float(f.get("work", 0.0))
-                )
         by_id = {view.decision: view for view in self.decisions}
         explanations = []
-        for event in self._of_type("migration.applied"):
-            f = event.fields
-            did = None if f.get("decision") is None else int(f["decision"])
-            explanations.append(MigrationExplanation(
-                t=_clock(event),
-                operator=str(f.get("operator", "?")),
-                source=int(f.get("source", -1)),
-                target=int(f.get("target", -1)),
-                pause=float(f.get("pause", 0.0)),
-                reason=str(f.get("reason", "?")),
-                decision=None if did is None else by_id.get(did),
-                pause_served=0.0 if did is None else (
-                    stall_seconds.get(did, 0.0) / max(1, moves.get(did, 1))
-                ),
-            ))
+        try:
+            for event in self._of_type("node.stall", "migration.applied"):
+                if event.get("decision") is None:
+                    continue
+                did = int(event["decision"])
+                if event["type"] == "migration.applied":
+                    moves[did] = moves.get(did, 0) + 1
+                else:
+                    stall_seconds[did] = (
+                        stall_seconds.get(did, 0.0)
+                        + float(event.get("work", 0.0))
+                    )
+            for event in self._of_type("migration.applied"):
+                decision = event.get("decision")
+                did = None if decision is None else int(decision)
+                explanations.append(MigrationExplanation(
+                    t=_clock(event),
+                    operator=str(event.get("operator", "?")),
+                    source=int(event.get("source", -1)),
+                    target=int(event.get("target", -1)),
+                    pause=float(event.get("pause", 0.0)),
+                    reason=str(event.get("reason", "?")),
+                    decision=None if did is None else by_id.get(did),
+                    pause_served=0.0 if did is None else (
+                        stall_seconds.get(did, 0.0)
+                        / max(1, moves.get(did, 1))
+                    ),
+                ))
+        except _UNREADABLE as exc:
+            raise _unreadable(event, exc) from None
         return explanations
 
     @cached_property
@@ -505,12 +577,13 @@ class RunIndex:
         """Drift detections: each ``drift.detected`` event's fields
         plus its ``t``."""
         return [
-            dict(event.fields, t=event.t)
+            dict(((key, value) for key, value in event.items()
+                  if key not in _RESERVED_KEYS), t=event["t"])
             for event in self._of_type("drift.detected")
         ]
 
 
-Trace = Union[Sequence[TraceEvent], RunIndex]
+Trace = Union[Sequence[Mapping[str, Any]], RunIndex]
 
 
 def as_index(trace: Trace) -> RunIndex:
@@ -519,13 +592,13 @@ def as_index(trace: Trace) -> RunIndex:
 
 
 def filter_events(
-    events: Sequence[TraceEvent],
+    events: Sequence[Mapping[str, Any]],
     types: Optional[Sequence[str]] = None,
     nodes: Optional[Sequence[int]] = None,
     since: Optional[float] = None,
     spans: Optional[Sequence[int]] = None,
     operators: Optional[Sequence[str]] = None,
-) -> List[TraceEvent]:
+) -> List[Mapping[str, Any]]:
     """Subset of ``events`` matching every given filter.
 
     ``types`` keeps only the listed event types; ``nodes`` keeps only
@@ -550,23 +623,26 @@ def filter_events(
         None if operators is None else frozenset(str(o) for o in operators)
     )
     kept = []
-    for event in events:
-        if type_set is not None and event.type not in type_set:
-            continue
-        if node_set is not None:
-            node: Any = event.fields.get("node")
-            if node is None or int(node) not in node_set:
+    try:
+        for event in events:
+            if type_set is not None and event["type"] not in type_set:
                 continue
-        if span_set is not None:
-            span: Any = event.fields.get("span")
-            if span is None or int(span) not in span_set:
+            if node_set is not None:
+                node = event.get("node")
+                if node is None or int(node) not in node_set:
+                    continue
+            if span_set is not None:
+                span = event.get("span")
+                if span is None or int(span) not in span_set:
+                    continue
+            if operator_set is not None:
+                operator = event.get("operator")
+                if operator is None or str(operator) not in operator_set:
+                    continue
+            t = event["t"]
+            if since is not None and t is not None and float(t) < since:
                 continue
-        if operator_set is not None:
-            operator = event.fields.get("operator")
-            if operator is None or str(operator) not in operator_set:
-                continue
-        if (since is not None and event.t is not None
-                and float(event.t) < since):
-            continue
-        kept.append(event)
+            kept.append(event)
+    except _UNREADABLE as exc:
+        raise _unreadable(event, exc) from None
     return kept

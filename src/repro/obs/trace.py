@@ -1,10 +1,12 @@
-"""Structured event tracing: typed events, sinks, JSONL round-trip.
+"""Structured event tracing: event records, sinks, JSONL round-trip.
 
-A :class:`Tracer` turns instrumentation points into
-:class:`TraceEvent` records and hands them to a sink.  The default sink
-is :data:`NULL_SINK`, whose tracer reports ``enabled = False`` — hot
-paths guard on that flag, so with tracing off **no event object is ever
-allocated** (verified by the null-sink test).
+A :class:`Tracer` turns each instrumentation point into one record, a
+plain ``dict`` that is also the event's JSONL line, and hands it to a
+sink: :class:`JsonlSink` encodes it, :class:`MemorySink` keeps it, and
+:func:`read_trace` gives the same dicts back.  The default sink is
+:data:`NULL_SINK`, whose tracer reports ``enabled = False`` — hot paths
+guard on that flag, so with tracing off **no record is ever built**
+(verified by the null-sink test).
 
 Events carry two clocks:
 
@@ -12,15 +14,16 @@ Events carry two clocks:
   events outside a simulation, e.g. placement-search iterations);
 * ``wall`` — wall-clock epoch seconds at emission.
 
-The JSONL wire format is one object per line with the reserved keys
-``type`` / ``t`` / ``wall`` plus the event's free-form fields, e.g.::
+A record holds the reserved keys ``type`` / ``t`` / ``wall``, in that
+order, then the event's free-form fields, which are its other keys; the
+JSONL wire format is one record per line, e.g.::
 
     {"type": "batch.serviced", "t": 1.25, "wall": 1754..., "node": 0,
      "operator": "agg1", "count": 12, "out": 3, "work": 0.006}
 
-``read_trace`` parses a file back into events; the schema is documented
-in ``docs/observability.md``.  A trace no run can have written raises
-:class:`TraceFormatError`.
+``read_trace`` parses a file back into records; the schema is
+documented in ``docs/observability.md``.  A trace no run can have
+written raises :class:`TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -29,14 +32,12 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from . import schema
 
 __all__ = [
     "EVENT_TYPES",
-    "TraceEvent",
     "TraceFormatError",
     "TraceSink",
     "NullSink",
@@ -64,54 +65,13 @@ class TraceFormatError(ValueError):
     the trace's own structure rules out (see :mod:`repro.obs.index`)."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One structured trace record."""
-
-    type: str
-    t: Optional[float]
-    wall: float
-    fields: Mapping[str, object] = field(default_factory=dict)
-
-    def to_json_obj(self) -> Dict[str, object]:
-        obj: Dict[str, object] = {"type": self.type, "t": self.t,
-                                  "wall": self.wall}
-        obj.update(self.fields)
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, object]) -> "TraceEvent":
-        if "type" not in obj:
-            raise ValueError("trace record lacks a 'type' key")
-        return cls._from_record(dict(obj))
-
-    @classmethod
-    def _from_record(cls, data: Dict[str, object]) -> "TraceEvent":
-        """Build from a decoded record that has a ``type`` key, taking
-        ownership of ``data``: the reserved keys are popped and the rest
-        become ``fields`` without a copy."""
-        type_ = str(data.pop("type"))
-        t = data.pop("t", None)
-        wall = data.pop("wall", 0.0)
-        try:
-            t = None if t is None else float(t)
-            wall = float(wall)
-        except (TypeError, OverflowError) as exc:
-            # ``t`` is still unconverted iff its conversion failed.
-            key = "wall" if t is None or isinstance(t, float) else "t"
-            raise ValueError(
-                f"trace record's {key!r} is not a float: {exc}"
-            ) from None
-        return cls(type=type_, t=t, wall=wall, fields=data)
-
-
 class TraceSink:
-    """Destination for trace events.  Subclasses override ``write``."""
+    """Destination for trace records.  Subclasses override ``write``."""
 
-    #: Tracers wrapping this sink construct and forward events iff True.
+    #: Tracers wrapping this sink build and forward records iff True.
     enabled = True
 
-    def write(self, event: TraceEvent) -> None:
+    def write(self, event: Dict[str, Any]) -> None:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -129,24 +89,24 @@ class NullSink(TraceSink):
 
     enabled = False
 
-    def write(self, event: TraceEvent) -> None:  # pragma: no cover
+    def write(self, event: Dict[str, Any]) -> None:  # pragma: no cover
         pass
 
 
 class MemorySink(TraceSink):
-    """Collects events in a list — the test/inspection sink.
+    """Collects records in a list — the test/inspection sink.
 
-    With a ``forward`` sink, each event is written there first and kept
+    With a ``forward`` sink, each record is written there first and kept
     once that write has succeeded, so a run can stream its trace to a
-    file and analyze the same events afterwards without reading the
+    file and analyze the same records afterwards without reading the
     file back; closing this sink closes ``forward``.
     """
 
     def __init__(self, forward: Optional[TraceSink] = None) -> None:
-        self.events: List[TraceEvent] = []
+        self.events: List[Dict[str, Any]] = []
         self.forward = forward
 
-    def write(self, event: TraceEvent) -> None:
+    def write(self, event: Dict[str, Any]) -> None:
         if self.forward is not None:
             self.forward.write(event)
         self.events.append(event)
@@ -157,7 +117,7 @@ class MemorySink(TraceSink):
 
 
 class JsonlSink(TraceSink):
-    """Writes events as JSON lines to a path or text handle."""
+    """Writes records as JSON lines to a path or text handle."""
 
     def __init__(self, target: Union[str, io.TextIOBase]) -> None:
         if isinstance(target, str):
@@ -170,10 +130,10 @@ class JsonlSink(TraceSink):
             self._owns_handle = False
         self.events_written = 0
 
-    def write(self, event: TraceEvent) -> None:
+    def write(self, event: Dict[str, Any]) -> None:
         # Encode before writing: a field that fails to serialize leaves
         # no partial line behind for the next event to run into.
-        self._handle.write(_encode_line(event.to_json_obj()) + "\n")
+        self._handle.write(_encode_line(event) + "\n")
         self.events_written += 1
 
     def close(self) -> None:
@@ -235,16 +195,17 @@ class Tracer:
         """Record one event (no-op when the sink is disabled)."""
         if not self.enabled:
             return
-        bad = _RESERVED_KEYS.intersection(fields)
-        if bad:
+        record = {"type": type_, "t": t, "wall": time.time(), **fields}
+        # A field named like a reserved key replaced it, so the record
+        # came out short of one key per field.
+        if len(record) != len(fields) + 3:
+            bad = sorted(_RESERVED_KEYS.intersection(fields))
             raise ValueError(
-                f"trace fields {sorted(bad)} collide with reserved keys"
+                f"trace fields {bad} collide with reserved keys"
             )
         if self.validate:
             schema.validate_event(type_, fields)
-        self.sink.write(
-            TraceEvent(type=type_, t=t, wall=time.time(), fields=fields)
-        )
+        self.sink.write(record)
         self.events_emitted += 1
 
     def close(self) -> None:
@@ -254,15 +215,35 @@ class Tracer:
 NULL_TRACER = Tracer()
 
 
-def parse_trace_line(line: str) -> TraceEvent:
-    """Parse one JSONL line into a :class:`TraceEvent`."""
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
+def _checked(record: Any) -> Dict[str, Any]:
+    """``record`` as a trace record: a JSON object with a ``type`` key,
+    coerced in place to a ``str`` ``type``, a ``t`` that is ``None`` or
+    a ``float`` and, when present, a ``float`` ``wall``."""
+    if type(record) is not dict:
         raise ValueError("trace line is not a JSON object")
-    return TraceEvent.from_json_obj(obj)
+    if "type" not in record:
+        raise ValueError("trace record lacks a 'type' key")
+    if type(record["type"]) is not str:
+        record["type"] = str(record["type"])
+    key = "t"
+    try:
+        t = record.get("t")
+        if type(t) is not float:
+            record["t"] = None if t is None else float(t)
+        key = "wall"
+        if "wall" in record and type(record["wall"]) is not float:
+            record["wall"] = float(record["wall"])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"trace record's {key!r} is not a float: {exc}") from None
+    return record
 
 
-def trace_digest(events: Iterable[TraceEvent]) -> str:
+def parse_trace_line(line: str) -> Dict[str, Any]:
+    """Parse one JSONL line into a trace record."""
+    return _checked(json.loads(line))
+
+
+def trace_digest(events: Iterable[Mapping[str, Any]]) -> str:
     """Content digest of a trace, ignoring wall-clock timestamps.
 
     Two runs of the same seeded simulation must hash identically even
@@ -272,43 +253,56 @@ def trace_digest(events: Iterable[TraceEvent]) -> str:
     """
     hasher = hashlib.sha256()
     for event in events:
-        record = {"type": event.type, "t": event.t, "fields": event.fields}
+        fields = dict(event)
+        fields.pop("wall", None)
+        record = {"type": fields.pop("type"), "t": fields.pop("t"),
+                  "fields": fields}
         hasher.update(_encode_sorted(record).encode("utf-8"))
         hasher.update(b"\n")
     return hasher.hexdigest()
 
 
-def read_trace(source: Union[str, Iterable[str]]) -> List[TraceEvent]:
-    """Read a JSONL trace file (or iterable of lines) into events.
+def read_trace(source: Union[str, Iterable[str]]) -> List[Dict[str, Any]]:
+    """Read a JSONL trace file (or iterable of lines) into records.
 
     Blank lines are skipped; malformed lines raise
     :class:`TraceFormatError` with their line number.  The non-blank
-    lines are decoded in one call, whose result is accepted when it
-    holds one JSON object with a ``type`` key per line; otherwise the
-    lines are parsed one by one to name the first malformed one.
+    lines are joined and decoded in one call, so records share their
+    key strings, and the line list is dropped before that call: while
+    it runs, only the joined text and the records are alive.  The
+    result is accepted when it holds one valid record per line;
+    otherwise the lines are split back out of the text and parsed one
+    by one to name the first malformed one.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as handle:
             return read_trace(handle)
     lines = [line.strip() for line in source]
-    records = [line for line in lines if line]
+    count = len(lines) - lines.count("")
+    blank = set() if count == len(lines) else {
+        number for number, line in enumerate(lines, start=1) if not line
+    }
+    # Newline separators keep a string from spanning two lines: JSON
+    # strings may not hold a raw newline, so no line holds one either.
+    text = "[" + ",\n".join(filter(None, lines)) + "]"
+    del lines
     try:
-        # Newline separators keep a string from spanning two lines:
-        # JSON strings may not hold a raw newline.
-        objs = json.loads("[" + ",\n".join(records) + "]")
+        records = json.loads(text)
     except ValueError:
-        objs = None
-    if objs is not None and len(objs) == len(records) and all(
-        type(obj) is dict and "type" in obj for obj in objs
-    ):
+        records = None
+    if records is not None and len(records) == count:
         try:
-            return [TraceEvent._from_record(obj) for obj in objs]
+            for record in records:
+                _checked(record)
+            return records
         except ValueError:
             pass
-    for number, line in enumerate(lines, start=1):
-        if line:
+    del records
+    pieces = iter(text[1:-1].split(",\n"))
+    for number in range(1, count + len(blank) + 1):
+        if number not in blank:
             try:
-                parse_trace_line(line)
+                parse_trace_line(next(pieces))
             except ValueError as exc:
                 raise TraceFormatError(f"line {number}: {exc}") from exc
     raise AssertionError("trace lines decode one by one but not together")

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -429,8 +430,8 @@ class TestObservabilityFlags:
         from repro.obs import read_trace
 
         events = read_trace(trace_path)
-        assert events[0].type == "sim.start"
-        assert events[-1].type == "sim.end"
+        assert events[0]["type"] == "sim.start"
+        assert events[-1]["type"] == "sim.end"
 
     def test_simulate_emit_metrics_json(
         self, graph_file, plan_file, capsys
@@ -1086,6 +1087,60 @@ class TestImpossibleTrace:
         message = str(exc.value.code)
         assert message.startswith(f"{trace}: ")
         assert "names node 1, but the trace declares 1 node(s)" in message
+
+    #: A field a viewer reads, rewritten on the first event of its type:
+    #: (event type, field, its new value or ``None`` to drop it, what
+    #: the message says after the event's type and time).
+    UNREADABLE = {
+        "node-not-a-number": ("batch.serviced", "node", "x",
+                              "has a 'node' that is not a number: 'x'"),
+        "node-missing": ("batch.serviced", "node", None,
+                         "has no 'node' field"),
+        "birth-not-a-number": ("batch.enqueued", "birth", "zz",
+                               "has a 'birth' that is not a number: 'zz'"),
+        "trigger-missing": ("decision.evaluated", "trigger", None,
+                            "has no 'trigger' field"),
+    }
+
+    @pytest.mark.parametrize("case, argv", [
+        ("node-not-a-number", ["trace", "{trace}"]),
+        ("node-not-a-number", ["trace", "{trace}", "--node", "0"]),
+        ("node-not-a-number", ["explain", "run", "--root", "{root}"]),
+        ("node-not-a-number", ["report", "run", "--root", "{root}"]),
+        ("node-missing", ["trace", "{trace}"]),
+        ("node-missing", ["explain", "run", "--root", "{root}"]),
+        ("node-missing", ["report", "run", "--root", "{root}"]),
+        ("birth-not-a-number", ["trace", "{trace}", "--span", "0"]),
+        ("birth-not-a-number", ["explain", "run", "--root", "{root}"]),
+        ("birth-not-a-number", ["report", "run", "--root", "{root}"]),
+        ("trigger-missing", ["why", "run", "--root", "{root}"]),
+        ("trigger-missing", ["report", "run", "--root", "{root}"]),
+    ], ids=lambda value: value if isinstance(value, str) else "".join(
+        [value[0], *(arg for arg in value if arg in ("--node", "--span"))]
+    ))
+    def test_unreadable_field(self, budget_root, tmp_path, case, argv):
+        kind, field, value, tail = self.UNREADABLE[case]
+        root = str(tmp_path / "runs")
+        shutil.copytree(os.path.join(budget_root, "runs"), root)
+        where = []
+
+        def rewrite_the_first(lines):
+            at = next(
+                number for number, line in enumerate(lines)
+                if f'"type":"{kind}"' in line
+            )
+            record = json.loads(lines[at])
+            where.append(f"{kind} at t={record['t']}")
+            if value is None:
+                del record[field]
+            else:
+                record[field] = value
+            return lines[:at] + [json.dumps(record) + "\n"] + lines[at + 1:]
+
+        trace = self._rewrite(root, rewrite_the_first)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(root=root, trace=trace) for arg in argv])
+        assert exc.value.code == f"{trace}: {where[0]} {tail}"
 
     def test_a_corrupt_result_is_not_a_trace_defect(self, root):
         with open(os.path.join(root, "run", "result.json"), "w") as handle:

@@ -207,13 +207,13 @@ class TestBalanceDecisionAudit:
 
     def test_drift_detected_before_corrective_migration(self, balance_run):
         _, events, _ = balance_run
-        drift = [e for e in events if e.type == "drift.detected"]
-        applied = [e for e in events if e.type == "migration.applied"]
+        drift = [e for e in events if e["type"] == "drift.detected"]
+        applied = [e for e in events if e["type"] == "migration.applied"]
         assert drift and applied
-        first_drift = min(e.t for e in drift)
-        first_move = min(e.t for e in applied)
+        first_drift = min(e["t"] for e in drift)
+        first_move = min(e["t"] for e in applied)
         assert first_drift < first_move
-        fields = drift[0].fields
+        fields = drift[0]
         assert fields["signal"] == "arrival_rate"
         assert fields["direction"] == "up"
         assert fields["observed"] > fields["baseline"]
@@ -232,10 +232,10 @@ class TestBalanceDecisionAudit:
             d.decision for d in RunIndex(events).decisions
             if d.actions > 0
         }
-        stalls = [e for e in events if e.type == "node.stall"]
+        stalls = [e for e in events if e["type"] == "node.stall"]
         assert stalls
         for stall in stalls:
-            assert int(stall.fields["decision"]) in decision_ids
+            assert int(stall["decision"]) in decision_ids
 
     def test_pause_attribution_sums_stall_work(self, balance_run):
         _, events, _ = balance_run
@@ -243,9 +243,9 @@ class TestBalanceDecisionAudit:
             e.pause_served for e in RunIndex(events).migrations
         )
         stalled = sum(
-            float(e.fields.get("work", 0.0))
+            float(e.get("work", 0.0))
             for e in events
-            if e.type == "node.stall" and "decision" in e.fields
+            if e["type"] == "node.stall" and "decision" in e
         )
         assert served == pytest.approx(stalled)
 
@@ -487,7 +487,7 @@ class TestDecisionMetrics:
             s["labels"] for s in doc["rod_drift_statistic"]["samples"]
         ]
         drift_events = [
-            e for e in sink.events if e.type == "drift.detected"
+            e for e in sink.events if e["type"] == "drift.detected"
         ]
         counted = sum(
             s["value"]

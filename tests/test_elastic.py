@@ -331,7 +331,7 @@ class TestElasticPlacer:
             target_ratio=0.9, samples=1024, seed=0, tracer=Tracer(sink)
         )
         placer.place(model, [1.0] * 4)
-        kinds = {event.type for event in sink.events}
+        kinds = {event["type"] for event in sink.events}
         assert "elastic.split" in kinds
 
     def test_validation(self):
@@ -472,25 +472,25 @@ class TestEngineRepartition:
         self._run(controller=controller, tracer=Tracer(sink))
         repartitions = [
             event for event in sink.events
-            if event.type == "elastic.repartition"
+            if event["type"] == "elastic.repartition"
         ]
         assert repartitions
-        first = repartitions[0].fields
+        first = repartitions[0]
         assert first["operator"] == "hot"
         assert first["fractions"] == pytest.approx((0.5, 0.5))
         assert first["decision"] >= 0
         decisions = [
             event for event in sink.events
-            if event.type == "decision.evaluated"
-            and event.fields.get("reason") == "repartition"
+            if event["type"] == "decision.evaluated"
+            and event.get("reason") == "repartition"
         ]
         assert decisions
-        assert decisions[0].fields["trigger"] in ("split", "merge")
+        assert decisions[0]["trigger"] in ("split", "merge")
         (end,) = [
-            event for event in sink.events if event.type == "sim.end"
+            event for event in sink.events if event["type"] == "sim.end"
         ]
-        assert end.fields["repartitions"] == len(repartitions)
-        assert end.fields["migrations"] == 0
+        assert end["repartitions"] == len(repartitions)
+        assert end["migrations"] == 0
 
     def test_untraced_sim_end_has_no_repartition_key_when_none_fired(
         self,
@@ -498,9 +498,9 @@ class TestEngineRepartition:
         sink = MemorySink()
         self._run(tracer=Tracer(sink))
         (end,) = [
-            event for event in sink.events if event.type == "sim.end"
+            event for event in sink.events if event["type"] == "sim.end"
         ]
-        assert "repartitions" not in end.fields
+        assert "repartitions" not in end
 
     def test_runs_are_deterministic(self):
         first = self._run(ElasticityController(period=1.0))

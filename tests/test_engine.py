@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import heapq
+import os
+import tempfile
 import types
 
 import numpy as np
@@ -16,7 +18,13 @@ from repro.experiments.common import make_model
 from repro.faults import FaultEvent, FaultSchedule, chaos_schedule
 from repro.graphs import Delay, Filter, Map, QueryGraph, WindowJoin
 from repro.graphs.generator import monitoring_graph
-from repro.obs.trace import MemorySink, Tracer, trace_digest
+from repro.obs.trace import (
+    JsonlSink,
+    MemorySink,
+    Tracer,
+    read_trace,
+    trace_digest,
+)
 from repro.simulator import Simulator
 from repro.simulator import engine
 from repro.workload.scenarios import steady_trace_series
@@ -377,6 +385,40 @@ class TestControllersSeeLiveCapacities:
                 if hook == "decide"] == [float(t) for t in range(1, 9)]
 
 
+def drawn_simulator(graph_seed, chaos_seed, controller, tracer=None):
+    """A three-node run over a drawn monitoring graph (split for the
+    elastic controller), with chaos faults when ``chaos_seed`` is set,
+    and the rate series it runs on."""
+    model = build_load_model(monitoring_graph(2, seed=graph_seed))
+    if controller == "elastic":
+        model = partition_load_model(
+            model, "normalize0", 2, fractions=(0.8, 0.2)
+        )
+    names = model.graph.operator_names
+    placement = placement_from_mapping(
+        model, [1.0, 1.0, 1.0],
+        {name: k % 3 for k, name in enumerate(names)},
+    )
+    faults = None if chaos_seed is None else chaos_schedule(
+        3, horizon=6.0, seed=chaos_seed, operator_names=names,
+    )
+    series = np.full((60, 2), 200.0)
+    series[20:40, 0] *= 4.0
+    simulator = Simulator(
+        placement, step_seconds=0.1, faults=faults,
+        controller=NEUTRALITY_CONTROLLERS[controller](), tracer=tracer,
+    )
+    return simulator, series
+
+
+#: The drawn runs: a graph seed, a chaos seed or none, and a controller.
+RUNS = dict(
+    graph_seed=st.integers(0, 2**16 - 1),
+    chaos_seed=st.none() | st.integers(0, 2**16 - 1),
+    controller=st.sampled_from(sorted(NEUTRALITY_CONTROLLERS)),
+)
+
+
 class TestEventSources:
     """The loop takes each event from one of two sources: the events
     known when the run is built, sorted once, and a heap of what the
@@ -398,43 +440,21 @@ class TestEventSources:
         return state.result()
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        graph_seed=st.integers(0, 2**16 - 1),
-        chaos_seed=st.none() | st.integers(0, 2**16 - 1),
-        controller=st.sampled_from(sorted(NEUTRALITY_CONTROLLERS)),
-        tracing=st.booleans(),
-    )
+    @given(**RUNS, tracing=st.booleans())
     @example(graph_seed=1, chaos_seed=7, controller="failover", tracing=True)
     def test_merged_loop_equals_single_heap_loop(
         self, graph_seed, chaos_seed, controller, tracing
     ):
-        model = build_load_model(monitoring_graph(2, seed=graph_seed))
-        if controller == "elastic":
-            model = partition_load_model(
-                model, "normalize0", 2, fractions=(0.8, 0.2)
-            )
-        names = model.graph.operator_names
-        placement = placement_from_mapping(
-            model, [1.0, 1.0, 1.0],
-            {name: k % 3 for k, name in enumerate(names)},
-        )
-        faults = None if chaos_seed is None else chaos_schedule(
-            3, horizon=6.0, seed=chaos_seed, operator_names=names,
-        )
-        series = np.full((60, 2), 200.0)
-        series[20:40, 0] *= 4.0
-
         def run(loop):
             sink = MemorySink()
-            sim = Simulator(
-                placement, step_seconds=0.1, faults=faults,
-                controller=NEUTRALITY_CONTROLLERS[controller](),
+            sim, series = drawn_simulator(
+                graph_seed, chaos_seed, controller,
                 tracer=Tracer(sink) if tracing else None,
             )
-            return fingerprint(loop(sim)), trace_digest(sink.events)
+            return fingerprint(loop(sim, series)), trace_digest(sink.events)
 
-        merged = run(lambda sim: sim.run(rate_series=series))
-        assert merged == run(lambda sim: self.single_heap_run(sim, series))
+        merged = run(lambda sim, series: sim.run(rate_series=series))
+        assert merged == run(self.single_heap_run)
 
     def test_heap_holds_only_in_flight_work(self, monkeypatch):
         """On the benchmark's ``steady`` shape the heap never holds more
@@ -480,6 +500,30 @@ class TestEventSources:
         kinds = ("fault.injected", "decision.evaluated", "batch.serviced",
                  "batch.enqueued")
         assert [
-            event.type for event in sink.events
-            if event.t == 1.0 and event.type in kinds
+            event["type"] for event in sink.events
+            if event["t"] == 1.0 and event["type"] in kinds
         ] == list(kinds)
+
+
+class TestKeptRecordsAreTheFile:
+    """``simulate --record`` builds its snapshot from the records a
+    ``MemorySink`` kept while forwarding them to the trace file, and
+    every viewer reads what :func:`read_trace` decodes from that file:
+    the two must be the same records."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(**RUNS)
+    @example(graph_seed=1, chaos_seed=7, controller="failover")
+    def test_read_records_equal_kept_records(
+        self, graph_seed, chaos_seed, controller
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "trace.jsonl")
+            with MemorySink(forward=JsonlSink(path)) as sink:
+                sim, series = drawn_simulator(
+                    graph_seed, chaos_seed, controller, tracer=Tracer(sink)
+                )
+                sim.run(rate_series=series)
+            events = read_trace(path)
+        assert events == sink.events
+        assert trace_digest(events) == trace_digest(sink.events)

@@ -308,8 +308,8 @@ READER_GOLDEN = {
 
 def _triggers(events):
     return {
-        e.fields["trigger"] for e in events
-        if e.type == "decision.evaluated"
+        e["trigger"] for e in events
+        if e["type"] == "decision.evaluated"
     }
 
 
@@ -330,11 +330,11 @@ def test_loop_numbers_stay_builtin(name):
     ``float``: a numpy scalar that leaks back into the event loop fails
     here instead of only slowing it down."""
     leaks = sorted({
-        (event.type, key, type(value).__name__)
+        (event["type"], key, type(value).__name__)
         for event in run_scenario(name)[3]
         for key, value in (
-            ("t", event.t),
-            *((key, event.fields.get(key))
+            ("t", event["t"]),
+            *((key, event.get(key))
               for key in ("start", "work", "latency")),
         )
         if value is not None and type(value) is not float
@@ -470,8 +470,8 @@ class TestScenariosExerciseTheirPaths:
         _, _, result, events, _ = run_scenario("failover-chaos")
         assert {"fault", "recover", "periodic"} <= _triggers(events)
         reasons = {
-            e.fields["reason"] for e in events
-            if e.type == "migration.applied"
+            e["reason"] for e in events
+            if e["type"] == "migration.applied"
         }
         assert reasons == {"failover", "balance"}
         assert result.stranded_tuples == 0
@@ -479,7 +479,7 @@ class TestScenariosExerciseTheirPaths:
     def test_elastic_repartitions(self):
         _, _, _, events, controller = run_scenario("elastic")
         assert controller.history
-        assert any(e.type == "elastic.repartition" for e in events)
+        assert any(e["type"] == "elastic.repartition" for e in events)
 
 
 NEUTRALITY_CONTROLLERS = {

@@ -379,25 +379,25 @@ class TestEngineFaultInjection:
                       controller=FailoverController(samples=64))
         by_type = {}
         for event in sink.events:
-            by_type.setdefault(event.type, []).append(event)
+            by_type.setdefault(event["type"], []).append(event)
         assert len(by_type["fault.injected"]) == 2
         assert len(by_type["fault.reverted"]) == 1  # the brownout window
         crash = [e for e in by_type["fault.injected"]
-                 if e.fields["kind"] == "node.crash"][0]
-        assert crash.fields["node"] == 1
+                 if e["kind"] == "node.crash"][0]
+        assert crash["node"] == 1
         # Failover shows up as a migration with the failover reason.
         applied = by_type["migration.applied"]
-        assert any(e.fields.get("reason") == "failover" for e in applied)
+        assert any(e.get("reason") == "failover" for e in applied)
         end = by_type["sim.end"][0]
-        assert end.fields["faults"] == 2
-        assert end.fields["stranded_tuples"] == 0
+        assert end["faults"] == 2
+        assert end["stranded_tuples"] == 0
 
     def test_fault_free_trace_has_no_fault_fields(self):
         sink = MemorySink()
         self.run_plan(tracer=Tracer(sink))
-        end = [e for e in sink.events if e.type == "sim.end"][0]
-        assert "faults" not in end.fields
-        assert "stranded_tuples" not in end.fields
+        end = [e for e in sink.events if e["type"] == "sim.end"][0]
+        assert "faults" not in end
+        assert "stranded_tuples" not in end
 
 
 class TestDeterminism:
@@ -423,7 +423,7 @@ class TestDeterminism:
         assert snapshot_from_result(first) == snapshot_from_result(second)
         # Wall clocks differ between repeats; the digest must not see
         # them, and the raw event streams must agree on everything else.
-        assert [e.type for e in events_a] == [e.type for e in events_b]
+        assert [e["type"] for e in events_a] == [e["type"] for e in events_b]
 
     def test_snapshot_fault_keys_are_conditional(self):
         plan = make_plan()

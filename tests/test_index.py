@@ -156,26 +156,38 @@ class TestViews:
         events = chaos_events()
         index = RunIndex(events)
         work = [
-            e for e in events if e.type in ("batch.serviced", "node.stall")
+            e for e in events if e["type"] in ("batch.serviced", "node.stall")
         ]
-        assert [entry[0] for entry in index.work] == [e.t for e in work]
+        assert [entry[0] for entry in index.work] == [e["t"] for e in work]
         assert [entry[1] for entry in index.work] == [
-            e.fields["node"] for e in work
+            e["node"] for e in work
         ]
         assert any(entry[3] is None for entry in index.work)  # stalls
         sinks = [
             e for e in events
-            if e.type == "batch.serviced" and "sink" in e.fields
+            if e["type"] == "batch.serviced" and "sink" in e
         ]
         assert [s[1] for s in index.sink_samples] == [
-            e.fields["latency"] for e in sinks
+            e["latency"] for e in sinks
         ]
+
+    def test_drift_is_each_detection_s_fields_then_its_t(self):
+        events = chaos_events()
+        detections = [e for e in events if e["type"] == "drift.detected"]
+        drift = RunIndex(events).drift
+        assert drift and len(drift) == len(detections)
+        fields = ["signal", "direction", "statistic", "threshold",
+                  "observed", "baseline"]
+        for view, event in zip(drift, detections):
+            tail = ["input", "t"] if "input" in event else ["t"]
+            assert list(view) == fields + tail
+            assert view == {key: event[key] for key in fields + tail}
 
     def test_type_counts(self):
         events = chaos_events()
         counts = {}
         for event in events:
-            counts[event.type] = counts.get(event.type, 0) + 1
+            counts[event["type"]] = counts.get(event["type"], 0) + 1
         index = RunIndex(events)
         # The pass tallies the batch and busy/idle events, so the counts
         # walk neither of their lists again.
@@ -188,7 +200,7 @@ class TestViews:
         events = chaos_events()
         full = RunIndex(events)
         subset = RunIndex(
-            [e for e in events if e.type == "batch.serviced"], full.meta
+            [e for e in events if e["type"] == "batch.serviced"], full.meta
         )
         assert subset.meta == full.meta
         assert subset.meta is not full.meta
@@ -198,11 +210,8 @@ class TestImpossibleTraces:
     def test_node_outside_the_header(self):
         events = list(chaos_events())
         header = events[0]
-        assert header.type == "sim.start"
-        events[0] = trace_module.TraceEvent(
-            type=header.type, t=header.t, wall=header.wall,
-            fields=dict(header.fields, nodes=2),
-        )
+        assert header["type"] == "sim.start"
+        events[0] = dict(header, nodes=2)
         index = RunIndex(events)
         with pytest.raises(TraceFormatError, match="names node 2, but the "
                                                    "trace declares 2 node"):

@@ -5,6 +5,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     Observability,
@@ -21,7 +23,7 @@ from repro.obs.trace import (
     MemorySink,
     NULL_TRACER,
     NullSink,
-    TraceEvent,
+    TraceFormatError,
     Tracer,
     parse_trace_line,
 )
@@ -277,10 +279,12 @@ class TestTracer:
         tracer.emit("batch.serviced", t=1.5, node=0, count=12)
         assert tracer.events_emitted == 1
         event = sink.events[0]
-        assert event.type == "batch.serviced"
-        assert event.t == 1.5
-        assert event.wall > 0
-        assert event.fields == {"node": 0, "count": 12}
+        # The kept event is the wire record: reserved keys first.
+        assert list(event) == ["type", "t", "wall", "node", "count"]
+        assert event["type"] == "batch.serviced"
+        assert event["t"] == 1.5
+        assert event["wall"] > 0
+        assert (event["node"], event["count"]) == (0, 12)
 
     def test_reserved_keys_rejected(self):
         tracer = Tracer(MemorySink())
@@ -300,16 +304,17 @@ class TestTracer:
         assert not NULL_TRACER.enabled
 
     def test_null_sink_allocates_no_events(self, monkeypatch):
-        """The hot-path contract: disabled tracing never constructs a
-        TraceEvent.  A TraceEvent that explodes on construction proves
-        emit() returns before allocation."""
+        """The hot-path contract: disabled tracing never builds a
+        record.  A wall clock that explodes when read proves emit()
+        returns before it builds one."""
         import repro.obs.trace as trace_module
 
         class Bomb:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("TraceEvent allocated while disabled")
+            @staticmethod
+            def time():
+                raise AssertionError("trace record built while disabled")
 
-        monkeypatch.setattr(trace_module, "TraceEvent", Bomb)
+        monkeypatch.setattr(trace_module, "time", Bomb)
         tracer = Tracer(NullSink())
         tracer.emit("batch.serviced", t=1.0, node=0)
         assert tracer.events_emitted == 0
@@ -329,12 +334,12 @@ class TestJsonlRoundTrip:
         assert sink.events_written == 3
 
         events = read_trace(path)
-        assert [e.type for e in events] == [
+        assert [e["type"] for e in events] == [
             "sim.start", "batch.serviced", "sim.end",
         ]
-        assert events[0].fields["nodes"] == 2
-        assert events[1].t == pytest.approx(0.1)
-        assert events[1].fields["work"] == pytest.approx(0.004)
+        assert events[0]["nodes"] == 2
+        assert events[1]["t"] == pytest.approx(0.1)
+        assert events[1]["work"] == pytest.approx(0.004)
 
     def test_jsonl_sink_accepts_handle(self):
         buffer = io.StringIO()
@@ -344,8 +349,8 @@ class TestJsonlRoundTrip:
         lines = buffer.getvalue().splitlines()
         assert len(lines) == 1
         event = parse_trace_line(lines[0])
-        assert event.type == "phase"
-        assert event.fields == {"name": "x", "seconds": 0.5}
+        assert event == {"type": "phase", "t": None, "wall": event["wall"],
+                         "name": "x", "seconds": 0.5}
 
     def test_numpy_fields_serialized(self, tmp_path):
         np = pytest.importorskip("numpy")
@@ -357,8 +362,8 @@ class TestJsonlRoundTrip:
                 count=np.int64(3),
             )
         event = read_trace(path)[0]
-        assert event.fields["node_busy"] == [1.5, 2.5]
-        assert event.fields["count"] == 3
+        assert event["node_busy"] == [1.5, 2.5]
+        assert event["count"] == 3
 
     def test_read_trace_skips_blanks_and_reports_line_numbers(self):
         lines = [
@@ -388,6 +393,40 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError, match=f"line 3: .*'{key}'"):
             read_trace(lines)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(
+            st.builds(
+                lambda kind, t, n: json.dumps(
+                    {"type": kind, "t": t, "wall": 1.0, "n": n}
+                ),
+                st.sampled_from(["phase", "batch.serviced"]),
+                st.none() | st.floats(allow_nan=False),
+                st.integers(),
+            ),
+            st.sampled_from(["", " ", "\t", "  \t "]),
+        ), max_size=12),
+        bad=st.none() | st.tuples(st.sampled_from([
+            "not json", '{"type": "a"', "3", '"type"', "[1, 2]", "1]",
+            '{"t": 1.0}', '{"type": "a"},{"type": "b"}',
+            '{"type": "a", "t": [1]}', '{"type": "a", "t": "x"}',
+            '{"type": "a", "wall": null}',
+        ]), st.integers(min_value=0)),
+    )
+    def test_read_trace_names_the_malformed_line(self, lines, bad):
+        """Blank lines count toward the number of the malformed line;
+        without one, the records come back in order."""
+        if bad is None:
+            records = read_trace(io.StringIO("\n".join(lines)))
+            assert records == [json.loads(line) for line in lines
+                               if line.strip()]
+            return
+        line, at = bad
+        at %= len(lines) + 1
+        lines = lines[:at] + [line] + lines[at:]
+        with pytest.raises(TraceFormatError, match=f"^line {at + 1}: "):
+            read_trace(io.StringIO("\n".join(lines)))
+
     def test_failed_emit_leaves_no_partial_line(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         with JsonlSink(path) as sink:
@@ -397,7 +436,7 @@ class TestJsonlRoundTrip:
                 tracer.emit("phase", t=1.0, bad=object())
             tracer.emit("phase", t=2.0, name="b")
         assert sink.events_written == 2
-        assert [e.fields["name"] for e in read_trace(path)] == ["a", "b"]
+        assert [e["name"] for e in read_trace(path)] == ["a", "b"]
 
     def test_memory_sink_keeps_what_it_forwarded(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -409,19 +448,8 @@ class TestJsonlRoundTrip:
         tracer.emit("phase", t=2.0, name="b")
         sink.close()
         assert sink.forward.events_written == 2
-        assert [e.fields["name"] for e in sink.events] == ["a", "b"]
+        assert [e["name"] for e in sink.events] == ["a", "b"]
         assert read_trace(path) == sink.events
-
-    def test_event_json_obj_roundtrip(self):
-        event = TraceEvent(
-            type="node.busy", t=2.0, wall=100.0, fields={"node": 1}
-        )
-        obj = event.to_json_obj()
-        assert TraceEvent.from_json_obj(obj) == event
-        assert obj == {"type": "node.busy", "t": 2.0, "wall": 100.0,
-                       "node": 1}
-        with pytest.raises(ValueError):
-            TraceEvent.from_json_obj({"t": 1.0})
 
 
 class TestTraceEventEdgeCases:
@@ -440,20 +468,20 @@ class TestTraceEventEdgeCases:
         event = self.roundtrip(
             burst=float("inf"), drain=float("-inf"), gap=float("nan")
         )
-        assert event.fields["burst"] == float("inf")
-        assert event.fields["drain"] == float("-inf")
-        assert math.isnan(event.fields["gap"])
+        assert event["burst"] == float("inf")
+        assert event["drain"] == float("-inf")
+        assert math.isnan(event["gap"])
 
     def test_numpy_scalars_become_python_numbers(self):
         np = pytest.importorskip("numpy")
         event = self.roundtrip(
             count=np.int32(7), ratio=np.float64(0.5), flag=np.bool_(True)
         )
-        assert event.fields["count"] == 7
-        assert type(event.fields["count"]) is int
-        assert event.fields["ratio"] == 0.5
-        assert type(event.fields["ratio"]) is float
-        assert event.fields["flag"] is True
+        assert event["count"] == 7
+        assert type(event["count"]) is int
+        assert event["ratio"] == 0.5
+        assert type(event["ratio"]) is float
+        assert event["flag"] is True
 
     def test_nested_sequences_roundtrip(self):
         np = pytest.importorskip("numpy")
@@ -461,9 +489,9 @@ class TestTraceEventEdgeCases:
             matrix=np.arange(4.0).reshape(2, 2),
             mixed=[1, [2.5, "x"], {"k": (3, 4)}],
         )
-        assert event.fields["matrix"] == [[0.0, 1.0], [2.0, 3.0]]
+        assert event["matrix"] == [[0.0, 1.0], [2.0, 3.0]]
         # JSON has no tuples: they come back as lists, values intact.
-        assert event.fields["mixed"] == [1, [2.5, "x"], {"k": [3, 4]}]
+        assert event["mixed"] == [1, [2.5, "x"], {"k": [3, 4]}]
 
     def test_non_finite_sim_clock_roundtrips(self):
         import math
@@ -472,7 +500,7 @@ class TestTraceEventEdgeCases:
         with JsonlSink(buffer) as sink:
             Tracer(sink).emit("phase", t=float("nan"))
         event = parse_trace_line(buffer.getvalue().splitlines()[0])
-        assert math.isnan(event.t)
+        assert math.isnan(event["t"])
 
     def test_unserializable_field_raises_type_error(self):
         with pytest.raises(TypeError, match="not JSON-serializable"):
@@ -493,9 +521,9 @@ class TestPhaseTimer:
         child = family.labels(phase="place.rod")
         assert child.count == 1
         event = sink.events[0]
-        assert event.type == "phase"
-        assert event.fields["name"] == "place.rod"
-        assert event.fields["operators"] == 12
+        assert event["type"] == "phase"
+        assert event["name"] == "place.rod"
+        assert event["operators"] == 12
 
     def test_phase_report_aggregates_calls(self):
         registry = MetricsRegistry()
@@ -528,7 +556,7 @@ class TestObservabilityBundle:
         obs = Observability(tracer=Tracer(sink))
         with obs.phase("y", detail=1):
             pass
-        assert sink.events[0].fields["detail"] == 1
+        assert sink.events[0]["detail"] == 1
 
     def test_repr_mentions_tracing_state(self):
         assert "tracing=off" in repr(Observability())

@@ -38,9 +38,9 @@ def traced_run(tmp_path_factory):
 class TestTraceAgreesWithResult:
     def test_trace_is_parseable_and_framed(self, traced_run):
         _, _, events = traced_run
-        assert events[0].type == "sim.start"
-        assert events[-1].type == "sim.end"
-        assert all(e.wall > 0 for e in events)
+        assert events[0]["type"] == "sim.start"
+        assert events[-1]["type"] == "sim.end"
+        assert all(e["wall"] > 0 for e in events)
 
     def test_busy_totals_equal_node_busy_exactly(self, traced_run):
         _, result, events = traced_run
@@ -93,14 +93,12 @@ class TestMigrationEvents:
             tracer=Tracer(sink),
         )
         applied = [
-            e for e in sink.events if e.type == "migration.applied"
+            e for e in sink.events if e["type"] == "migration.applied"
         ]
         assert len(applied) == len(result.migrations)
         if applied:
             event = applied[0]
-            assert {"operator", "source", "target", "pause"} <= set(
-                event.fields
-            )
+            assert {"operator", "source", "target", "pause"} <= set(event)
             report = render_trace_report(sink.events)
             assert "migrations applied" in report
 
@@ -122,13 +120,13 @@ class TestDisabledPathUnchanged:
         deployment = Deployment.plan(
             monitoring_graph(2, seed=1), [1.0, 1.0], obs=obs
         )
-        steps = [e for e in sink.events if e.type == "placement.step"]
+        steps = [e for e in sink.events if e["type"] == "placement.step"]
         assert len(steps) == deployment.model.num_operators
-        assert [e.fields["index"] for e in steps] == list(range(len(steps)))
+        assert [e["index"] for e in steps] == list(range(len(steps)))
         # Exactly one phase event per planning phase: the placer emits
         # no phase of its own beside the one timing it.
         phases = [
-            e.fields["name"] for e in sink.events if e.type == "phase"
+            e["name"] for e in sink.events if e["type"] == "phase"
         ]
         assert phases == [
             "plan.load_model", "plan.verify_model", "plan.place.rod",
@@ -143,16 +141,14 @@ class TestDisabledPathUnchanged:
         )
         verdict = deployment.probe([20.0, 20.0], duration=2.0)
         probes = [
-            e for e in sink.events if e.type == "feasibility.probe"
+            e for e in sink.events if e["type"] == "feasibility.probe"
         ]
         assert len(probes) == 1
-        assert probes[0].fields["feasible"] == verdict
+        assert probes[0]["feasible"] == verdict
 
 
 def _event(type_, t=None, **fields):
-    from repro.obs import TraceEvent
-
-    return TraceEvent(type=type_, t=t, wall=1.0, fields=fields)
+    return {"type": type_, "t": t, "wall": 1.0, **fields}
 
 
 class TestMetadataCapacityPadding:
@@ -212,23 +208,23 @@ class TestFilterEvents:
 
     def test_type_filter(self):
         kept = self.filter(types=["batch.serviced"])
-        assert [e.type for e in kept] == ["batch.serviced"] * 2
+        assert [e["type"] for e in kept] == ["batch.serviced"] * 2
 
     def test_node_filter_drops_nodeless_events(self):
         kept = self.filter(nodes=[1])
         assert len(kept) == 1
-        assert kept[0].fields["node"] == 1
+        assert kept[0]["node"] == 1
 
     def test_since_keeps_unclocked_events(self):
         kept = self.filter(since=2.0)
-        assert [e.type for e in kept] == [
+        assert [e["type"] for e in kept] == [
             "batch.serviced", "migration.applied", "phase",
         ]
 
     def test_filters_compose(self):
         kept = self.filter(types=["batch.serviced"], nodes=[0], since=0.0)
         assert len(kept) == 1
-        assert kept[0].fields["node"] == 0
+        assert kept[0]["node"] == 0
 
     def test_no_filters_is_identity(self):
         assert self.filter() == self.events
@@ -262,14 +258,14 @@ class TestFilterEventsCombined:
             types=["batch.serviced"], operators=["agg0"], since=4.0
         )
         assert len(kept) == 1
-        assert kept[0].t == 5.0
-        assert kept[0].fields["node"] == 1
+        assert kept[0]["t"] == 5.0
+        assert kept[0]["node"] == 1
 
     def test_operator_filter_crosses_event_kinds(self):
         # Without a type filter, the operator filter keeps every event
         # kind that names the operator: service, enqueue, migration.
         kept = self.filter(operators=["agg0"], since=0.0)
-        assert [e.type for e in kept] == [
+        assert [e["type"] for e in kept] == [
             "batch.serviced", "batch.enqueued", "batch.serviced",
             "migration.applied",
         ]
@@ -278,13 +274,13 @@ class TestFilterEventsCombined:
         # Both events of a batch name its operator, so an operator
         # filter keeps the whole span, just as the spans= filter does.
         span = self.filter(spans=[7])
-        assert [e.type for e in span] == ["batch.enqueued", "batch.serviced"]
+        assert [e["type"] for e in span] == ["batch.enqueued", "batch.serviced"]
         kept = self.filter(operators=["agg0"])
-        assert [e for e in kept if e.fields.get("span") == 7] == span
+        assert [e for e in kept if e.get("span") == 7] == span
 
     def test_span_and_since_compose(self):
         kept = self.filter(spans=[7], since=4.0)
-        assert [e.type for e in kept] == ["batch.serviced"]
+        assert [e["type"] for e in kept] == ["batch.serviced"]
 
     def test_all_filters_can_empty_the_trace(self):
         assert self.filter(
@@ -293,5 +289,5 @@ class TestFilterEventsCombined:
 
     def test_unclocked_events_survive_since_but_not_field_filters(self):
         kept = self.filter(since=100.0)
-        assert [e.type for e in kept] == ["phase"]
+        assert [e["type"] for e in kept] == ["phase"]
         assert self.filter(since=100.0, operators=["agg0"]) == []

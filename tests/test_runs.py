@@ -118,7 +118,7 @@ class TestRunWriter:
         writer.finish()
         run = load_run(str(tmp_path / "r"))
         assert run.has_trace
-        assert run.index().events[0].type == "sim.start"
+        assert run.index().events[0]["type"] == "sim.start"
 
     def test_colliding_run_ids_get_unique_dirs(self, tmp_path):
         RunWriter(root=str(tmp_path), kind="simulate", run_id="dup").finish()
@@ -392,7 +392,7 @@ class TestDeploymentRecording:
         )
         run = find_run("r", root=root)
         assert not run.has_trace  # stream went to the explicit file
-        assert read_trace(trace)[0].type == "sim.start"
+        assert read_trace(trace)[0]["type"] == "sim.start"
 
     def test_result_json_equals_the_cli_record(self, tmp_path, capsys):
         """The API and ``simulate --record`` build one snapshot: the same

@@ -52,7 +52,6 @@ from repro.obs.spans import (
     validate_span_dag,
 )
 from repro.obs.index import RunIndex, filter_events
-from repro.obs.trace import TraceEvent
 from repro.simulator import Simulator
 
 
@@ -117,20 +116,20 @@ class TestSpanEmitter:
     def test_ids_are_a_monotonic_counter(self, chaos_run):
         _, events = chaos_run
         opened = [
-            e.fields["span"] for e in events if e.type == "batch.enqueued"
+            e["span"] for e in events if e["type"] == "batch.enqueued"
         ]
         assert sorted(opened) == list(range(len(opened)))
         seen = set()
         derived = 0
         for event in events:
-            span = event.fields.get("span")
-            if event.type == "batch.enqueued":
-                parent = event.fields.get("parent")
+            span = event.get("span")
+            if event["type"] == "batch.enqueued":
+                parent = event.get("parent")
                 if parent is not None:
                     assert parent < span
                     derived += 1
                 seen.add(span)
-            elif event.type == "batch.serviced":
+            elif event["type"] == "batch.serviced":
                 assert span in seen
         assert derived > 0
 
@@ -140,15 +139,13 @@ class TestSpanEmitter:
         if parent is not None:
             fields["parent"] = parent
         fields.update(over)
-        return TraceEvent(type="batch.enqueued", t=t, wall=1.0,
-                          fields=fields)
+        return {"type": "batch.enqueued", "t": t, "wall": 1.0, **fields}
 
     def _close(self, span, t=1.0, **over):
         fields = dict(node=0, operator="op", port=0, count=1, out=1,
                       work=0.1, span=span, start=0.5)
         fields.update(over)
-        return TraceEvent(type="batch.serviced", t=t, wall=1.0,
-                          fields=fields)
+        return {"type": "batch.serviced", "t": t, "wall": 1.0, **fields}
 
     def test_duplicate_open_rejected(self):
         with pytest.raises(ValueError, match="span 0 opened twice"):
@@ -366,18 +363,14 @@ class TestSpanDagProperty:
 
 
 def _sink_event(t, latency, out=1):
-    return TraceEvent(
-        type="batch.serviced", t=t, wall=1.0,
-        fields={"node": 0, "operator": "s", "work": 0.0, "out": out,
-                "sink": "s", "latency": latency},
-    )
+    return {"type": "batch.serviced", "t": t, "wall": 1.0, "node": 0,
+            "operator": "s", "work": 0.0, "out": out, "sink": "s",
+            "latency": latency}
 
 
 def _header(horizon):
-    return TraceEvent(
-        type="sim.start", t=0.0, wall=1.0,
-        fields={"nodes": 1, "horizon": horizon},
-    )
+    return {"type": "sim.start", "t": 0.0, "wall": 1.0, "nodes": 1,
+            "horizon": horizon}
 
 
 class TestSloConfig:
@@ -590,37 +583,36 @@ class TestTraceSpanFilters:
                           span=span, birth=0.0)
             if parent is not None:
                 fields["parent"] = parent
-            return TraceEvent("batch.enqueued", t=0.0, wall=1.0,
-                              fields=fields)
+            return {"type": "batch.enqueued", "t": 0.0, "wall": 1.0,
+                    **fields}
 
         def close_(span, operator):
-            return TraceEvent(
-                "batch.serviced", t=1.0, wall=1.0,
-                fields=dict(node=0, operator=operator, port=0, count=1,
-                            out=1, work=0.1, span=span, start=0.5),
-            )
+            return {"type": "batch.serviced", "t": 1.0, "wall": 1.0,
+                    "node": 0, "operator": operator, "port": 0,
+                    "count": 1, "out": 1, "work": 0.1, "span": span,
+                    "start": 0.5}
 
         return [
             open_(0, operator="src"),
             open_(1, parent=0, operator="agg"),
             close_(0, "src"), close_(1, "agg"),
-            TraceEvent("sim.end", t=2.0, wall=1.0, fields={}),
+            {"type": "sim.end", "t": 2.0, "wall": 1.0},
         ]
 
     def test_span_filter_keeps_only_listed_spans(self):
         kept = filter_events(self._span_events(), spans=[1])
-        assert all(e.fields.get("span") == 1 for e in kept)
+        assert all(e.get("span") == 1 for e in kept)
         assert len(kept) == 2
 
     def test_operator_filter(self):
         # Both events of the batch name its operator.
         kept = filter_events(self._span_events(), operators=["src"])
         assert len(kept) == 2
-        assert all(e.fields["operator"] == "src" for e in kept)
+        assert all(e["operator"] == "src" for e in kept)
 
     def test_filters_drop_field_free_events(self):
         kept = filter_events(self._span_events(), spans=[0, 1])
-        assert all(e.type.startswith("batch.") for e in kept)
+        assert all(e["type"].startswith("batch.") for e in kept)
 
 
 # --------------------------------------------------------------------------
@@ -636,18 +628,16 @@ class TestEngineSpanEmission:
         _, events = traced_simulation(
             placement, rates=[30.0], duration=3.0
         )
-        opens = [e for e in events if e.type == "batch.enqueued"]
-        closes = [e for e in events if e.type == "batch.serviced"]
+        opens = [e for e in events if e["type"] == "batch.enqueued"]
+        closes = [e for e in events if e["type"] == "batch.serviced"]
         assert opens and closes
         assert len(closes) <= len(opens)
         for event in opens:
             assert {"span", "operator", "port", "count", "birth"} <= set(
-                event.fields
+                event
             )
         for event in closes:
-            assert {"span", "node", "start", "work", "out"} <= set(
-                event.fields
-            )
+            assert {"span", "node", "start", "work", "out"} <= set(event)
 
     def test_sink_close_latency_matches_engine_sample(self):
         placement = two_op_placement()
@@ -655,9 +645,9 @@ class TestEngineSpanEmission:
             placement, rates=[30.0], duration=3.0
         )
         sink_latencies = [
-            e.fields["latency"] for e in events
-            if e.type == "batch.serviced"
-            and e.fields.get("sink") is not None
+            e["latency"] for e in events
+            if e["type"] == "batch.serviced"
+            and e.get("sink") is not None
         ]
         assert sink_latencies
         assert all(math.isfinite(v) for v in sink_latencies)
