@@ -66,7 +66,8 @@ import math
 import os
 import sys
 from typing import (
-    TYPE_CHECKING, Callable, Iterator, List, Optional, Sequence, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
+    Union,
 )
 
 # Only the light observability core is imported here.  Each command
@@ -83,7 +84,7 @@ from .obs import (
     read_trace,
 )
 from . import paper, placers
-from .obs.runs import Recording, snapshot_from_result, snapshot_from_rows
+from .obs.runs import Recording, snapshot_from_rows
 
 if TYPE_CHECKING:
     from .core.plans import Placement
@@ -377,7 +378,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.trace_out:
             print(f"trace written to {args.trace_out}")
         index = run.index()
-        snapshot = snapshot_from_result(result, index)
+        sections: Dict[str, object] = {}
         slo_breached = False
         if index is not None and slo_objectives is not None:
             from .obs.slo import (
@@ -388,16 +389,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
             slo_report = evaluate_slos(index, slo_objectives)
             record_slo_metrics(obs.registry, slo_report)
-            snapshot["slo"] = slo_report.to_json_obj()
+            sections["slo"] = slo_report.to_json_obj()
             print(render_slo_report(slo_report))
             slo_breached = not slo_report.ok
         _emit_metrics(args, obs.registry)
         if run.writer is not None:
-            run.writer.finish(
-                snapshot=snapshot,
-                registry=obs.registry,
-                sim_seconds=result.duration,
-            )
+            run.finish_simulation(result, obs.registry, **sections)
             print(f"run recorded to {run.writer.path}")
     if slo_breached:
         return 1
@@ -418,33 +415,51 @@ def _find_run(ref: str, root: str) -> Run:
 
 
 @contextlib.contextmanager
+def _trace_defects(path: str) -> Iterator[None]:
+    """A malformed line or a structurally impossible trace (a span
+    closed twice, a node the header does not declare) exits 1 with
+    ``<path>: ...`` instead of a traceback, whichever view finds it.
+    Only :class:`~repro.obs.trace.TraceFormatError` is caught: any other
+    error in the command body keeps its traceback."""
+    try:
+        yield
+    except TraceFormatError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+
+
+def _untraced(run: Run, needed_by: str) -> _Refusal:
+    return _Refusal(
+        f"run {run.run_id} has no trace; {needed_by} needs a traced "
+        "recording (simulate --record)"
+    )
+
+
+@contextlib.contextmanager
 def _indexed(
     source: Union[str, Run], needed_by: Optional[str] = None
 ) -> Iterator[RunIndex]:
-    """The indexed trace of a file or a recorded run, as every viewer
-    reads it; an untraced run reads as an empty trace, which the
-    ``needed_by`` command refuses.
-
-    A malformed line or a structurally impossible trace (a span closed
-    twice, a node the header does not declare) exits 1 with
-    ``<path>: ...`` instead of a traceback, whichever view finds it.
-    Only :class:`~repro.obs.trace.TraceFormatError` is caught: any other
-    error in the command body keeps its traceback.
-    """
+    """The indexed trace of a file or a recorded run, as the trace
+    readers read it (:func:`_trace_defects`); an untraced run reads as
+    an empty trace, which the ``needed_by`` command refuses."""
     from .obs.index import RunIndex
 
     is_run = isinstance(source, Run)
-    try:
+    with _trace_defects(source.trace_path if is_run else source):
         index = source.index() if is_run else RunIndex(read_trace(source))
-        if isinstance(source, Run) and needed_by and not index.events:
-            raise _Refusal(
-                f"run {source.run_id} has no trace; {needed_by} needs a "
-                "traced recording (simulate --record)"
-            )
+        if is_run and needed_by and not index.events:
+            raise _untraced(source, needed_by)
         yield index
-    except TraceFormatError as exc:
-        path = source.trace_path if is_run else source
-        raise SystemExit(f"{path}: {exc}") from None
+
+
+def _document(run: Run, viewer: str) -> Dict[str, Any]:
+    """What ``viewer`` renders for ``run`` (:meth:`Run.document`): the
+    stored document, or one computed from a trace read as
+    :func:`_indexed` reads it; an untraced run is refused."""
+    with _trace_defects(run.trace_path):
+        document = run.document(viewer)
+    if document is None:
+        raise _untraced(run, viewer)
+    return document
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -617,41 +632,39 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from .obs.critical_path import (
-        analyze_critical_path,
-        render_critical_path_report,
-    )
+    from .obs.critical_path import render_critical_path_report
 
     run = _find_run(args.run, args.root)
-    with _indexed(run, "explain") as index:
-        analysis = analyze_critical_path(index)
-    if analysis.spans_total == 0:
+    document = _document(run, "explain")
+    if document["spans_total"] == 0:
         print(f"run {run.run_id}: trace carries no span events "
               "(recorded before span tracing? re-record it)")
         return 1
     if args.json:
-        print(json.dumps(analysis.to_json_obj(), indent=2, sort_keys=True))
+        print(json.dumps(
+            document["critical_path"], indent=2, sort_keys=True
+        ))
         return 0
     print(f"run {run.run_id}")
-    print(render_critical_path_report(analysis, top_k=args.top))
+    print(render_critical_path_report(document, top_k=args.top))
     return 0
 
 
 def cmd_why(args: argparse.Namespace) -> int:
-    from .obs.decisions import render_why_report, why_json_obj
+    from .obs.decisions import render_why_report
 
     run = _find_run(args.run, args.root)
-    with _indexed(run, "why") as index:
-        if not index.decisions:
-            print(f"run {run.run_id}: trace carries no decision events "
-                  "(no controller attached, or recorded before decision "
-                  "telemetry? re-record it)")
-            return 1
-        if args.json:
-            print(json.dumps(why_json_obj(index), indent=2, sort_keys=True))
-            return 0
-        print(f"run {run.run_id}")
-        print(render_why_report(index))
+    document = _document(run, "why")
+    if not document["summary"]["evaluated"]:
+        print(f"run {run.run_id}: trace carries no decision events "
+              "(no controller attached, or recorded before decision "
+              "telemetry? re-record it)")
+        return 1
+    if args.json:
+        print(json.dumps(document, indent=2, sort_keys=True))
+        return 0
+    print(f"run {run.run_id}")
+    print(render_why_report(document))
     return 0
 
 
@@ -704,7 +717,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
         run = _find_run(args.run, args.root)
         output = args.output or os.path.join(run.path, "report.html")
-        with _indexed(run):  # the report renders the same index
+        with _trace_defects(run.trace_path):
             write_html_report(run, output)
         print(f"run report written to {output}")
         return 0
@@ -914,7 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
              "group (default 2)",
     )
     place.add_argument(
-        "--elastic-max-splits", type=int, default=4, metavar="N",
+        "--elastic-max-splits", type=_bounded(int, 0), default=4,
+        metavar="N",
         help="bound on split attempts per placement (default 4)",
     )
     place.add_argument(
@@ -1057,7 +1071,8 @@ def build_parser() -> argparse.ArgumentParser:
              "latency.p99=0.1)",
     )
     cmp_parser.add_argument(
-        "--default-threshold", type=float, default=0.02, metavar="REL",
+        "--default-threshold", type=_bounded(float, 0), default=0.02,
+        metavar="REL",
         help="relative threshold for metrics without an explicit one "
              "(default 0.02 = ±2%%)",
     )
@@ -1076,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--root", default="runs",
                          help="run registry root (default ./runs)")
     explain.add_argument(
-        "-k", "--top", type=int, default=5, metavar="K",
+        "-k", "--top", type=_bounded(int, 1), default=5, metavar="K",
         help="show the K most latency-critical operators (default 5)",
     )
     explain.add_argument(

@@ -28,7 +28,7 @@ from .core.plans import Placement
 from .core.rod import rod_extend
 from .graphs.query_graph import QueryGraph, TransferCosts
 from .obs import Observability
-from .obs.runs import Recording, config_digest, snapshot_from_result
+from .obs.runs import Recording, config_digest
 from .placement import RODPlacer
 from .placers import build_placer
 from .simulator.engine import Simulator
@@ -240,7 +240,9 @@ class Deployment:
         provenance labels.  The snapshot is the one ``repro-rod simulate
         --record`` writes: unless an explicit ``tracer`` claimed the
         stream, the events are kept in memory as they are written, and
-        their critical-path, decision and drift sections join it.
+        their critical-path, decision and drift sections join it; a run
+        whose trace went to its directory also gets the ``analysis.json``
+        that ``explain``, ``why`` and ``report`` render.
         """
         tracer = simulator_kwargs.pop("tracer", None)
         if trace_out is not None and tracer is not None:
@@ -284,11 +286,7 @@ class Deployment:
                     rate_series=rate_series, rates=rates, duration=duration
                 )
             if run.writer is not None:
-                run.writer.finish(
-                    snapshot=snapshot_from_result(result, run.index()),
-                    registry=metrics,
-                    sim_seconds=result.duration,
-                )
+                run.finish_simulation(result, metrics)
         return result
 
     def probe(

@@ -32,22 +32,32 @@ carry the identical latency float the engine recorded, consumed in the
 same order, so the rebuilt :class:`~repro.simulator.metrics.LatencyStats`
 matches ``SimulationResult.latency`` bit for bit
 (``tests/test_spans.py``).
+
+:func:`explain_document` is what ``repro-rod explain`` renders: the
+analysis's ``critical_path`` snapshot section plus the counts and the
+operator ranking the text view and the HTML report's waterfall print.
+``simulate --record`` stores it in the run's ``analysis.json``, so the
+views render from plain numbers and load no NumPy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping
+from typing import Sequence, Tuple
 
-from ..simulator.metrics import LatencyStats
 from .index import Interval, Trace, as_index
 from .spans import validate_span_dag
 from .text import text_table
+
+if TYPE_CHECKING:
+    from ..simulator.metrics import LatencyStats
 
 __all__ = [
     "PHASES",
     "CriticalPathAnalysis",
     "analyze_critical_path",
+    "explain_document",
     "render_critical_path_report",
 ]
 
@@ -202,6 +212,9 @@ def analyze_critical_path(events: Trace) -> CriticalPathAnalysis:
     (``parent < span`` always), a single descending-id pass suffices;
     phase seconds then accumulate in ascending id order.
     """
+    # Imported here: rendering a stored document needs no NumPy.
+    from ..simulator.metrics import LatencyStats
+
     index = as_index(events)
     spans = index.spans
     problems = validate_span_dag(spans)
@@ -280,55 +293,79 @@ def analyze_critical_path(events: Trace) -> CriticalPathAnalysis:
     )
 
 
+def explain_document(events: Trace) -> Dict[str, Any]:
+    """The document ``repro-rod explain`` renders, as plain JSON data.
+
+    ``critical_path`` is the ``result.json`` section (what ``explain
+    --json`` prints); ``ranking`` orders every operator by its
+    tuple-weighted seconds, heaviest first, ties by name.
+    """
+    analysis = analyze_critical_path(events)
+    return {
+        "critical_path": analysis.to_json_obj(),
+        "ranking": [
+            name for name, _ in
+            analysis.top_operators(len(analysis.operator_totals()))
+        ],
+        "mean_latency": analysis.latency.mean(),
+        "sink_tuples": analysis.latency.total_tuples,
+        "tuples_out": analysis.tuples_out,
+        "spans_total": analysis.spans_total,
+        "spans_closed": analysis.spans_closed,
+        "stranded_tuples": analysis.stranded_tuples,
+        "problems": list(analysis.problems),
+    }
+
+
 def render_critical_path_report(
-    analysis: CriticalPathAnalysis, top_k: int = 5
+    document: Mapping[str, Any], top_k: int = 5
 ) -> str:
-    """The ``repro-rod explain`` text view: phases, then top operators."""
-    mean = analysis.latency.mean()
-    weight = analysis.latency.total_tuples
+    """The ``repro-rod explain`` text view of an :func:`explain_document`:
+    phases, then the ``top_k`` most critical operators."""
+    section = document["critical_path"]
+    operators = section["operators"]
     parts = [
-        f"critical path: {analysis.tuples_out} sink tuples over "
-        f"{analysis.spans_total} spans "
-        f"({analysis.spans_closed} closed), "
-        f"mean end-to-end latency {mean * 1e3:.3f}ms",
-        f"attributed {analysis.attributed_ratio:.4%} of the latency "
+        f"critical path: {document['tuples_out']} sink tuples over "
+        f"{document['spans_total']} spans "
+        f"({document['spans_closed']} closed), "
+        f"mean end-to-end latency {document['mean_latency'] * 1e3:.3f}ms",
+        f"attributed {section['attributed_ratio']:.4%} of the latency "
         "mass to (operator, phase) pairs",
         "",
         "phase breakdown (mean per sink tuple):",
     ]
-    phase_totals = analysis.phase_totals()
-    attributed = analysis.attributed_seconds
     rows = [("phase", "mean", "share")]
     for phase in PHASES:
-        total = phase_totals[phase]
         rows.append((
             phase,
-            f"{(total / weight if weight else 0.0) * 1e3:.3f}ms",
-            f"{(total / attributed if attributed else 0.0):.1%}",
+            f"{section['mean_seconds'][phase] * 1e3:.3f}ms",
+            f"{section['phase_share'][phase]:.1%}",
         ))
     parts.extend(text_table(rows))
     parts.append("")
     parts.append(f"top {top_k} critical operators:")
     op_rows = [("operator", "mean", "share") + PHASES]
-    for name, seconds in analysis.top_operators(top_k):
+    for name in document["ranking"][:top_k]:
+        entry = operators[name]
         op_rows.append((
             name,
-            f"{(seconds / weight if weight else 0.0) * 1e3:.3f}ms",
-            f"{(seconds / attributed if attributed else 0.0):.1%}",
+            f"{entry['seconds'] * 1e3:.3f}ms",
+            f"{entry['share']:.1%}",
         ) + tuple(
-            f"{analysis.mean_seconds(name, phase) * 1e3:.3f}ms"
+            f"{entry['phases'].get(phase, 0.0) * 1e3:.3f}ms"
             for phase in PHASES
         ))
     parts.extend(text_table(op_rows))
-    if analysis.unclosed_spans:
+    if section["unclosed_spans"]:
         parts.append("")
         parts.append(
-            f"{analysis.unclosed_spans} span(s) never closed "
-            f"({analysis.stranded_tuples} stranded tuple(s) — work lost "
-            "to crashed nodes with no failover)"
+            f"{section['unclosed_spans']} span(s) never closed "
+            f"({document['stranded_tuples']} stranded tuple(s) — work "
+            "lost to crashed nodes with no failover)"
         )
-    if analysis.problems:
+    problems = document["problems"]
+    if problems:
         parts.append("")
-        parts.append(f"lineage problems ({len(analysis.problems)}):")
-        parts.extend(f"  {problem}" for problem in analysis.problems)
+        parts.append(f"lineage problems ({len(problems)}):")
+        parts.extend(f"  {problem}" for problem in problems)
     return "\n".join(parts)

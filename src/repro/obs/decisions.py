@@ -16,11 +16,12 @@ This module is the audit trail:
   per-node load snapshot, every candidate migration considered with its
   policy score, and the outcome: ``migrate`` or a structured no-op
   reason (:data:`NOOP_REASONS`).
-* The trace side — :func:`decision_snapshot`, :func:`why_json_obj`
-  and :func:`render_why_report`, built on the decision and migration
-  views of :class:`repro.obs.index.RunIndex` — which the ``repro-rod
-  why`` CLI, the HTML report's decision-timeline panel, and the
-  run-registry snapshot build on.  Every ``migration.applied`` event
+* The trace side — :func:`decision_snapshot` and :func:`why_json_obj`,
+  built on the decision and migration views of
+  :class:`repro.obs.index.RunIndex`, and :func:`render_why_report`,
+  which renders the latter's payload — which the ``repro-rod why``
+  CLI, the HTML report's decision-timeline panel, and the run-registry
+  snapshot build on.  Every ``migration.applied`` event
   carries the ``decision`` id of the record that caused it, and
   ``node.stall`` events carry it too, so reconfiguration pauses are
   attributable to the decision that triggered them.
@@ -34,7 +35,7 @@ feasible-volume ratio the cluster would keep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from .index import Trace, as_index
 
@@ -193,7 +194,8 @@ def _fmt_volume(value: Optional[float]) -> str:
 
 
 def why_json_obj(events: Trace) -> Dict[str, object]:
-    """The ``repro-rod why --json`` payload."""
+    """The ``repro-rod why --json`` payload, which
+    :func:`render_why_report` renders as text."""
     index = as_index(events)
     return {
         "summary": decision_snapshot(index),
@@ -236,11 +238,12 @@ def why_json_obj(events: Trace) -> Dict[str, object]:
     }
 
 
-def render_why_report(events: Trace) -> str:
-    """Human-readable ``repro-rod why`` verdict."""
-    index = as_index(events)
-    explanations = index.migrations
-    snapshot = decision_snapshot(index)
+def render_why_report(document: Mapping[str, Any]) -> str:
+    """Human-readable ``repro-rod why`` verdict of a
+    :func:`why_json_obj` payload."""
+    migrations = document["migrations"]
+    snapshot = document["summary"]
+    drift = document["drift"]
     lines = []
     lines.append(
         f"decisions evaluated : {snapshot['evaluated']}"
@@ -262,10 +265,10 @@ def render_why_report(events: Trace) -> str:
             cells = ", ".join(f"{name}={n}" for name, n in counts.items())
             lines.append(f"{label:<20}: {cells}")
 
-    if index.drift:
+    if drift:
         lines.append("")
-        lines.append(f"drift detections ({len(index.drift)}):")
-        for f in index.drift:
+        lines.append(f"drift detections ({len(drift)}):")
+        for f in drift:
             where = (
                 f" input={f['input']}" if "input" in f else ""
             )
@@ -277,35 +280,38 @@ def render_why_report(events: Trace) -> str:
                 f"{float(f['threshold']):.3f})"
             )
 
-    if explanations:
+    if migrations:
         lines.append("")
-        lines.append(f"migrations ({len(explanations)}):")
-    for e in explanations:
+        lines.append(f"migrations ({len(migrations)}):")
+    for e in migrations:
         lines.append(
-            f"  t={e.t:>8.2f}s  {e.operator}: node {e.source} -> "
-            f"{e.target}  [{e.reason}]  pause={e.pause:.3f}s "
-            f"(served {e.pause_served:.3f}s)"
+            f"  t={e['t']:>8.2f}s  {e['operator']}: node {e['source']} -> "
+            f"{e['target']}  [{e['reason']}]  pause={e['pause']:.3f}s "
+            f"(served {e['pause_served']:.3f}s)"
         )
-        view = e.decision
+        view = e["decision"]
         if view is None:
             lines.append(
                 "      (no decision record — trace predates decision "
                 "telemetry)"
             )
             continue
-        loads = ", ".join(f"{load:.3f}" for load in view.loads)
+        loads = ", ".join(f"{load:.3f}" for load in view["loads"])
         lines.append(
-            f"      decision #{view.decision} trigger={view.trigger} "
-            f"controller={view.controller}  loads=[{loads}]"
+            f"      decision #{view['id']} trigger={view['trigger']} "
+            f"controller={view['controller']}  loads=[{loads}]"
         )
-        if (view.volume_before is not None
-                or view.volume_after is not None):
+        if (view["volume_before"] is not None
+                or view["volume_after"] is not None):
             lines.append(
                 "      feasible volume "
-                f"{_fmt_volume(view.volume_before)} -> "
-                f"{_fmt_volume(view.volume_after)}"
+                f"{_fmt_volume(view['volume_before'])} -> "
+                f"{_fmt_volume(view['volume_after'])}"
             )
-        rejected = view.rejected
+        rejected = [
+            cand for cand in view["candidates"]
+            if cand.get("status") != "chosen"
+        ]
         if rejected:
             lines.append(
                 f"      rejected alternatives ({len(rejected)}):"
@@ -318,15 +324,15 @@ def render_why_report(events: Trace) -> str:
                     f"[{cand.get('status')}]"
                 )
 
-    no_ops = [view for view in index.decisions if view.actions == 0]
+    no_ops = document["no_op_decisions"]
     if no_ops:
         lines.append("")
         lines.append(f"no-op periods ({len(no_ops)}):")
         preview = no_ops if len(no_ops) <= 12 else no_ops[:12]
         for view in preview:
             lines.append(
-                f"  t={view.t:>8.2f}s  #{view.decision} "
-                f"trigger={view.trigger} reason={view.reason}"
+                f"  t={view['t']:>8.2f}s  #{view['id']} "
+                f"trigger={view['trigger']} reason={view['reason']}"
             )
         if len(no_ops) > len(preview):
             lines.append(

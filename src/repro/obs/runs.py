@@ -10,6 +10,8 @@ directory*::
         trace.jsonl     # the structured event stream (when traced)
         result.json     # metrics snapshot (flat, diffable numbers)
         metrics.json    # full MetricsRegistry.to_json() dump
+        analysis.json   # what explain, why and report render (traced
+                        # simulate runs), with the trace's SHA-256
 
 The registry turns one-shot terminal output into queryable artifacts:
 ``repro-rod runs list/show`` browses them, ``repro-rod compare``
@@ -24,6 +26,15 @@ opens a run: it owns the choice of trace sink and seals a run that
 failed.  Everything is plain JSON — no database, no
 external dependency — so run directories can be committed as regression
 baselines (see the CI compare step).
+
+A simulate run is analyzed once, when its recorder seals it: the
+documents the ``explain``, ``why`` and ``report`` viewers render
+(:func:`viewer_document`) are built from the events it kept and stored
+in ``analysis.json`` with the SHA-256 of the ``trace.jsonl`` bytes it
+wrote.  The file is a cache: :meth:`Run.document` uses it only while it
+parses, names :data:`ANALYSIS_FORMAT` and the trace still hashes to
+that digest, and otherwise computes the document from the trace with
+the same function.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import MetricsRegistry
@@ -43,6 +55,8 @@ if TYPE_CHECKING:
     from .trace import TraceSink
 
 __all__ = [
+    "ANALYSIS_FORMAT",
+    "ANALYSIS_NAME",
     "MANIFEST_NAME",
     "METRICS_NAME",
     "RESULT_NAME",
@@ -59,6 +73,8 @@ __all__ = [
     "load_run",
     "snapshot_from_result",
     "snapshot_from_rows",
+    "VIEWERS",
+    "viewer_document",
 ]
 
 #: Bumped when the on-disk layout changes incompatibly.
@@ -68,6 +84,14 @@ MANIFEST_NAME = "manifest.json"
 TRACE_NAME = "trace.jsonl"
 RESULT_NAME = "result.json"
 METRICS_NAME = "metrics.json"
+ANALYSIS_NAME = "analysis.json"
+
+#: Bumped when the ``analysis.json`` layout changes; a file that names
+#: another format is ignored.
+ANALYSIS_FORMAT = 1
+
+#: The commands that render a document of ``analysis.json``.
+VIEWERS = ("explain", "why", "report")
 
 #: Default registry root, relative to the working directory.
 DEFAULT_ROOT = "runs"
@@ -159,19 +183,14 @@ class RunManifest:
         )
 
 
-def snapshot_from_result(
-    result: object, index: Optional[RunIndex] = None
-) -> Dict[str, object]:
+def snapshot_from_result(result: object) -> Dict[str, object]:
     """Flatten a ``SimulationResult`` into the ``result.json`` snapshot.
 
     Every value is a plain JSON number/list so :mod:`repro.obs.diff` can
     compare snapshots key by key.  Accepts the result duck-typed to keep
-    this module import-light (no simulator dependency).
-
-    ``index``, the indexed events of a traced run, adds the
-    ``critical_path``, ``decisions`` and ``drift`` sections: every
-    recorder of a simulate run (``repro-rod simulate --record`` and
-    ``Deployment.simulate(runs_root=...)``) builds its snapshot here.
+    this module import-light (no simulator dependency).  A traced run's
+    snapshot adds the ``critical_path``, ``decisions`` and ``drift``
+    sections of its events (:meth:`Recording.finish_simulation`).
     """
     latency = result.latency  # type: ignore[attr-defined]
     snapshot: Dict[str, object] = {
@@ -236,17 +255,38 @@ def snapshot_from_result(
         snapshot["stranded_tuples"] = int(
             getattr(result, "stranded_tuples", 0)
         )
-    if index is not None:
-        from .critical_path import analyze_critical_path
-        from .decisions import decision_snapshot
-        from .drift import drift_snapshot
-
-        snapshot["critical_path"] = analyze_critical_path(index).to_json_obj()
-        # Always present (zero-valued for controller-less runs) so
-        # baselines gain the keys and `compare` can diff them.
-        snapshot["decisions"] = decision_snapshot(index)
-        snapshot["drift"] = drift_snapshot(index)
     return snapshot
+
+
+def viewer_document(viewer: str, index: RunIndex) -> Dict[str, Any]:
+    """The document ``viewer`` renders, computed from a run's indexed
+    trace: :func:`~repro.obs.critical_path.explain_document` for
+    ``explain``, :func:`~repro.obs.decisions.why_json_obj` for ``why``
+    and :func:`~repro.obs.report_html.report_document` for ``report``.
+    The recorder stores what it returns in ``analysis.json``."""
+    # Imported here: each viewer loads only its own analyzer.
+    if viewer == "explain":
+        from .critical_path import explain_document
+
+        return explain_document(index)
+    if viewer == "why":
+        from .decisions import why_json_obj
+
+        return why_json_obj(index)
+    if viewer == "report":
+        from .report_html import report_document
+
+        return report_document(index)
+    raise ValueError(f"unknown viewer {viewer!r}; expected one of {VIEWERS}")
+
+
+def _sha256(path: str) -> str:
+    """Hex SHA-256 of a file's bytes, read in 1 MiB blocks."""
+    hasher = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            hasher.update(block)
+    return hasher.hexdigest()
 
 
 def snapshot_from_rows(
@@ -328,6 +368,11 @@ class RunWriter:
     def trace_path(self) -> str:
         return os.path.join(self.path, TRACE_NAME)
 
+    @property
+    def traced(self) -> bool:
+        """Whether the run's events stream to its ``trace.jsonl``."""
+        return self._trace_sink is not None
+
     def trace_sink(self) -> JsonlSink:
         """A JSONL sink writing the run's ``trace.jsonl`` (memoized)."""
         if self._trace_sink is None:
@@ -339,8 +384,11 @@ class RunWriter:
         snapshot: Optional[Mapping[str, object]] = None,
         registry: Optional[MetricsRegistry] = None,
         sim_seconds: Optional[float] = None,
+        analysis: Optional[Mapping[str, object]] = None,
     ) -> RunManifest:
-        """Close the trace and write manifest/result/metrics files.
+        """Close the trace and write manifest/result/metrics files, then
+        ``analysis``, the viewers' documents, as ``analysis.json`` with
+        the SHA-256 of the trace, when the run wrote its ``trace.jsonl``.
 
         Idempotent by refusal: a second call raises, so a run directory
         is never silently rewritten after it was sealed.
@@ -357,6 +405,18 @@ class RunWriter:
         if registry is not None:
             self._write_json(METRICS_NAME, registry.to_json())
         self._write_json(MANIFEST_NAME, self.manifest.to_json_obj())
+        if analysis is not None and self.traced:
+            document = {
+                "format": ANALYSIS_FORMAT,
+                "trace_sha256": _sha256(self.trace_path),
+                **analysis,
+            }
+            # Compact: one C-encoder call, in the documents' key order.
+            with open(os.path.join(self.path, ANALYSIS_NAME), "w",
+                      encoding="utf-8") as handle:
+                handle.write(json.dumps(
+                    document, separators=(",", ":"), default=_jsonable
+                ))
         return self.manifest
 
     def _write_json(self, name: str, obj: Mapping[str, object]) -> None:
@@ -380,10 +440,10 @@ class Recording:
     ``keep_events`` the sink also keeps every event it wrote, for
     :meth:`index`.
 
-    The caller seals a completed run with ``writer.finish(...)``.  On
-    exit the sink is closed, and a run an error left unfinished is
-    sealed with what exists, so the registry never holds an unreadable
-    half-run.
+    The caller seals a completed run with ``writer.finish(...)``, or a
+    simulation with :meth:`finish_simulation`.  On exit the sink is
+    closed, and a run an error left unfinished is sealed with what
+    exists, so the registry never holds an unreadable half-run.
     """
 
     def __init__(
@@ -407,6 +467,7 @@ class Recording:
             sink = self.writer.trace_sink()
         self.sink = MemorySink(forward=sink) if keep_events else sink
         self.tracer = None if self.sink is None else Tracer(self.sink)
+        self._index: Optional[RunIndex] = None
 
     def __enter__(self) -> Recording:
         return self
@@ -418,12 +479,51 @@ class Recording:
             self.writer.finish()
 
     def index(self) -> Optional[RunIndex]:
-        """The kept events, indexed; ``None`` when none were kept."""
-        if not isinstance(self.sink, MemorySink) or not self.sink.events:
-            return None
-        from .index import RunIndex
+        """The kept events, indexed on the first call; ``None`` when
+        none were kept."""
+        kept = self.sink.events if isinstance(self.sink, MemorySink) else ()
+        if self._index is None and kept:
+            from .index import RunIndex
 
-        return RunIndex(self.sink.events)
+            self._index = RunIndex(kept)
+        return self._index
+
+    def finish_simulation(
+        self, result: object, registry: MetricsRegistry,
+        **sections: object,
+    ) -> None:
+        """Seal a simulate run.
+
+        ``result.json`` is :func:`snapshot_from_result` plus, when
+        events were kept, their ``critical_path``, ``decisions`` and
+        ``drift`` sections, plus ``sections``.  A run that wrote its
+        ``trace.jsonl`` also gets ``analysis.json``: each of
+        :data:`VIEWERS`'s documents, built once from the kept events;
+        the snapshot's sections come from the same documents.
+        """
+        assert self.writer is not None, "finish_simulation needs a root"
+        snapshot = snapshot_from_result(result)
+        index = self.index()
+        analysis = None
+        if index is not None:
+            from .drift import drift_snapshot
+
+            # The writer stores the documents only beside its own trace.
+            viewers = VIEWERS if self.writer.traced else ("explain", "why")
+            analysis = {
+                viewer: viewer_document(viewer, index) for viewer in viewers
+            }
+            snapshot["critical_path"] = analysis["explain"]["critical_path"]
+            # Always present (zero-valued for controller-less runs) so
+            # baselines gain the keys and `compare` can diff them.
+            snapshot["decisions"] = analysis["why"]["summary"]
+            snapshot["drift"] = drift_snapshot(index)
+        snapshot.update(sections)
+        self.writer.finish(
+            snapshot=snapshot, registry=registry,
+            sim_seconds=result.duration,  # type: ignore[attr-defined]
+            analysis=analysis,
+        )
 
 
 class Run:
@@ -497,6 +597,34 @@ class Run:
                 read_trace(self.trace_path) if self.has_trace else []
             )
         return self._index
+
+    @cached_property
+    def analysis(self) -> Optional[Dict[str, Any]]:
+        """The viewers' documents stored in ``analysis.json``, or
+        ``None`` unless the file parses, names :data:`ANALYSIS_FORMAT`,
+        holds a document for each of :data:`VIEWERS` and was recorded
+        from the bytes ``trace.jsonl`` holds now."""
+        try:
+            stored = self._read_json(ANALYSIS_NAME)
+        except (OSError, ValueError):
+            return None
+        current = (
+            stored.get("format") == ANALYSIS_FORMAT
+            and all(isinstance(stored.get(v), dict) for v in VIEWERS)
+            and self.has_trace
+            and stored.get("trace_sha256") == _sha256(self.trace_path)
+        )
+        return stored if current else None
+
+    def document(self, viewer: str) -> Optional[Dict[str, Any]]:
+        """The document ``viewer`` (one of :data:`VIEWERS`) renders:
+        the stored one while :attr:`analysis` holds, else
+        :func:`viewer_document` of the trace; ``None`` when the run has
+        no trace events."""
+        if self.analysis is not None:
+            return self.analysis[viewer]
+        index = self.index()
+        return viewer_document(viewer, index) if index.events else None
 
     def __repr__(self) -> str:
         return f"Run({self.path!r})"

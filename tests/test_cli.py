@@ -314,6 +314,8 @@ _SIMULATE = [*_SIMULATE_AT, "--rates", "20,20"]
       "annealing", "--score-batch", "0"], "--score-batch"),
     (["place", "--graph", "{graph}", "--nodes", "2", "--score-batch", "0"],
      "--score-batch"),
+    (["place", "--graph", "{graph}", "--nodes", "2", "--elastic",
+      "--elastic-max-splits", "-3"], "--elastic-max-splits"),
     (["evaluate", "--graph", "{graph}", "--plan", "{plan}",
       "--axis-budget", "0"], "--axis-budget"),
     ([*_SIMULATE_AT, "--rates", "60,-5"], "--rates"),
@@ -328,17 +330,26 @@ _SIMULATE = [*_SIMULATE_AT, "--rates", "20,20"]
     ([*_SIMULATE, "--chaos-seed", "1", "--chaos-intensity", "inf"],
      "--chaos-intensity"),
     (["trace", "{work}/run.jsonl", "--width", "0"], "--width"),
+    (["explain", "run", "--top", "-2"], "-k/--top"),
+    (["explain", "run", "-k", "0"], "-k/--top"),
+    (["compare", "a", "b", "--default-threshold", "nan"],
+     "--default-threshold"),
+    (["compare", "a", "b", "--default-threshold", "-1"],
+     "--default-threshold"),
     (["experiment", "fig2", "--jobs", "-1"], "--jobs"),
 ], ids=[
     "generate-inputs", "generate-ops-per-tree", "place-nodes",
     "place-capacity", "place-group-size", "place-capacity-inf",
     "place-elastic-ways", "place-elastic-target-ratio-negative",
     "place-elastic-target-ratio-above-one",
-    "annealing-score-batch", "rod-score-batch", "evaluate-axis-budget",
+    "annealing-score-batch", "rod-score-batch",
+    "place-elastic-max-splits", "evaluate-axis-budget",
     "simulate-rates-negative", "simulate-rates-not-a-number",
     "simulate-rates-nan", "simulate-duration", "simulate-duration-inf",
     "simulate-step", "simulate-step-inf", "simulate-chaos-intensity",
-    "simulate-chaos-intensity-inf", "trace-width", "experiment-jobs",
+    "simulate-chaos-intensity-inf", "trace-width", "explain-top",
+    "explain-top-zero", "compare-default-threshold-nan",
+    "compare-default-threshold-negative", "experiment-jobs",
 ])
 def test_out_of_range_numbers_are_usage_errors(
     argv, option, tmp_path, graph_file, plan_file, capsys
@@ -1223,9 +1234,36 @@ class TestRecordOnce:
         )
 
 
+def test_a_trace_out_run_has_no_trace(tmp_path, graph_file, plan_file, capsys):
+    """A run whose events went to ``--trace-out`` holds neither a trace
+    nor a stored analysis: ``explain`` and ``why`` refuse it, and its
+    report has no trace sections."""
+    root = str(tmp_path / "runs")
+    assert main([
+        "simulate", "--graph", graph_file, "--plan", plan_file,
+        "--rates", "20,20", "--duration", "2", "--chaos-seed", "5",
+        "--failover", "volume", "--record", root, "--run-id", "out",
+        "--trace-out", str(tmp_path / "out.jsonl"),
+    ]) == 0
+    assert sorted(os.listdir(os.path.join(root, "out"))) == [
+        "manifest.json", "metrics.json", "result.json",
+    ]
+    capsys.readouterr()
+    for viewer in ("explain", "why"):
+        assert main([viewer, "out", "--root", root]) == 1
+        assert capsys.readouterr().out == (
+            f"run out has no trace; {viewer} needs a traced recording "
+            "(simulate --record)\n"
+        )
+    assert main(["report", "out", "--root", root]) == 0
+    html = Path(root, "out", "report.html").read_text()
+    assert "Headline metrics" in html
+    assert "Utilization heatmap" not in html
+
+
 #: Modules no start-up path may load: SciPy and NumPy, and the layers
-#: that pull them in.  ``explain`` and ``report`` may load NumPy; only
-#: ``experiment`` fans runs out, so only it may load the process pools.
+#: that pull them in.  Only ``experiment`` fans runs out, so only it may
+#: load the process pools.
 HEAVY_MODULES = (
     "numpy", "scipy", "repro.core", "repro.simulator.engine",
     "repro.placement", "repro.dynamics", "repro.experiments",
@@ -1256,9 +1294,10 @@ def budget_root(tmp_path_factory):
     (["generate", "--kind", "random", "--inputs", "2", "-o",
       "{work}/g.json"], ()),
     (["why", "run", "--root", "{work}/runs"], ()),
-    (["explain", "run", "--root", "{work}/runs"], ("numpy",)),
+    # A recorded run's viewers render its stored analysis.
+    (["explain", "run", "--root", "{work}/runs"], ()),
     (["report", "run", "--root", "{work}/runs", "-o", "{work}/r.html"],
-     ("numpy",)),
+     ()),
     # The placers run inline: no process-pool module.
     (["place", "--graph", "{work}/graph.json", "--nodes", "2"],
      ("numpy", "repro.core", "repro.placement")),

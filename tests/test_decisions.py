@@ -284,7 +284,7 @@ class TestBalanceDecisionAudit:
         assert len(obj["migrations"]) == result.migration_count
         assert obj["migrations"][0]["decision"] is not None
         assert obj["summary"]["evaluated"] > 0
-        report = render_why_report(events)
+        report = render_why_report(obj)
         assert "decisions evaluated" in report
         assert "drift detections" in report
         assert "migrations (" in report

@@ -6,11 +6,12 @@ rewrites them from ``repro.obs.schema``.  This pins the committed file
 to the registry so a schema change cannot land without regenerating the
 docs (CI runs the same check via ``--check``).  The fault and
 simulator docs must name every fault kind the engine understands, the
-static-analysis code table must list every lint rule, every test or
-benchmark and every dotted ``repro.`` name a doc cites must exist, the
-CLI reference must cover every subcommand, option and artifact id the
-parser declares, and every ``repro-rod`` command a doc shows must
-parse.
+static-analysis code table must list every lint rule, the
+run-directory table must name every file a run directory holds, every
+test or benchmark and every dotted ``repro.`` name a doc cites must
+exist, the CLI reference must cover every subcommand, option and
+artifact id the parser declares, and every ``repro-rod`` command a doc
+shows must parse.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from pathlib import Path
 from repro.check.lint import LINT_CODES
 from repro.cli import build_parser
 from repro.faults import FAULT_KINDS
+from repro.obs import runs
 from repro.paper import ARTIFACTS
 from repro.placers import PLACERS
 
@@ -119,6 +121,22 @@ class TestLintDocsInSync:
         assert rows == {
             code: str(severity) for code, (severity, _) in LINT_CODES.items()
         }
+
+
+class TestRunDirectoryDocs:
+    def test_the_table_names_every_run_file(self):
+        """The run-directory table of docs/observability.md names
+        exactly the files of ``repro.obs.runs``'s ``*_NAME`` constants."""
+        text = (ROOT / "docs" / "observability.md").read_text()
+        section = text[text.index("## The run registry"):]
+        section = section[:section.index("\n## ")]
+        table = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
+        files = [
+            value for name, value in vars(runs).items()
+            if name.endswith("_NAME")
+        ]
+        assert len(files) == 5
+        assert sorted(table) == sorted(files)
 
 
 class TestTraceReadingDocs:

@@ -65,6 +65,7 @@ from repro.obs import trace as trace_module
 from repro.obs.analyze import analyze_trace
 from repro.obs.critical_path import (
     analyze_critical_path,
+    explain_document,
     render_critical_path_report,
 )
 from repro.obs.decisions import (
@@ -404,10 +405,8 @@ def render_outputs(events, result, run_dir):
             sink.write(event)
     subset = filter_events(events, types=["batch.serviced"], nodes=[0])
     return {
-        "explain": render_critical_path_report(
-            analyze_critical_path(events)
-        ),
-        "why": render_why_report(events),
+        "explain": render_critical_path_report(explain_document(events)),
+        "why": render_why_report(why_json_obj(events)),
         "slo": render_slo_report(evaluate_slos(events, READER_OBJECTIVES)),
         "busy": busy_totals(events).tolist(),
         "utilization": utilization_timeline(events).tolist(),

@@ -73,7 +73,9 @@ READERS = {
     "analyze_trace": analyze_trace,
     "analyze_critical_path": analyze_critical_path,
     "why_json_obj": why_json_obj,
-    "render_why_report": render_why_report,
+    "render_why_report": lambda events: render_why_report(
+        why_json_obj(events)
+    ),
     "evaluate_slos": lambda events: evaluate_slos(events, OBJECTIVES),
     "render_trace_report": render_trace_report,
 }
@@ -89,7 +91,10 @@ class TestOneWalk:
     def test_report_command_walks_the_events_once(
         self, tmp_path, monkeypatch, capsys
     ):
+        """Without its stored analysis, ``report`` reads the trace once
+        and walks it once, for both documents it renders."""
         root = _record_chaos_run(tmp_path, capsys)
+        os.remove(os.path.join(root, "run", "analysis.json"))
         walked = []
 
         def counting_read(path):
@@ -99,6 +104,21 @@ class TestOneWalk:
         monkeypatch.setattr("repro.obs.runs.read_trace", counting_read)
         assert main(["report", "run", "--root", root]) == 0
         assert [events.walks for events in walked] == [1]
+
+    @pytest.mark.parametrize("argv", [
+        ["explain", "run"], ["explain", "run", "--json"], ["why", "run"],
+        ["why", "run", "--json"], ["report", "run"],
+    ], ids=["explain", "explain-json", "why", "why-json", "report"])
+    def test_viewers_of_a_recorded_run_read_no_trace(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        root = _record_chaos_run(tmp_path, capsys)
+
+        def no_read(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr("repro.obs.runs.read_trace", no_read)
+        assert main([*argv, "--root", root]) == 0
 
     def test_simulate_snapshot_walks_the_events_once(
         self, tmp_path, monkeypatch, capsys

@@ -9,13 +9,18 @@ The acceptance-critical invariants live here:
 * the HTML report is self-contained (no external URLs, no scripts).
 """
 
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cli import main
 from repro.deploy import Deployment
@@ -33,6 +38,8 @@ from repro.obs.diff import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import (
+    ANALYSIS_FORMAT,
+    Recording,
     Run,
     RunManifest,
     RunWriter,
@@ -44,6 +51,7 @@ from repro.obs.runs import (
     snapshot_from_rows,
 )
 from repro.obs.report_html import render_html_report, write_html_report
+from tests.test_engine import RUNS, drawn_simulator
 
 
 @pytest.fixture
@@ -416,6 +424,17 @@ class TestDeploymentRecording:
         cli = (root / "cli" / "result.json").read_bytes()
         assert b'"critical_path"' in cli
         assert api == cli
+        # The traces differ by `wall`, so their digests differ; the
+        # documents the viewers render do not.
+        api, cli = (
+            json.loads((root / name / "analysis.json").read_text())
+            for name in ("api", "cli")
+        )
+        for analysis in (api, cli):
+            assert len(analysis.pop("trace_sha256")) == 64
+        assert api["format"] == ANALYSIS_FORMAT
+        assert list(api) == ["format", "explain", "why", "report"]
+        assert api == cli
 
     def test_failed_simulation_still_seals_manifest(
         self, tmp_path, deployment
@@ -477,3 +496,109 @@ class TestHtmlReport:
         writer.finish(snapshot={"kind": "simulate", "max_utilization": 0.1})
         html = render_html_report(Run(str(tmp_path / "r")))
         assert "max_utilization" in html or "0.1" in html
+
+
+def _record_drawn(root, graph_seed, chaos_seed, controller):
+    """Record one drawn run through :class:`Recording`, as ``simulate
+    --record`` does; its run directory."""
+    with Recording(root, "simulate", {}, keep_events=True,
+                   run_id="run") as recording:
+        simulator, series = drawn_simulator(
+            graph_seed, chaos_seed, controller, tracer=recording.tracer
+        )
+        recording.finish_simulation(
+            simulator.run(rate_series=series), MetricsRegistry()
+        )
+    return recording.writer.path
+
+
+#: The viewer invocations whose bytes must not depend on
+#: ``analysis.json``; ``report`` is rendered on top of them.
+VIEWS = (
+    ["explain"], ["explain", "--top", "3"], ["explain", "--json"],
+    ["why"], ["why", "--json"],
+)
+
+
+def _rendered(run_dir, scratch):
+    """Exit code and stdout of every view of ``VIEWS``, then the HTML
+    report's bytes."""
+    outputs = []
+    for argv in VIEWS:
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            code = main([*argv, str(run_dir)])
+        outputs.append((code, buffer.getvalue()))
+    report = os.path.join(scratch, "report.html")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", str(run_dir), "-o", report]) == 0
+    outputs.append(Path(report).read_bytes())
+    return outputs
+
+
+def _without_analysis(run_dir, path):
+    """A copy of ``run_dir`` at ``path`` without its ``analysis.json``."""
+    shutil.copytree(run_dir, path)
+    os.remove(os.path.join(path, "analysis.json"))
+    return path
+
+
+class TestStoredAnalysis:
+    """``analysis.json`` is a cache: the viewers print the same bytes
+    from it as from the run's trace, and ignore it when it cannot be
+    trusted."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(**RUNS)
+    @example(graph_seed=1, chaos_seed=7, controller="failover")
+    @example(graph_seed=2, chaos_seed=None, controller="none")
+    @example(graph_seed=3, chaos_seed=5, controller="balance")
+    @example(graph_seed=4, chaos_seed=None, controller="elastic")
+    def test_stored_and_computed_documents_render_the_same_bytes(
+        self, graph_seed, chaos_seed, controller
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            stored = _record_drawn(
+                os.path.join(directory, "runs"), graph_seed, chaos_seed,
+                controller,
+            )
+            bare = _without_analysis(
+                stored, os.path.join(directory, "bare")
+            )
+            assert Run(stored).analysis is not None
+            assert Run(bare).analysis is None
+            assert _rendered(stored, directory) == _rendered(
+                bare, directory
+            )
+
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """A recorded chaos + failover run and its analysis-less copy."""
+        work = tmp_path_factory.mktemp("stored")
+        stored = _record_drawn(str(work / "runs"), 1, 7, "failover")
+        return stored, _without_analysis(stored, str(work / "bare"))
+
+    @pytest.mark.parametrize("damage", [
+        "not-json", "unknown-format", "stale-digest",
+    ])
+    def test_a_damaged_analysis_is_ignored(self, recorded, tmp_path, damage):
+        stored, bare = recorded
+        damaged = str(tmp_path / "damaged")
+        shutil.copytree(stored, damaged)
+        path = os.path.join(damaged, "analysis.json")
+        document = json.loads(Path(path).read_text())
+        # Empty documents: rendering them would fail.
+        document.update(explain={}, why={}, report={})
+        if damage == "not-json":
+            Path(path).write_text(json.dumps(document)[:-1])
+        elif damage == "unknown-format":
+            document["format"] = ANALYSIS_FORMAT + 1
+            Path(path).write_text(json.dumps(document))
+        else:
+            document["trace_sha256"] = "0" * 64
+            Path(path).write_text(json.dumps(document))
+        assert Run(damaged).analysis is None
+        assert _rendered(damaged, str(tmp_path)) == _rendered(
+            bare, str(tmp_path)
+        )
+

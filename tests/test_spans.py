@@ -34,6 +34,7 @@ from repro.obs import MemorySink, MetricsRegistry, Tracer
 from repro.obs.critical_path import (
     PHASES,
     analyze_critical_path,
+    explain_document,
     render_critical_path_report,
 )
 from repro.obs.diff import _direction, compare_metrics
@@ -302,7 +303,9 @@ class TestCriticalPathReconciliation:
         top = analysis.top_operators(3)
         assert len(top) <= 3
         assert top == sorted(top, key=lambda kv: kv[1], reverse=True)
-        report = render_critical_path_report(analysis, top_k=3)
+        report = render_critical_path_report(
+            explain_document(events), top_k=3
+        )
         assert "attributed" in report
         for name, _ in top:
             assert name in report
