@@ -378,7 +378,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.trace_out:
             print(f"trace written to {args.trace_out}")
         index = run.index()
-        sections: Dict[str, object] = {}
+        slo_section: Optional[Dict[str, object]] = None
         slo_breached = False
         if index is not None and slo_objectives is not None:
             from .obs.slo import (
@@ -389,12 +389,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
             slo_report = evaluate_slos(index, slo_objectives)
             record_slo_metrics(obs.registry, slo_report)
-            sections["slo"] = slo_report.to_json_obj()
+            slo_section = slo_report.to_json_obj()
             print(render_slo_report(slo_report))
             slo_breached = not slo_report.ok
         _emit_metrics(args, obs.registry)
         if run.writer is not None:
-            run.finish_simulation(result, obs.registry, **sections)
+            run.finish_simulation(result, obs.registry, slo=slo_section)
             print(f"run recorded to {run.writer.path}")
     if slo_breached:
         return 1

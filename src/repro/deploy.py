@@ -242,7 +242,7 @@ class Deployment:
         stream, the events are kept in memory as they are written, and
         their critical-path, decision and drift sections join it; a run
         whose trace went to its directory also gets the ``analysis.json``
-        that ``explain``, ``why`` and ``report`` render.
+        that ``explain`` and ``why`` render.
         """
         tracer = simulator_kwargs.pop("tracer", None)
         if trace_out is not None and tracer is not None:

@@ -30,7 +30,7 @@ import numpy as np
 from ..simulator.metrics import LatencyStats
 from .decisions import decision_snapshot
 from .drift import drift_snapshot
-from .index import FaultRecord, MigrationExplanation
+from .index import DecisionView, FaultRecord, MigrationExplanation
 from .index import Trace, as_index
 
 __all__ = [
@@ -87,6 +87,10 @@ class TraceAnalysis:
     tuples_out: int
     events_by_type: Dict[str, int]
     faults: List[FaultRecord] = field(default_factory=list)
+    #: Controller decision audit rows (``decision.evaluated`` events).
+    decisions: List[DecisionView] = field(default_factory=list)
+    #: Drift detections (``drift.detected`` event fields plus ``t``).
+    drift: List[Dict[str, object]] = field(default_factory=list)
     decision_summary: Dict[str, object] = field(default_factory=dict)
     drift_summary: Dict[str, object] = field(default_factory=dict)
 
@@ -218,6 +222,8 @@ def analyze_trace(
         tuples_out=tuples_out,
         events_by_type=dict(index.type_counts),
         faults=index.faults,
+        decisions=index.decisions,
+        drift=index.drift,
         decision_summary=decision_snapshot(index),
         drift_summary=drift_snapshot(index),
     )

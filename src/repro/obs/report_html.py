@@ -12,11 +12,10 @@ The terminal view (``repro-rod trace`` / ``repro.obs.timeline``) stays
 the quick-look tool; this module is the durable, shareable sibling
 behind ``repro-rod report RUN``.
 
-The trace sections render two documents of the run
-(:meth:`~repro.obs.runs.Run.document`): :func:`report_document` and the
-critical-path :func:`~repro.obs.critical_path.explain_document`.
-``simulate --record`` stores both in the run's ``analysis.json``, so a
-report of a recorded run decodes no trace.
+The latency waterfall renders the run's critical-path document
+(:meth:`~repro.obs.runs.Run.document`), which ``simulate --record``
+stores in ``analysis.json``; the other sections are computed from the
+trace.
 """
 
 from __future__ import annotations
@@ -24,16 +23,16 @@ from __future__ import annotations
 import html
 import json
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from .analyze import TraceAnalysis, analyze_trace
 from .critical_path import PHASES
-from .index import Trace, as_index
 from .runs import Run
+from .timeline import utilization_timeline
 
-__all__ = ["render_html_report", "report_document", "write_html_report"]
-
-#: Decision-timeline rows a report lists; the others are counted.
-DECISION_ROWS = 200
+__all__ = ["render_html_report", "write_html_report"]
 
 _STYLE = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -132,17 +131,15 @@ def _svg_sparkline(
 
 
 def _svg_heatmap(
-    matrix: Sequence[Sequence[float]],
-    migrations: Sequence[Mapping[str, Any]] = (),
+    matrix: np.ndarray,
+    migrations: Sequence[object] = (),
     horizon: float = 0.0,
     cell_width_total: int = 640,
     row_height: int = 18,
-    faults: Sequence[Mapping[str, Any]] = (),
+    faults: Sequence[object] = (),
 ) -> str:
-    """Time × node utilization heatmap with migration/fault markers;
-    ``matrix`` holds one row of per-node utilizations per time bin."""
-    steps = len(matrix)
-    nodes = len(matrix[0]) if steps else 0
+    """Time × node utilization heatmap with migration/fault markers."""
+    steps, nodes = matrix.shape
     if steps == 0 or nodes == 0:
         return "<p class='meta'>no timeline data</p>"
     label_pad = 52
@@ -160,7 +157,7 @@ def _svg_heatmap(
             f'fill="#333">node {node}</text>'
         )
         for step in range(steps):
-            color = _utilization_color(float(matrix[step][node]))
+            color = _utilization_color(float(matrix[step, node]))
             x = label_pad + step * cell
             parts.append(
                 f'<rect x="{x:.2f}" y="{y}" width="{cell + 0.5:.2f}" '
@@ -168,15 +165,17 @@ def _svg_heatmap(
             )
     if horizon > 0:
         for m in migrations:
-            x = label_pad + (float(m["t"]) / horizon) * cell_width_total
+            x = label_pad + (float(m.t) / horizon) * cell_width_total
             parts.append(
                 f'<line x1="{x:.2f}" y1="0" x2="{x:.2f}" '
                 f'y2="{nodes * row_height - 2}" stroke="#111" '
                 'stroke-width="1.5" stroke-dasharray="2,2"/>'
             )
         for fault in faults:
+            if getattr(fault, "reverted", False):
+                continue
             x = label_pad + (
-                float(fault["t"]) / horizon
+                float(fault.t) / horizon
             ) * cell_width_total
             parts.append(
                 f'<line x1="{x:.2f}" y1="0" x2="{x:.2f}" '
@@ -185,7 +184,7 @@ def _svg_heatmap(
             )
             parts.append(
                 f'<text x="{x + 2:.2f}" y="10" font-size="9" '
-                f'fill="#c0392b">{_esc(fault["kind"])}</text>'
+                f'fill="#c0392b">{_esc(fault.kind)}</text>'
             )
     parts.append(
         f'<text x="{label_pad}" y="{height - 4}" font-size="10" '
@@ -254,17 +253,20 @@ def _headline_section(result: Mapping[str, object]) -> str:
     return "<h2>Headline metrics</h2>" + _kv_table(pairs)
 
 
-def _nodes_section(report: Mapping[str, Any]) -> str:
-    matrix = report["utilization"]
+def _nodes_section(analysis: TraceAnalysis,
+                   utilization: np.ndarray) -> str:
+    util_means = analysis.utilization()
     rows = []
-    for index, node in enumerate(report["nodes"]):
-        series = [row[index] for row in matrix] or [0.0]
+    for index, node in enumerate(analysis.nodes):
+        series = (
+            utilization[:, index] if utilization.size else np.zeros(1)
+        )
         rows.append((
-            _td(f"node {index}"), _num(_fmt(node["busy_seconds"])),
-            _num(_fmt(node["stall_seconds"])),
-            _num(node["batches_serviced"]), _num(node["peak_outstanding"]),
-            _num(_fmt(node["utilization"], 3)),
-            _num(_fmt(max(series), 3)),
+            _td(f"node {index}"), _num(_fmt(node.busy_seconds)),
+            _num(_fmt(node.stall_seconds)), _num(node.batches_serviced),
+            _num(node.peak_outstanding),
+            _num(_fmt(float(util_means[index]), 3)),
+            _num(_fmt(float(series.max()), 3)),
             f"<td>{_svg_sparkline(series, ceiling=1.0)}</td>",
         ))
     return (
@@ -276,15 +278,14 @@ def _nodes_section(report: Mapping[str, Any]) -> str:
     )
 
 
-def _operators_section(report: Mapping[str, Any]) -> str:
-    operators = report["operators"]
-    if not operators:
+def _operators_section(analysis: TraceAnalysis) -> str:
+    if not analysis.operators:
         return ""
     rows = [
-        (_code(name), _num(op["tuples_in"]), _num(op["tuples_out"]),
-         _num(_fmt(op["work_seconds"])), _num(op["batches"]),
-         _td(", ".join(str(n) for n in op["nodes"])))
-        for name, op in operators.items()
+        (_code(name), _num(op.tuples_in), _num(op.tuples_out),
+         _num(_fmt(op.work_seconds)), _num(op.batches),
+         _td(", ".join(str(n) for n in op.nodes)))
+        for name, op in sorted(analysis.operators.items())
     ]
     return "<h2>Per-operator activity</h2>" + _table(
         ("operator", "tuples in", "tuples out", "work s", "batches",
@@ -292,60 +293,59 @@ def _operators_section(report: Mapping[str, Any]) -> str:
     )
 
 
-def _migrations_section(report: Mapping[str, Any]) -> str:
-    migrations = report["migrations"]
-    if not migrations:
+def _migrations_section(analysis: TraceAnalysis) -> str:
+    if not analysis.migrations:
         return ""
     rows = [
-        (_num(_fmt(m["t"])), _code(m["operator"]), _num(m["source"]),
-         _num(m["target"]), _num(_fmt(m["pause"])))
-        for m in migrations
+        (_num(_fmt(m.t)), _code(m.operator), _num(m.source),
+         _num(m.target), _num(_fmt(m.pause)))
+        for m in analysis.migrations
     ]
-    return f"<h2>Migrations ({len(migrations)})</h2>" + _table(
+    return f"<h2>Migrations ({len(analysis.migrations)})</h2>" + _table(
         ("t (s)", "operator", "from", "to", "pause (s)"), rows
     )
 
 
-def _decisions_section(report: Mapping[str, Any]) -> str:
+def _decisions_section(analysis: TraceAnalysis, max_rows: int = 200) -> str:
     """Decision timeline: every controller deliberation, in time order.
 
     The summary line carries the trigger and no-op breakdowns; each row
     shows what the controller saw (loads), what it weighed (candidate
     count), and what it did (actions or the structured no-op reason).
     """
-    summary = report["decisions"]
-    total = summary["evaluated"]
-    if not total:
+    if not analysis.decisions:
         return ""
+    summary = analysis.decision_summary
     triggers = ", ".join(
-        f"{name}={count}" for name, count in summary["triggers"].items()
+        f"{name}={count}"
+        for name, count in summary.get("triggers", {}).items()
     )
     no_op = ", ".join(
-        f"{name}={count}" for name, count in summary["no_op"].items()
+        f"{name}={count}"
+        for name, count in summary.get("no_op", {}).items()
     )
     rows = []
-    for view in report["decision_rows"]:
-        loads = ", ".join(f"{float(v):.2f}" for v in view["loads"])
+    for view in analysis.decisions[:max_rows]:
+        loads = ", ".join(f"{float(v):.2f}" for v in view.loads)
         volumes = ""
-        if view["volume_before"] is not None:
+        if view.volume_before is not None:
             after = (
-                "" if view["volume_after"] is None
-                else f" &rarr; {float(view['volume_after']):.3f}"
+                "" if view.volume_after is None
+                else f" &rarr; {float(view.volume_after):.3f}"
             )
-            volumes = f"{float(view['volume_before']):.3f}{after}"
+            volumes = f"{float(view.volume_before):.3f}{after}"
         rows.append((
-            _num(_fmt(view["t"])), _num(view["id"]), _code(view["trigger"]),
-            _code(view["controller"]), _code(view["reason"]),
-            _num(view["actions"]), _num(view["candidates"]),
+            _num(_fmt(view.t)), _num(view.decision), _code(view.trigger),
+            _code(view.controller), _code(view.reason),
+            _num(view.actions), _num(len(view.candidates)),
             _td(f"[{loads}]"), _num(volumes),
         ))
-    listed = len(report["decision_rows"])
     truncated = (
-        f"<p>… and {total - listed} more decisions</p>"
-        if total > listed else ""
+        f"<p>… and {len(analysis.decisions) - max_rows} more decisions"
+        "</p>" if len(analysis.decisions) > max_rows else ""
     )
     return (
-        f"<h2>Decision timeline ({total})</h2>"
+        f"<h2>Decision timeline ({len(analysis.decisions)})</h2>"
         f"<p>triggers: {_esc(triggers) or '—'}"
         + (f" · no-op reasons: {_esc(no_op)}" if no_op else "")
         + "</p>"
@@ -355,8 +355,8 @@ def _decisions_section(report: Mapping[str, Any]) -> str:
     )
 
 
-def _drift_section(drift: Sequence[Mapping[str, Any]]) -> str:
-    if not drift:
+def _drift_section(analysis: TraceAnalysis) -> str:
+    if not analysis.drift:
         return ""
     numbers = ("observed", "baseline", "statistic")
     rows = [
@@ -364,22 +364,22 @@ def _drift_section(drift: Sequence[Mapping[str, Any]]) -> str:
          _num("" if d.get("input") is None else d.get("input")),
          _code(d.get("direction")),
          *(_num(_fmt(float(d.get(key, 0.0)))) for key in numbers))
-        for d in drift
+        for d in analysis.drift
     ]
-    return f"<h2>Drift detections ({len(drift)})</h2>" + _table(
+    return f"<h2>Drift detections ({len(analysis.drift)})</h2>" + _table(
         ("t (s)", "signal", "input", "direction") + numbers, rows
     )
 
 
-def _faults_section(injected: Sequence[Mapping[str, Any]]) -> str:
+def _faults_section(analysis: TraceAnalysis) -> str:
+    injected = [f for f in analysis.faults if not f.reverted]
     if not injected:
         return ""
     rows = [
-        (_num(_fmt(f["t"])), _code(f["kind"]),
-         _num("" if f["node"] is None else f["node"]),
-         _td(f["operator"] or ""),
-         _num("" if f["factor"] is None else _fmt(f["factor"])),
-         _num("" if f["duration"] is None else _fmt(f["duration"])))
+        (_num(_fmt(f.t)), _code(f.kind),
+         _num("" if f.node is None else f.node), _td(f.operator or ""),
+         _num("" if f.factor is None else _fmt(f.factor)),
+         _num("" if f.duration is None else _fmt(f.duration)))
         for f in injected
     ]
     return f"<h2>Injected faults ({len(injected)})</h2>" + _table(
@@ -467,11 +467,13 @@ def _critical_path_section(
     )
 
 
-def _events_section(report: Mapping[str, Any]) -> str:
-    counts = report["events_by_type"]
-    if not counts:
+def _events_section(analysis: TraceAnalysis) -> str:
+    if not analysis.events_by_type:
         return ""
-    rows = [(_code(name), _num(count)) for name, count in counts.items()]
+    rows = [
+        (_code(name), _num(count))
+        for name, count in sorted(analysis.events_by_type.items())
+    ]
     return "<h2>Events by type</h2>" + _table(("type", "count"), rows)
 
 
@@ -521,68 +523,35 @@ def _phase_section(metrics: Mapping[str, object]) -> str:
     )
 
 
-def report_document(events: Trace) -> Dict[str, Any]:
-    """The trace sections of a run's HTML report, as plain JSON data:
-    the :func:`~repro.obs.analyze.analyze_trace` overview, plus the
-    utilization timeline (one row of per-node values per bin), the first
-    :data:`DECISION_ROWS` decision records and the drift detections."""
-    # Imported here: rendering a stored document needs no NumPy.
-    from .analyze import analyze_trace
-    from .timeline import utilization_timeline
-
-    index = as_index(events)
-    document = analyze_trace(index).to_json_obj()
-    document["utilization"] = utilization_timeline(index).tolist()
-    document["decision_rows"] = [
-        {
-            "t": view.t, "id": view.decision, "trigger": view.trigger,
-            "controller": view.controller, "reason": view.reason,
-            "actions": view.actions, "candidates": len(view.candidates),
-            "loads": list(view.loads), "volume_before": view.volume_before,
-            "volume_after": view.volume_after,
-        }
-        for view in index.decisions[:DECISION_ROWS]
-    ]
-    document["drift_detections"] = index.drift
-    return document
-
-
-def _trace_sections(
-    report: Mapping[str, Any], explain: Mapping[str, Any]
-) -> List[str]:
-    """The sections a traced run adds, from its report and explain
-    documents."""
-    meta = report["meta"]
-    injected = [f for f in report["faults"] if not f["reverted"]]
-    return [
-        "<h2>Utilization heatmap</h2>",
-        _svg_heatmap(
-            report["utilization"], migrations=report["migrations"],
-            horizon=float(meta["horizon"]), faults=injected,
-        ),
-        "<p class='legend'>rows are nodes, columns are "
-        f"{_fmt(float(meta['step_seconds']))}s bins; blue "
-        "depth is utilization, red marks &gt; 1.0, dashed lines are "
-        "applied migrations, solid red lines are injected faults</p>",
-        _nodes_section(report),
-        _operators_section(report),
-        _critical_path_section(explain),
-        _decisions_section(report),
-        _drift_section(report["drift_detections"]),
-        _migrations_section(report),
-        _faults_section(injected),
-        _events_section(report),
-    ]
-
-
 def render_html_report(run: Run) -> str:
     """Render one recorded run as a self-contained HTML document."""
     sections: List[str] = [_manifest_section(run), _headline_section(
         run.result
     )]
-    report = run.document("report")
-    if report is not None:
-        sections.extend(_trace_sections(report, run.document("explain")))
+    index = run.index()
+    if index.events:
+        analysis = analyze_trace(index)
+        utilization = utilization_timeline(index)
+        horizon = float(analysis.meta["horizon"])
+        sections.append("<h2>Utilization heatmap</h2>")
+        sections.append(_svg_heatmap(
+            utilization, migrations=analysis.migrations, horizon=horizon,
+            faults=analysis.faults,
+        ))
+        sections.append(
+            "<p class='legend'>rows are nodes, columns are "
+            f"{_fmt(float(analysis.meta['step_seconds']))}s bins; blue "
+            "depth is utilization, red marks &gt; 1.0, dashed lines are "
+            "applied migrations, solid red lines are injected faults</p>"
+        )
+        sections.append(_nodes_section(analysis, utilization))
+        sections.append(_operators_section(analysis))
+        sections.append(_critical_path_section(run.document("explain")))
+        sections.append(_decisions_section(analysis))
+        sections.append(_drift_section(analysis))
+        sections.append(_migrations_section(analysis))
+        sections.append(_faults_section(analysis))
+        sections.append(_events_section(analysis))
     sections.append(_rows_section(run.result))
     sections.append(_phase_section(run.metrics))
     title = f"run {run.manifest.run_id} ({run.manifest.kind})"

@@ -10,8 +10,8 @@ directory*::
         trace.jsonl     # the structured event stream (when traced)
         result.json     # metrics snapshot (flat, diffable numbers)
         metrics.json    # full MetricsRegistry.to_json() dump
-        analysis.json   # what explain, why and report render (traced
-                        # simulate runs), with the trace's SHA-256
+        analysis.json   # what explain and why render (traced simulate
+                        # runs), with the trace's SHA-256
 
 The registry turns one-shot terminal output into queryable artifacts:
 ``repro-rod runs list/show`` browses them, ``repro-rod compare``
@@ -27,14 +27,15 @@ failed.  Everything is plain JSON — no database, no
 external dependency — so run directories can be committed as regression
 baselines (see the CI compare step).
 
-A simulate run is analyzed once, when its recorder seals it: the
-documents the ``explain``, ``why`` and ``report`` viewers render
-(:func:`viewer_document`) are built from the events it kept and stored
-in ``analysis.json`` with the SHA-256 of the ``trace.jsonl`` bytes it
-wrote.  The file is a cache: :meth:`Run.document` uses it only while it
-parses, names :data:`ANALYSIS_FORMAT` and the trace still hashes to
-that digest, and otherwise computes the document from the trace with
-the same function.
+A simulate run's critical path is analyzed once, when its recorder
+seals it: the documents the ``explain`` and ``why`` viewers render
+(:func:`viewer_document`), whose sections ``result.json`` also holds,
+are built from the events it kept and stored in ``analysis.json`` with
+the SHA-256 of the ``trace.jsonl`` bytes it wrote; ``report`` renders
+the ``explain`` one beside what it computes from the trace.  The file
+is a cache: :meth:`Run.document` uses it only while it parses, names
+:data:`ANALYSIS_FORMAT` and the trace still hashes to that digest, and
+otherwise computes the document from the trace with the same function.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ ANALYSIS_NAME = "analysis.json"
 #: another format is ignored.
 ANALYSIS_FORMAT = 1
 
-#: The commands that render a document of ``analysis.json``.
-VIEWERS = ("explain", "why", "report")
+#: The commands whose documents ``analysis.json`` stores.
+VIEWERS = ("explain", "why")
 
 #: Default registry root, relative to the working directory.
 DEFAULT_ROOT = "runs"
@@ -261,9 +262,8 @@ def snapshot_from_result(result: object) -> Dict[str, object]:
 def viewer_document(viewer: str, index: RunIndex) -> Dict[str, Any]:
     """The document ``viewer`` renders, computed from a run's indexed
     trace: :func:`~repro.obs.critical_path.explain_document` for
-    ``explain``, :func:`~repro.obs.decisions.why_json_obj` for ``why``
-    and :func:`~repro.obs.report_html.report_document` for ``report``.
-    The recorder stores what it returns in ``analysis.json``."""
+    ``explain`` and :func:`~repro.obs.decisions.why_json_obj` for
+    ``why``.  The recorder stores what it returns in ``analysis.json``."""
     # Imported here: each viewer loads only its own analyzer.
     if viewer == "explain":
         from .critical_path import explain_document
@@ -273,10 +273,6 @@ def viewer_document(viewer: str, index: RunIndex) -> Dict[str, Any]:
         from .decisions import why_json_obj
 
         return why_json_obj(index)
-    if viewer == "report":
-        from .report_html import report_document
-
-        return report_document(index)
     raise ValueError(f"unknown viewer {viewer!r}; expected one of {VIEWERS}")
 
 
@@ -387,8 +383,9 @@ class RunWriter:
         analysis: Optional[Mapping[str, object]] = None,
     ) -> RunManifest:
         """Close the trace and write manifest/result/metrics files, then
-        ``analysis``, the viewers' documents, as ``analysis.json`` with
-        the SHA-256 of the trace, when the run wrote its ``trace.jsonl``.
+        ``analysis``, the viewers' documents of a run that wrote its
+        ``trace.jsonl``, as ``analysis.json`` with the SHA-256 of that
+        trace.
 
         Idempotent by refusal: a second call raises, so a run directory
         is never silently rewritten after it was sealed.
@@ -405,7 +402,7 @@ class RunWriter:
         if registry is not None:
             self._write_json(METRICS_NAME, registry.to_json())
         self._write_json(MANIFEST_NAME, self.manifest.to_json_obj())
-        if analysis is not None and self.traced:
+        if analysis is not None:
             document = {
                 "format": ANALYSIS_FORMAT,
                 "trace_sha256": _sha256(self.trace_path),
@@ -490,35 +487,38 @@ class Recording:
 
     def finish_simulation(
         self, result: object, registry: MetricsRegistry,
-        **sections: object,
+        slo: Optional[Mapping[str, object]] = None,
     ) -> None:
         """Seal a simulate run.
 
         ``result.json`` is :func:`snapshot_from_result` plus, when
         events were kept, their ``critical_path``, ``decisions`` and
-        ``drift`` sections, plus ``sections``.  A run that wrote its
-        ``trace.jsonl`` also gets ``analysis.json``: each of
-        :data:`VIEWERS`'s documents, built once from the kept events;
-        the snapshot's sections come from the same documents.
+        ``drift`` sections, plus the ``slo`` section when given.  A run
+        that wrote its ``trace.jsonl`` also gets ``analysis.json``:
+        each of :data:`VIEWERS`'s documents, built from the kept events.
+        The critical path is analyzed once, for its ``explain``
+        document and the snapshot's section.
         """
         assert self.writer is not None, "finish_simulation needs a root"
         snapshot = snapshot_from_result(result)
         index = self.index()
         analysis = None
         if index is not None:
+            from .decisions import decision_snapshot
             from .drift import drift_snapshot
 
-            # The writer stores the documents only beside its own trace.
-            viewers = VIEWERS if self.writer.traced else ("explain", "why")
-            analysis = {
-                viewer: viewer_document(viewer, index) for viewer in viewers
-            }
-            snapshot["critical_path"] = analysis["explain"]["critical_path"]
+            explain = viewer_document("explain", index)
+            snapshot["critical_path"] = explain["critical_path"]
             # Always present (zero-valued for controller-less runs) so
             # baselines gain the keys and `compare` can diff them.
-            snapshot["decisions"] = analysis["why"]["summary"]
+            snapshot["decisions"] = decision_snapshot(index)
             snapshot["drift"] = drift_snapshot(index)
-        snapshot.update(sections)
+            if self.writer.traced:
+                analysis = {
+                    "explain": explain, "why": viewer_document("why", index),
+                }
+        if slo is not None:
+            snapshot["slo"] = dict(slo)
         self.writer.finish(
             snapshot=snapshot, registry=registry,
             sim_seconds=result.duration,  # type: ignore[attr-defined]

@@ -1262,8 +1262,8 @@ def test_a_trace_out_run_has_no_trace(tmp_path, graph_file, plan_file, capsys):
 
 
 #: Modules no start-up path may load: SciPy and NumPy, and the layers
-#: that pull them in.  Only ``experiment`` fans runs out, so only it may
-#: load the process pools.
+#: that pull them in.  ``report`` may load NumPy; only ``experiment``
+#: fans runs out, so only it may load the process pools.
 HEAVY_MODULES = (
     "numpy", "scipy", "repro.core", "repro.simulator.engine",
     "repro.placement", "repro.dynamics", "repro.experiments",
@@ -1294,10 +1294,10 @@ def budget_root(tmp_path_factory):
     (["generate", "--kind", "random", "--inputs", "2", "-o",
       "{work}/g.json"], ()),
     (["why", "run", "--root", "{work}/runs"], ()),
-    # A recorded run's viewers render its stored analysis.
+    # A recorded run's explain renders its stored analysis.
     (["explain", "run", "--root", "{work}/runs"], ()),
     (["report", "run", "--root", "{work}/runs", "-o", "{work}/r.html"],
-     ()),
+     ("numpy",)),
     # The placers run inline: no process-pool module.
     (["place", "--graph", "{work}/graph.json", "--nodes", "2"],
      ("numpy", "repro.core", "repro.placement")),

