@@ -36,8 +36,8 @@ matches ``SimulationResult.latency`` bit for bit
 :func:`explain_document` is what ``repro-rod explain`` renders: the
 analysis's ``critical_path`` snapshot section plus the counts and the
 operator ranking the text view and the HTML report's waterfall print.
-``simulate --record`` stores it in the run's ``analysis.json``, so the
-views render from plain numbers and load no NumPy.
+``simulate --record`` stores it in the run's ``analysis.json``, so
+``explain`` of a recorded run renders plain numbers and loads no NumPy.
 """
 
 from __future__ import annotations
