@@ -764,20 +764,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from . import parallel
     from .experiments import format_rows
 
-    jobs = parallel.resolve_jobs(args.jobs)
-    if jobs > 1 and not paper.ARTIFACTS[args.id].takes_jobs:
-        print(f"note: experiment {args.id!r} does not parallelize; "
-              "--jobs ignored")
     # Opened before the artifact runs: the writer's wall clock starts here.
     with Recording(
-        args.record, "experiment", {"experiment": args.id, "jobs": jobs},
+        args.record, "experiment", {"experiment": args.id},
         traced=False, run_id=args.run_id, argv=args._argv,
         labels={"experiment": args.id},
     ) as run:
-        rows = paper.run(args.id, jobs=jobs)
+        rows = paper.run(args.id)
         print(format_rows(rows))
         if run.writer is not None:
             run.writer.finish(snapshot=snapshot_from_rows(rows))
@@ -1148,11 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate a paper artifact")
     exp.add_argument("id", choices=sorted(paper.ARTIFACTS))
-    exp.add_argument(
-        "--jobs", type=_bounded(int, 0), default=1,
-        help="worker processes for experiments that parallelize "
-             "(0 = all cores); results are identical for any value",
-    )
     add_record_flags(exp)
     exp.set_defaults(func=cmd_experiment)
 

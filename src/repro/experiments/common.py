@@ -14,7 +14,6 @@ import numpy as np
 from ..check import check_artifact, check_experiment_config
 from ..core.load_model import LoadModel, build_load_model
 from ..graphs.generator import RandomGraphConfig, random_tree_graph
-from ..parallel import parallel_map
 from ..placement import (
     ConnectedPlacer,
     CorrelationPlacer,
@@ -103,16 +102,6 @@ def make_placer(
     raise ValueError(f"unknown algorithm: {name!r}")
 
 
-def _volume_ratio_task(
-    task: "tuple[str, LoadModel, tuple, int, int]",
-) -> float:
-    """One placement run scored by volume ratio (picklable pool task)."""
-    name, model, capacities, samples, run_seed = task
-    placer = make_placer(name, model, run_seed=run_seed)
-    placement = placer.place(model, capacities)
-    return float(placement.volume_ratio(samples=samples))
-
-
 def volume_ratio_runs(
     name: str,
     model: LoadModel,
@@ -120,26 +109,22 @@ def volume_ratio_runs(
     repeats: int = 10,
     samples: int = 4096,
     base_seed: int = 0,
-    jobs: int = 1,
 ) -> np.ndarray:
     """Feasible-set/ideal ratios across randomized runs of an algorithm.
 
     ROD "does not need to be repeated because it does not depend on the
     input stream rates" — one run suffices; the baselines get fresh
-    random rate points / seeds per run, as in Section 7.3.1.
-
-    ``jobs > 1`` fans the runs out over worker processes through
-    :mod:`repro.parallel`; each run's seed depends only on ``base_seed``
-    and its index, so the result array is identical for every ``jobs``
-    value (and to the pre-parallel sequential loop).
+    random rate points / seeds per run, as in Section 7.3.1.  Run ``r``
+    is seeded ``base_seed * 1000 + r``.
     """
     validate_run(model, capacities, seed=base_seed, strategy=name)
     runs = 1 if name == "rod" else repeats
-    tasks = [
-        (name, model, tuple(capacities), samples, base_seed * 1000 + r)
+    return np.asarray([
+        make_placer(name, model, run_seed=base_seed * 1000 + r)
+        .place(model, capacities)
+        .volume_ratio(samples=samples)
         for r in range(runs)
-    ]
-    return np.asarray(parallel_map(_volume_ratio_task, tasks, jobs=jobs))
+    ])
 
 
 def mean_volume_ratio(
@@ -149,13 +134,11 @@ def mean_volume_ratio(
     repeats: int = 10,
     samples: int = 4096,
     base_seed: int = 0,
-    jobs: int = 1,
 ) -> float:
     """Average of :func:`volume_ratio_runs`."""
     return float(
         volume_ratio_runs(
             name, model, capacities,
             repeats=repeats, samples=samples, base_seed=base_seed,
-            jobs=jobs,
         ).mean()
     )

@@ -24,13 +24,8 @@ def run(
     repeats: int = 8,
     samples: int = 4096,
     seed: int = 21,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
-    """One row per (number of inputs, algorithm) with ratio to ROD.
-
-    ``jobs`` parallelizes the randomized runs inside each
-    :func:`mean_volume_ratio` call; results are identical for any value.
-    """
+    """One row per (number of inputs, algorithm) with ratio to ROD."""
     capacities = [1.0] * num_nodes
     rows: List[Dict[str, object]] = []
     for d in input_counts:
@@ -43,7 +38,6 @@ def run(
                 repeats=repeats,
                 samples=samples,
                 base_seed=seed + 17 * d,
-                jobs=jobs,
             )
             for name in ALGORITHMS
         }

@@ -27,7 +27,7 @@ LLF, and correlation balancing; variants are ``no_fault``, ``crash``
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.load_model import LoadModel
 from ..core.plans import Placement
@@ -36,7 +36,6 @@ from ..dynamics import FailoverController, residual_volume_ratio
 from ..faults import FaultEvent, FaultSchedule
 from ..obs import MemorySink, Tracer
 from ..obs.index import RunIndex
-from ..parallel import parallel_map
 from ..placement.correlation import CorrelationPlacer
 from ..placement.llf import LLFPlacer
 from ..simulator.engine import Simulator
@@ -93,61 +92,34 @@ def _recovery_latency(
     return None
 
 
-def _simulate(
+def _place(
+    algorithm: str,
+    model: LoadModel,
+    capacities: Sequence[float],
+    rates: Sequence[float],
+    seed: int,
+) -> Placement:
+    if algorithm == "rod":
+        return rod_place(model, capacities)
+    if algorithm == "llf":
+        return LLFPlacer(rates=rates).place(model, capacities)
+    if algorithm == "correlation":
+        series = rate_series(model.num_variables, 128, seed=seed)
+        return CorrelationPlacer(series).place(model, capacities)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def _run_variant(
     plan: Placement,
+    variant: str,
     rates: Sequence[float],
     duration: float,
     step_seconds: float,
-    faults: Optional[FaultSchedule],
-    controller: Optional[FailoverController],
-):
-    sink = MemorySink()
-    result = Simulator(
-        plan,
-        step_seconds=step_seconds,
-        faults=faults,
-        controller=controller,
-        tracer=Tracer(sink),
-    ).run(rates=list(rates), duration=duration)
-    return result, sink.events
-
-
-def _build_plan(
-    algorithm: str, params: Dict[str, object]
-) -> Tuple[LoadModel, List[float], List[float], Placement]:
-    """Rebuild (model, capacities, rates, plan) from scalar parameters.
-
-    Pure in ``params`` so every worker process reconstructs the exact
-    same placement — the rebuild is what keeps the per-variant tasks
-    picklable without shipping model/plan objects across processes.
-    """
-    seed = int(params["seed"])  # type: ignore[arg-type]
-    num_inputs = int(params["num_inputs"])  # type: ignore[arg-type]
-    model = make_model(
-        num_inputs, int(params["operators_per_tree"]), seed=seed,  # type: ignore[arg-type]
-    )
-    capacities = [1.0] * int(params["num_nodes"])  # type: ignore[arg-type]
-    rates = scale_point_to_utilization(
-        model, capacities, [1.0] * num_inputs, float(params["utilization"]),  # type: ignore[arg-type]
-    )
-    if algorithm == "rod":
-        plan = rod_place(model, capacities)
-    elif algorithm == "llf":
-        plan = LLFPlacer(rates=rates).place(model, capacities)
-    elif algorithm == "correlation":
-        series = rate_series(model.num_variables, 128, seed=seed)
-        plan = CorrelationPlacer(series).place(model, capacities)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return model, capacities, list(rates), plan
-
-
-def _variant_task(task: Tuple[str, str, Dict[str, object]]) -> Dict[str, object]:
-    """Run one (algorithm, variant) cell from scratch; picklable unit."""
-    algorithm, variant, params = task
-    model, capacities, rates, plan = _build_plan(algorithm, params)
-    duration = float(params["duration"])  # type: ignore[arg-type]
-    samples = int(params["samples"])  # type: ignore[arg-type]
+    crash_fraction: float,
+    samples: int,
+) -> Dict[str, Any]:
+    """Simulate one fault variant of ``plan`` and score what survives."""
+    model = plan.model
     victim = _busiest_node(plan)
     displaced = [
         name
@@ -159,8 +131,7 @@ def _variant_task(task: Tuple[str, str, Dict[str, object]]) -> Dict[str, object]
     else:
         faults = FaultSchedule([
             FaultEvent(
-                time=float(params["crash_fraction"]) * duration,  # type: ignore[arg-type]
-                kind="node.crash",
+                time=crash_fraction * duration, kind="node.crash",
                 node=victim,
             )
         ])
@@ -172,21 +143,22 @@ def _variant_task(task: Tuple[str, str, Dict[str, object]]) -> Dict[str, object]
         controller = FailoverController(policy="least_loaded")
     else:
         controller = None
-    result, events = _simulate(
-        plan, rates, duration, float(params["step_seconds"]),  # type: ignore[arg-type]
-        faults, controller,
-    )
+    sink = MemorySink()
+    result = Simulator(
+        plan, step_seconds=step_seconds, faults=faults,
+        controller=controller, tracer=Tracer(sink),
+    ).run(rates=list(rates), duration=duration)
     assignment = _final_assignment(plan, result.migrations)
     failed = () if faults is None else (victim,)
     volume = residual_volume_ratio(
-        model, capacities, assignment,
+        model, plan.capacities, assignment,
         failed_nodes=failed, samples=samples,
     )
     recovery = (
-        None if faults is None else _recovery_latency(events, displaced)
+        None if faults is None
+        else _recovery_latency(sink.events, displaced)
     )
     return {
-        "algorithm": algorithm,
         "variant": variant,
         "crashed_node": victim if faults is not None else None,
         "tuples_out": result.tuples_out,
@@ -207,52 +179,41 @@ def run(
     crash_fraction: float = 0.3,
     samples: int = 512,
     seed: int = 23,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """One row per (placement algorithm, fault variant).
 
-    ``jobs > 1`` fans the (algorithm, variant) cells out over worker
-    processes via :func:`repro.parallel.parallel_map`; every cell is a
-    pure function of the scalar parameters, so the rows are identical
-    for any ``jobs`` value.
+    Each algorithm places the model once; its four variants simulate
+    that one plan.
     """
-    params: Dict[str, object] = {
-        "num_inputs": num_inputs,
-        "operators_per_tree": operators_per_tree,
-        "num_nodes": num_nodes,
-        "duration": duration,
-        "step_seconds": step_seconds,
-        "utilization": utilization,
-        "crash_fraction": crash_fraction,
-        "samples": samples,
-        "seed": seed,
-    }
-    tasks = [
-        (algorithm, variant, params)
-        for algorithm in _ALGORITHMS
-        for variant in _VARIANTS
-    ]
-    raw = parallel_map(_variant_task, tasks, jobs=jobs)
-    baselines: Dict[str, int] = {
-        str(cell["algorithm"]): int(cell["tuples_out"])  # type: ignore[arg-type]
-        for cell in raw
-        if cell["variant"] == "no_fault"
-    }
+    model = make_model(num_inputs, operators_per_tree, seed=seed)
+    capacities = [1.0] * num_nodes
+    rates = scale_point_to_utilization(
+        model, capacities, [1.0] * num_inputs, utilization,
+    )
     rows: List[Dict[str, object]] = []
-    for cell in raw:
-        baseline_out = baselines.get(str(cell["algorithm"]), 0)
-        rows.append({
-            "algorithm": cell["algorithm"],
-            "variant": cell["variant"],
-            "crashed_node": cell["crashed_node"],
-            "tuples_out": cell["tuples_out"],
-            "throughput_ratio": (
-                int(cell["tuples_out"]) / baseline_out  # type: ignore[arg-type]
-                if baseline_out else 0.0
-            ),
-            "stranded_tuples": cell["stranded_tuples"],
-            "residual_volume_ratio": cell["residual_volume_ratio"],
-            "recovery_latency_s": cell["recovery_latency_s"],
-            "failover_moves": cell["failover_moves"],
-        })
+    for algorithm in _ALGORITHMS:
+        plan = _place(algorithm, model, capacities, rates, seed)
+        cells = [
+            _run_variant(
+                plan, variant, rates, duration, step_seconds,
+                crash_fraction, samples,
+            )
+            for variant in _VARIANTS
+        ]
+        baseline_out = cells[0]["tuples_out"]  # the no_fault run
+        for cell in cells:
+            rows.append({
+                "algorithm": algorithm,
+                "variant": cell["variant"],
+                "crashed_node": cell["crashed_node"],
+                "tuples_out": cell["tuples_out"],
+                "throughput_ratio": (
+                    cell["tuples_out"] / baseline_out
+                    if baseline_out else 0.0
+                ),
+                "stranded_tuples": cell["stranded_tuples"],
+                "residual_volume_ratio": cell["residual_volume_ratio"],
+                "recovery_latency_s": cell["recovery_latency_s"],
+                "failover_moves": cell["failover_moves"],
+            })
     return rows

@@ -37,9 +37,7 @@ def run(
         for g in range(graphs_per_dimension):
             model = make_model(d, operators_per_tree, seed=seed + 100 * d + g)
             rod_plan = rod_place(model, capacities)
-            optimal_plan = OptimalPlacer(objective="exact").place(
-                model, capacities
-            )
+            optimal_plan = OptimalPlacer().place(model, capacities)
             rod_volume = rod_plan.feasible_set().exact_volume()
             optimal_volume = optimal_plan.feasible_set().exact_volume()
             ratio = rod_volume / optimal_volume if optimal_volume > 0 else 1.0

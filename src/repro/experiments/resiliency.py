@@ -29,7 +29,6 @@ def run(
     samples: int = 4096,
     graph_seed: int = 7,
     algorithms: Sequence[str] = ALGORITHMS,
-    jobs: int = 1,
 ) -> List[Dict[str, object]]:
     """One row per (operator count, algorithm).
 
@@ -37,9 +36,7 @@ def run(
     reproduces Figure 14(b).  Results average over ``graph_repeats``
     independently generated workload graphs per size (and, within each,
     over ``repeats`` randomized runs of the rate-dependent baselines);
-    ``std`` is the spread across all of an algorithm's runs.  ``jobs``
-    parallelizes the per-algorithm runs (results are identical for any
-    value).
+    ``std`` is the spread across all of an algorithm's runs.
     """
     if graph_repeats < 1:
         raise ValueError("graph_repeats must be >= 1")
@@ -66,7 +63,6 @@ def run(
                         repeats=repeats,
                         samples=samples,
                         base_seed=graph_seed + total_ops + 31 * g,
-                        jobs=jobs,
                     )
                 )
         rod_ratio = (

@@ -1,8 +1,7 @@
 """The paper's artifacts: one id, one harness call, one parameter set.
 
-:data:`ARTIFACTS` maps each artifact id to its title, its harness call,
-the keyword overrides that shrink it to the quick scale, and whether the
-harness fans its runs out over ``jobs`` worker processes.  ``repro-rod
+:data:`ARTIFACTS` maps each artifact id to its title, its harness call
+and the keyword overrides that shrink it to the quick scale.  ``repro-rod
 experiment ID`` runs one artifact at paper scale; ``repro-rod report -o
 FILE`` renders every artifact (or the ``--only`` ones) at either scale
 into one markdown document.
@@ -35,8 +34,6 @@ class Artifact(NamedTuple):
     harness: Callable[..., Rows]
     #: The overrides of the quick scale.
     quick: Mapping[str, object]
-    #: Whether the harness takes ``jobs=`` (identical rows for any value).
-    takes_jobs: bool = False
 
 
 def _harness(module: str, function: str = "run") -> Callable[..., Rows]:
@@ -90,8 +87,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         "Figure 14 — base resiliency results",
         _harness("resiliency"),
         {"operator_counts": (40, 80), "repeats": 3, "graph_repeats": 1,
-         "samples": 1024},
-        takes_jobs=True),
+         "samples": 1024}),
     "optimal-gap": Artifact(
         "§7.3.1 — ROD vs exhaustive optimum",
         _optimal_gap, {"dimensions": (2, 3), "graphs_per_dimension": 2}),
@@ -99,8 +95,7 @@ ARTIFACTS: Dict[str, Artifact] = {
         "Figure 15 — varying the number of inputs",
         _harness("dimensions"),
         {"input_counts": (2, 3, 4), "operators_per_tree": 8, "repeats": 2,
-         "samples": 1024},
-        takes_jobs=True),
+         "samples": 1024}),
     "latency": Artifact(
         "Latency under bursty replay (reconstructed)",
         _harness("latency"), {"steps": 200}),
@@ -154,7 +149,7 @@ ARTIFACTS: Dict[str, Artifact] = {
     # Quick enough at paper scale (a few seconds each): no overrides.
     "fault-tolerance": Artifact(
         "Node-crash failover vs static placements (reconstructed)",
-        _harness("fault_tolerance"), {}, takes_jobs=True),
+        _harness("fault_tolerance"), {}),
     "elasticity": Artifact(
         "Elastic operator parallelism vs static placement (extension)",
         _harness("elasticity"), {}),
@@ -164,14 +159,7 @@ ARTIFACTS: Dict[str, Artifact] = {
 }
 
 
-def run(artifact_id: str, quick: bool = False, jobs: int = 1) -> Rows:
-    """One artifact's rows, at paper scale or with its quick overrides.
-
-    ``jobs`` reaches only the harnesses that take it; their rows are
-    identical for any value.
-    """
+def run(artifact_id: str, quick: bool = False) -> Rows:
+    """One artifact's rows, at paper scale or with its quick overrides."""
     artifact = ARTIFACTS[artifact_id]
-    overrides = dict(artifact.quick) if quick else {}
-    if artifact.takes_jobs:
-        overrides["jobs"] = jobs
-    return artifact.harness(**overrides)
+    return artifact.harness(**(artifact.quick if quick else {}))

@@ -4,8 +4,7 @@ The paper compares ROD against the true volume-maximizing plan "on small
 query graphs ... on two nodes", reporting a mean ROD/optimal ratio of 0.95
 and a minimum of 0.82.  This placer enumerates every assignment (with a
 symmetry reduction for identical nodes) and scores each by exact polytope
-volume — or, when the exact computation would be too slow, by QMC ratio
-with shared sample points.
+volume.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from ..core.load_model import LoadModel
 from ..core.plans import Placement
-from ..core.volume import polytope, qmc
+from ..core.volume import polytope
 from .base import Placer
 
 __all__ = ["OptimalPlacer", "enumerate_assignments"]
@@ -61,19 +60,7 @@ class OptimalPlacer(Placer):
 
     name = "optimal"
 
-    def __init__(
-        self,
-        objective: str = "exact",
-        samples: int = 2048,
-        seed: Optional[int] = None,
-        max_operators: int = MAX_OPERATORS,
-    ) -> None:
-        """``objective`` is ``"exact"`` (polytope volume) or ``"qmc"``."""
-        if objective not in ("exact", "qmc"):
-            raise ValueError(f"unknown objective: {objective!r}")
-        self.objective = objective
-        self.samples = samples
-        self.seed = seed
+    def __init__(self, max_operators: int = MAX_OPERATORS) -> None:
         self.max_operators = max_operators
 
     def place(
@@ -88,11 +75,7 @@ class OptimalPlacer(Placer):
                 "operators"
             )
         homogeneous = bool(np.all(caps == caps[0]))
-
-        if self.objective == "qmc":
-            assignment = self._search_qmc(model, caps, homogeneous)
-        else:
-            assignment = self._search_exact(model, caps, homogeneous)
+        assignment = self._search_exact(model, caps, homogeneous)
         return Placement(
             model=model, capacities=caps, assignment=assignment
         )
@@ -142,57 +125,5 @@ class OptimalPlacer(Placer):
             if score > best_score:
                 best_score = score
                 best_assignment = assignment
-        assert best_assignment is not None
-        return best_assignment
-
-    def _search_qmc(
-        self, model: LoadModel, caps: np.ndarray, homogeneous: bool
-    ) -> Tuple[int, ...]:
-        """Enumerate plans scoring each by QMC volume, incrementally.
-
-        Same trick as the annealing placer: per-operator sample dots
-        ``x . (L^o_j / l)`` are assignment-independent, so they are
-        computed once (one matmul) and each candidate's per-node dot
-        columns are patched from the previous candidate's — consecutive
-        restricted-growth strings share a prefix, so the amortized patch
-        cost is a handful of ``O(samples)`` column updates instead of an
-        ``O(samples * n * d)`` rescoring matmul per plan.
-        """
-        m = model.num_operators
-        n = caps.shape[0]
-        totals = model.column_totals()
-        safe_totals = np.where(totals > 1e-12, totals, 1.0)
-        capacity_share = caps / caps.sum()
-        points = qmc.sample_unit_simplex(
-            self.samples, model.num_variables, method="halton"
-        )
-        op_share = model.coefficients / safe_totals
-        op_share[:, totals <= 1e-12] = 0.0
-        op_dots = np.asfortranarray(points @ op_share.T)
-        thresholds = (1.0 + 1e-12) * capacity_share
-
-        node_dots = np.zeros((self.samples, n), order="F")
-        previous: Optional[Tuple[int, ...]] = None
-        best_assignment: Optional[Tuple[int, ...]] = None
-        best_score = -np.inf
-        for assignment in enumerate_assignments(m, n, homogeneous):
-            if previous is None:
-                changed = 0
-            else:
-                changed = m
-                for j in range(m):
-                    if assignment[j] != previous[j]:
-                        changed = j
-                        break
-                for j in range(changed, m):
-                    node_dots[:, previous[j]] -= op_dots[:, j]
-            for j in range(changed, m):
-                node_dots[:, assignment[j]] += op_dots[:, j]
-            feasible = np.all(node_dots <= thresholds, axis=1)
-            score = float(np.count_nonzero(feasible)) / self.samples
-            if score > best_score:
-                best_score = score
-                best_assignment = assignment
-            previous = assignment
         assert best_assignment is not None
         return best_assignment

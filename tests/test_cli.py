@@ -336,7 +336,6 @@ _SIMULATE = [*_SIMULATE_AT, "--rates", "20,20"]
      "--default-threshold"),
     (["compare", "a", "b", "--default-threshold", "-1"],
      "--default-threshold"),
-    (["experiment", "fig2", "--jobs", "-1"], "--jobs"),
 ], ids=[
     "generate-inputs", "generate-ops-per-tree", "place-nodes",
     "place-capacity", "place-group-size", "place-capacity-inf",
@@ -349,7 +348,7 @@ _SIMULATE = [*_SIMULATE_AT, "--rates", "20,20"]
     "simulate-step", "simulate-step-inf", "simulate-chaos-intensity",
     "simulate-chaos-intensity-inf", "trace-width", "explain-top",
     "explain-top-zero", "compare-default-threshold-nan",
-    "compare-default-threshold-negative", "experiment-jobs",
+    "compare-default-threshold-negative",
 ])
 def test_out_of_range_numbers_are_usage_errors(
     argv, option, tmp_path, graph_file, plan_file, capsys
@@ -370,17 +369,15 @@ def test_out_of_range_numbers_are_usage_errors(
 @pytest.mark.parametrize("argv", [
     ["place", "--graph", "g.json", "--nodes", "2", "--jobs", "2"],
     ["evaluate", "--graph", "g.json", "--plan", "p.json", "--jobs", "2"],
-], ids=["place", "evaluate"])
-def test_only_experiment_takes_jobs(argv, capsys):
-    """Placement and scoring run inline; ``--jobs`` fans out whole
-    experiment runs only."""
+    ["experiment", "fig14", "--jobs", "2"],
+], ids=["place", "evaluate", "experiment"])
+def test_no_command_takes_jobs(argv, capsys):
+    """Placement, scoring and experiment runs all run inline: no
+    command opens a process pool."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-    assert build_parser().parse_args(
-        ["experiment", "fig14", "--jobs", "0"]
-    ).jobs == 0
 
 
 class TestReport:
@@ -1261,13 +1258,13 @@ def test_a_trace_out_run_has_no_trace(tmp_path, graph_file, plan_file, capsys):
     assert "Utilization heatmap" not in html
 
 
-#: Modules no start-up path may load: SciPy and NumPy, and the layers
-#: that pull them in.  ``report`` may load NumPy; only ``experiment``
-#: fans runs out, so only it may load the process pools.
+#: Modules no start-up path may load: SciPy and NumPy, the layers that
+#: pull them in, and the process-pool modules, which no command uses.
+#: ``report`` may load NumPy.
 HEAVY_MODULES = (
     "numpy", "scipy", "repro.core", "repro.simulator.engine",
     "repro.placement", "repro.dynamics", "repro.experiments",
-    "repro.check", "repro.parallel",
+    "repro.check", "multiprocessing", "concurrent.futures",
 )
 
 
@@ -1298,12 +1295,10 @@ def budget_root(tmp_path_factory):
     (["explain", "run", "--root", "{work}/runs"], ()),
     (["report", "run", "--root", "{work}/runs", "-o", "{work}/r.html"],
      ("numpy",)),
-    # The placers run inline: no process-pool module.
     (["place", "--graph", "{work}/graph.json", "--nodes", "2"],
      ("numpy", "repro.core", "repro.placement")),
     # Its harness needs only NumPy and the trace generators.
-    (["experiment", "fig2"],
-     ("numpy", "repro.experiments", "repro.parallel")),
+    (["experiment", "fig2"], ("numpy", "repro.experiments")),
 ], ids=["help", "generate", "why", "explain", "report", "place",
         "experiment-fig2"])
 def test_start_up_import_budget(budget_root, argv, allowed):

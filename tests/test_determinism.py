@@ -1,10 +1,9 @@
 """Tests for the double-run determinism harness and its guarantees.
 
-Four layers: :func:`repro.check.determinism.compare_runs` unit tests on
+Three layers: :func:`repro.check.determinism.compare_runs` unit tests on
 synthetic run directories, the harness's plan comparison with stubbed
-subprocesses, an actual two-subprocess PYTHONHASHSEED stability check
-on the simulator and the seeded placers, and the jobs-invariance
-guarantee of the fault-tolerance experiment.
+subprocesses, and an actual two-subprocess PYTHONHASHSEED stability
+check on the simulator and the seeded placers.
 """
 
 import json
@@ -19,7 +18,6 @@ from repro.check.determinism import (
     compare_runs,
     run_digest,
 )
-from repro.experiments import fault_tolerance
 from repro.obs import JsonlSink, Tracer
 
 SRC_ROOT = str(Path(__file__).resolve().parents[1] / "src")
@@ -161,16 +159,3 @@ class TestHashSeedStability:
         assert int(tuples_out) > 0
         assert len(assignments) == 2
         assert all(len(a.split(",")) == 24 for a in assignments)
-
-
-class TestJobsInvariance:
-    def test_fault_tolerance_rows_identical_across_jobs(self):
-        kwargs = dict(
-            duration=4.0, samples=64, operators_per_tree=6, seed=11,
-        )
-        serial = fault_tolerance.run(jobs=1, **kwargs)
-        fanned = fault_tolerance.run(jobs=4, **kwargs)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            fanned, sort_keys=True
-        )
-        assert len(serial) == 12

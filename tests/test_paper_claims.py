@@ -121,7 +121,7 @@ class TestSection5RodQuality:
         rod_volume = rod_place(
             model, two_nodes
         ).feasible_set().exact_volume()
-        optimal_volume = OptimalPlacer(objective="exact").place(
+        optimal_volume = OptimalPlacer().place(
             model, two_nodes
         ).feasible_set().exact_volume()
         assert rod_volume >= 0.75 * optimal_volume

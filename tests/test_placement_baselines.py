@@ -154,25 +154,11 @@ class TestOptimalPlacer:
             list(enumerate_assignments(2, 0, True))
 
     def test_optimal_at_least_rod_on_example(self, example_model, two_nodes):
-        optimal = OptimalPlacer(objective="exact").place(
-            example_model, two_nodes
-        )
+        optimal = OptimalPlacer().place(example_model, two_nodes)
         rod = RODPlacer().place(example_model, two_nodes)
         assert (
             optimal.feasible_set().exact_volume()
             >= rod.feasible_set().exact_volume() - 1e-9
-        )
-
-    def test_qmc_objective_agrees_with_exact(self, example_model, two_nodes):
-        exact = OptimalPlacer(objective="exact").place(
-            example_model, two_nodes
-        )
-        qmc = OptimalPlacer(objective="qmc", samples=4096).place(
-            example_model, two_nodes
-        )
-        assert (
-            qmc.feasible_set().exact_volume()
-            >= 0.95 * exact.feasible_set().exact_volume()
         )
 
     def test_refuses_large_instances(self, two_nodes):
@@ -181,10 +167,6 @@ class TestOptimalPlacer:
         placer = OptimalPlacer(max_operators=10)
         with pytest.raises(ValueError, match="refusing"):
             placer.place(model, two_nodes)
-
-    def test_objective_validation(self):
-        with pytest.raises(ValueError, match="objective"):
-            OptimalPlacer(objective="magic")
 
 
 class TestRODPlacerAdapter:

@@ -459,7 +459,7 @@ class TestExperimentRecording:
         elapsed = time.perf_counter() - start
         run = find_run("e1", root=root)
         assert run.manifest.labels == {"experiment": "fig2"}
-        assert run.manifest.config == {"experiment": "fig2", "jobs": 1}
+        assert run.manifest.config == {"experiment": "fig2"}
         assert [row["trace"] for row in run.result["rows"]] == [
             "PKT", "TCP", "HTTP",
         ]
