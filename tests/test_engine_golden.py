@@ -6,7 +6,11 @@ untraced ``SimulationResult`` reduced to plain data (arrays
 element-wise, latency samples in order, every migration and fault).  A
 refactor of the engine or the controllers must leave both
 byte-identical; a change that means to alter behaviour must regenerate
-them on purpose.
+them on purpose.  Six more runs (``PATHS``) take the engine paths those
+five never do: per-operator queues, the join and variable-selectivity
+runtimes, transfer costs on split arcs, seeded Poisson arrivals and
+overlapping fault windows.  The same two digests pin them
+(``PATH_GOLDEN``).
 
 A third digest per run pins what the trace readers make of it: the
 critical path with its rebuilt latency samples, ``why``, the decision
@@ -49,8 +53,8 @@ from repro.dynamics import (
     LoadBalancingController,
 )
 from repro.experiments.elasticity import hot_pipeline
-from repro.faults import chaos_schedule
-from repro.graphs.generator import monitoring_graph
+from repro.faults import FaultEvent, FaultSchedule, chaos_schedule
+from repro.graphs.generator import monitoring_graph, paper_example3_graph
 from repro.obs import (
     JsonlSink,
     MemorySink,
@@ -90,6 +94,7 @@ from repro.obs.timeline import (
 )
 from repro.placement import RODPlacer
 from repro.simulator.engine import Simulator
+from repro.simulator.scheduling import SchedulerQueue
 from repro.workload.rates import scale_point_to_utilization
 
 
@@ -164,9 +169,9 @@ def _skewed_placement():
     )
 
 
-def _spiked_series(steps=120):
+def _spiked_series(steps=120, surge=6.0):
     series = np.full((steps, 2), 200.0)
-    series[30:90, 0] *= 6.0  # input 0 surges 6x from t=3s to t=9s
+    series[30:90, 0] *= surge  # input 0 surges from t=3s to t=9s
     return series
 
 
@@ -232,13 +237,80 @@ SCENARIOS = {
 }
 
 
+def _queued_moves(scheduling):
+    """The balance scenario under a 10x surge, so its moves take queued
+    batches out of the per-operator queues."""
+    return dict(
+        _balance(), engine={"scheduling": scheduling},
+        run={"rate_series": _spiked_series(surge=10.0)},
+    )
+
+
+def _nonlinear():
+    """Example 3's graph: a variable-selectivity operator and a window
+    join, each fed across the two nodes."""
+    graph = paper_example3_graph()
+    mapping = {"o1": 0, "o2": 0, "o3": 1, "o4": 1, "o5": 0, "o6": 1}
+    return dict(
+        placement=placement_from_mapping(
+            build_load_model(graph), [150.0, 150.0], mapping
+        ),
+        run={"rates": [10.0, 10.0], "duration": 6.0},
+    )
+
+
+#: Overlapping degrade windows on node 0 (one nested in the other), an
+#: open-ended one on node 1 and overlapping slowdowns of one operator.
+_WINDOWS = (
+    ("node.degrade", {"node": 0, "factor": 0.5}, 2.0, 5.0),
+    ("node.degrade", {"node": 0, "factor": 0.8}, 4.0, 2.0),
+    ("node.degrade", {"node": 1, "factor": 0.7}, 3.0, None),
+    ("operator.slowdown", {"operator": "normalize0", "factor": 2.0}, 1.0,
+     6.0),
+    ("operator.slowdown", {"operator": "normalize0", "factor": 1.5}, 3.0,
+     6.0),
+    ("operator.slowdown", {"operator": "top_talkers", "factor": 3.0}, 5.0,
+     1.0),
+)
+
+
+def _windows():
+    return dict(
+        placement=_skewed_placement(),
+        faults=FaultSchedule(
+            FaultEvent(time=time, kind=kind, duration=duration, **target)
+            for kind, target, time, duration in _WINDOWS
+        ),
+        run={"rates": [500.0, 500.0], "duration": 10.0},
+    )
+
+
+#: Engine paths the five scenarios above never take: per-operator
+#: queues (with migrations taking their batches), the join and
+#: variable-selectivity runtimes, a transfer cost on split arcs, seeded
+#: Poisson arrivals and overlapping fault windows.  Each is pinned by
+#: its trace digest and result fingerprint only (``PATH_GOLDEN``).
+PATHS = {
+    "round-robin": lambda: _queued_moves("round_robin"),
+    "longest-queue": lambda: _queued_moves("longest_queue"),
+    "nonlinear": _nonlinear,
+    "transfer": lambda: dict(
+        SCENARIOS["none"](), engine={"transfer_costs": 2e-5}
+    ),
+    "poisson": lambda: dict(
+        SCENARIOS["none"](), engine={"arrival_kind": "poisson", "seed": 11}
+    ),
+    "windows": _windows,
+}
+
+
 def simulate(name, tracer=None):
     """One run of scenario ``name``: (result, controller)."""
-    spec = SCENARIOS[name]()
+    spec = {**SCENARIOS, **PATHS}[name]()
     controller = spec.get("controller", lambda: None)()
     result = Simulator(
         spec["placement"], step_seconds=0.1, controller=controller,
-        faults=spec.get("faults"), tracer=tracer,
+        faults=spec.get("faults"), tracer=tracer, **spec.get("engine", {}),
     ).run(**spec["run"])
     return result, controller
 
@@ -280,6 +352,36 @@ GOLDEN = {
 }
 
 
+#: path -> (trace_digest, result fingerprint) for each run of ``PATHS``,
+#: generated once from the engine and pinned like ``GOLDEN``.
+PATH_GOLDEN = {
+    "round-robin": (
+        "aeacb5635841985d8577406ecdebb4cda2d918a300ca9dfa173c994e0217b392",
+        "d58f6d86de1beef42e4b69cef54022fc45fa45497532543589a6394e1d293888",
+    ),
+    "longest-queue": (
+        "084808f936ca5a95c15b015b636c8f936c0a64a125fdaddd09c7f24e266d20b7",
+        "a4cd94fa4f16eaf3effb69a51e2f76c5397262ad66cd63530dfb44c4a513c5af",
+    ),
+    "nonlinear": (
+        "3f5a3f1015df948d71121d0352a851e29932fc8baef640e3942a9259085b3cae",
+        "1446183d57fd30aa0582a7a9ed341d61d51af72e6784fb123c2bc24aebcb71f7",
+    ),
+    "transfer": (
+        "1005a5845857413e909260004041715f0b3e761d1e22f479c07dad72524eecfa",
+        "f9b4b4e5d7c1ecaaf8c8cda6e9ace98fdac164f6c62b912daac37532ceaab52e",
+    ),
+    "poisson": (
+        "c59702d94a3bae771e15e942d4a9736b42599ac571986cb4532eef49a56d1186",
+        "51013c8334f1b63c2e26fb91226517773c2619602cc35de9c06100d855b773d4",
+    ),
+    "windows": (
+        "946f7d3d6d417fd7280e445d1784c32f092c824415d63f74890f5fe9999f8cf7",
+        "e9e38dd79de025a913fbd9b3daffde25854f6efb2b88bab34dd385efdc467d57",
+    ),
+}
+
+
 def reader_digest(events):
     text = json.dumps(
         plain(reader_outputs(events)), sort_keys=True, separators=(",", ":")
@@ -314,10 +416,10 @@ def _triggers(events):
     }
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS) + sorted(PATHS))
 def test_golden_digest(name):
     digest, result_print, _, _, _ = run_scenario(name)
-    assert (digest, result_print) == GOLDEN[name]
+    assert (digest, result_print) == {**GOLDEN, **PATH_GOLDEN}[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -479,6 +581,64 @@ class TestScenariosExerciseTheirPaths:
         _, _, _, events, controller = run_scenario("elastic")
         assert controller.history
         assert any(e["type"] == "elastic.repartition" for e in events)
+
+
+class TestPathsAreTaken:
+    """Each ``PATHS`` run takes the engine path it is there to pin."""
+
+    @pytest.mark.parametrize("name", ["round-robin", "longest-queue"])
+    def test_per_operator_queues_move_queued_batches(
+        self, name, monkeypatch
+    ):
+        taken = []
+        take = SchedulerQueue.take_operator
+
+        def counting(queue, operator):
+            batches = take(queue, operator)
+            taken.append((queue.policy, len(batches)))
+            return batches
+
+        monkeypatch.setattr(SchedulerQueue, "take_operator", counting)
+        simulate(name)
+        policy = name.replace("-", "_")
+        assert {p for p, _ in taken} == {policy}
+        assert max(count for _, count in taken) > 0
+
+    def test_nonlinear_runtimes_emit_output(self):
+        stats = run_scenario("nonlinear")[2].operator_stats
+        assert stats["o1"].tuples_out > 0  # variable selectivity
+        assert stats["o5"].tuples_out > 0  # window join
+        assert 0 < stats["o1"].tuples_out < stats["o1"].tuples_in
+
+    def test_transfer_charges_split_arcs(self):
+        charged = run_scenario("transfer")[2]
+        free = run_scenario("none")[2]
+        assert charged.tuples_out == free.tuples_out
+        assert (charged.node_busy > free.node_busy).all()
+
+    def test_poisson_batches_vary(self):
+        deterministic = {
+            e["count"] for e in run_scenario("none")[3]
+            if e["type"] == "batch.enqueued" and "parent" not in e
+        }
+        drawn = {
+            e["count"] for e in run_scenario("poisson")[3]
+            if e["type"] == "batch.enqueued" and "parent" not in e
+        }
+        assert len(drawn) > 2 * len(deterministic)
+
+    def test_windows_overlap(self):
+        events = run_scenario("windows")[3]
+        opened = [e for e in events if e["type"] == "fault.injected"]
+        closed = [e for e in events if e["type"] == "fault.reverted"]
+        assert len(opened) == len(_WINDOWS)
+        assert len(closed) == sum(w[3] is not None for w in _WINDOWS)
+        # The second window on each target opens before the first closes.
+        for target in ({"node": 0}, {"operator": "normalize0"}):
+            key, value = next(iter(target.items()))
+            times = [e["t"] for e in opened if e.get(key) == value]
+            ends = [e["t"] for e in closed if e.get(key) == value]
+            assert len(times) == 2 and times[1] < min(ends)
 
 
 NEUTRALITY_CONTROLLERS = {
