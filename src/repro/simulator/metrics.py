@@ -52,6 +52,13 @@ class LatencyStats:
         self._values.append(float(latency))
         self._weights.append(int(count))
 
+    def add(self, latency: float, count: int) -> None:
+        """Append a sample known to be valid: a ``float`` latency >= 0
+        and an ``int`` count >= 1.  The engine's sink samples are that
+        by construction; every other caller uses :meth:`record`."""
+        self._values.append(latency)
+        self._weights.append(count)
+
     @property
     def total_tuples(self) -> int:
         return int(sum(self._weights))

@@ -5,6 +5,13 @@ tuples).  Selectivities are applied with fractional carry so long-run
 output counts match the analytic rates exactly; window joins keep a real
 sliding window of recent arrival counts per input port, so their
 quadratic load emerges from simulation rather than being asserted.
+
+Each runtime carries its fractional tuples in a float: it adds the
+batch's expected output, emits ``int(carry + 1e-9)`` whole tuples and
+keeps the rest.  The epsilon absorbs accumulated binary-fraction error
+(e.g. 1000 x 0.3 summing to 299.9999...) without ever over-emitting
+noticeably.  The three lines are written out in each ``process``: it
+runs once per served batch.
 """
 
 from __future__ import annotations
@@ -20,22 +27,6 @@ from ..graphs.operators import (
 )
 
 __all__ = ["OperatorRuntime", "make_runtime"]
-
-
-class _FractionalCarry:
-    """Accumulates fractional tuples so floor() errors never drift."""
-
-    def __init__(self) -> None:
-        self._carry = 0.0
-
-    def emit(self, amount: float) -> int:
-        self._carry += amount
-        # The epsilon absorbs accumulated binary-fraction error (e.g.
-        # 1000 x 0.3 summing to 299.9999...) without ever over-emitting
-        # noticeably.
-        whole = int(self._carry + 1e-9)
-        self._carry -= whole
-        return whole
 
 
 class OperatorRuntime:
@@ -59,13 +50,14 @@ class LinearRuntime(OperatorRuntime):
 
     def __init__(self, operator: LinearOperator) -> None:
         super().__init__(operator)
-        self._carries = [_FractionalCarry() for _ in range(operator.arity)]
+        self._carries = [0.0] * operator.arity
 
     def process(self, now: float, port: int, count: int) -> Tuple[float, int]:
         op = self.operator
-        work = op.costs[port] * count
-        out = self._carries[port].emit(op.selectivities[port] * count)
-        return work, out
+        carry = self._carries[port] + op.selectivities[port] * count
+        out = int(carry + 1e-9)
+        self._carries[port] = carry - out
+        return op.costs[port] * count, out
 
 
 class VariableSelectivityRuntime(OperatorRuntime):
@@ -73,13 +65,14 @@ class VariableSelectivityRuntime(OperatorRuntime):
 
     def __init__(self, operator: VariableSelectivityOp) -> None:
         super().__init__(operator)
-        self._carry = _FractionalCarry()
+        self._carry = 0.0
 
     def process(self, now: float, port: int, count: int) -> Tuple[float, int]:
         op = self.operator
-        work = op.cost * count
-        out = self._carry.emit(op.nominal_selectivity * count)
-        return work, out
+        carry = self._carry + op.nominal_selectivity * count
+        out = int(carry + 1e-9)
+        self._carry = carry - out
+        return op.cost * count, out
 
 
 class WindowJoinRuntime(OperatorRuntime):
@@ -99,7 +92,7 @@ class WindowJoinRuntime(OperatorRuntime):
     def __init__(self, operator: WindowJoin) -> None:
         super().__init__(operator)
         self._windows: List[Deque[Tuple[float, int]]] = [deque(), deque()]
-        self._carry = _FractionalCarry()
+        self._carry = 0.0
 
     def _expire(self, now: float, port: int) -> None:
         window = self._windows[port]
@@ -118,9 +111,10 @@ class WindowJoinRuntime(OperatorRuntime):
         pairs = count * self.window_population(now, opposite)
         self._expire(now, port)
         self._windows[port].append((now, count))
-        work = self.operator.cost_per_pair * pairs
-        out = self._carry.emit(self.operator.selectivity * pairs)
-        return work, out
+        carry = self._carry + self.operator.selectivity * pairs
+        out = int(carry + 1e-9)
+        self._carry = carry - out
+        return self.operator.cost_per_pair * pairs, out
 
 
 def make_runtime(operator: Operator) -> OperatorRuntime:
