@@ -27,15 +27,27 @@ Quick use::
     check_artifact(graph, model, placement).raise_if_errors()
 """
 
-from .diagnostics import CheckError, CheckReport, Diagnostic, Severity
-from .runner import CheckRunner, check_artifact, default_runner
-from .verify_graph import check_graph
-from .verify_model import check_model
-from .verify_plan import check_placement, check_plan_document
-from .verify_config import check_experiment_config
-from .artifacts import check_document, check_paths, classify_document
-from .lint import LINT_CODES, lint_paths, lint_source, prune_baseline_paths
-from .suppress import NoqaMarker, find_markers
+from .._lazy import lazy_exports
+
+# Imported on first access, so a semantic check does not load the
+# linter, and ``python -m repro.check.lint`` runs a module that is
+# not imported yet.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".artifacts": ("check_document", "check_paths", "classify_document"),
+    ".diagnostics": ("CheckError", "CheckReport", "Diagnostic", "Severity"),
+    ".lint": (
+        "LINT_CODES",
+        "lint_paths",
+        "lint_source",
+        "prune_baseline_paths",
+    ),
+    ".runner": ("CheckRunner", "check_artifact", "default_runner"),
+    ".suppress": ("NoqaMarker", "find_markers"),
+    ".verify_config": ("check_experiment_config",),
+    ".verify_graph": ("check_graph",),
+    ".verify_model": ("check_model",),
+    ".verify_plan": ("check_placement", "check_plan_document"),
+})
 
 __all__ = [
     "CheckError",

@@ -3,18 +3,28 @@ for short-term load variations (Section 1) — and fault-driven failover
 (:mod:`repro.dynamics.failover`), which even a static-resilient
 deployment needs when a node crashes outright."""
 
-from .controller import LoadBalancingController, Migration, MigrationController
-from .elasticity import ElasticityController, Repartition
-from .failover import (
-    FAILOVER_POLICIES,
-    FailoverController,
-    residual_volume_ratio,
-)
-from .state import (
-    MigrationCostModel,
-    graph_state_tuples,
-    operator_state_tuples,
-)
+from .._lazy import lazy_exports
+
+# Imported on first access, so importing one controller module loads
+# only what that module needs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".controller": (
+        "LoadBalancingController",
+        "Migration",
+        "MigrationController",
+    ),
+    ".elasticity": ("ElasticityController", "Repartition"),
+    ".failover": (
+        "FAILOVER_POLICIES",
+        "FailoverController",
+        "residual_volume_ratio",
+    ),
+    ".state": (
+        "MigrationCostModel",
+        "graph_state_tuples",
+        "operator_state_tuples",
+    ),
+})
 
 __all__ = [
     "ElasticityController",

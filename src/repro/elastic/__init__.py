@@ -18,13 +18,20 @@ split/merge against the load model) and
 skew-aware repartitioning applied by the simulator).
 """
 
-from .program import partition_program
-from .skew import (
-    KeyHistogram,
-    rebalanced_fractions,
-    stable_key_hash,
-    stable_unit_hash,
-)
+from .._lazy import lazy_exports
+
+# Imported on first access, so the elasticity controller's key-range
+# arithmetic (``repro.elastic.skew``) does not load the program rewrite
+# and, through it, ``repro.runtime``.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".program": ("partition_program",),
+    ".skew": (
+        "KeyHistogram",
+        "rebalanced_fractions",
+        "stable_key_hash",
+        "stable_unit_hash",
+    ),
+})
 
 __all__ = [
     "KeyHistogram",

@@ -1,33 +1,44 @@
 """Query graphs, operators and workload-graph generators."""
 
-from .operators import (
-    Aggregate,
-    Delay,
-    Filter,
-    LinearOperator,
-    Map,
-    Operator,
-    Union,
-    VariableSelectivityOp,
-    WindowJoin,
-)
-from .query_graph import Arc, QueryGraph, Stream
-from .partition import parallelize_heaviest, partition_operator
-from .serialize import dump_graph, graph_from_dict, graph_to_dict, load_graph
-from .stats import (
-    MeasuredStatistics,
-    graph_from_statistics,
-    measure_statistics,
-    measure_statistics_stable,
-)
-from .generator import (
-    RandomGraphConfig,
-    join_graph,
-    monitoring_graph,
-    paper_example3_graph,
-    paper_example_graph,
-    random_tree_graph,
-)
+from .._lazy import lazy_exports
+
+# Imported on first access, so a step that reads a graph does not load
+# the generators or the statistics module.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".generator": (
+        "RandomGraphConfig",
+        "join_graph",
+        "monitoring_graph",
+        "paper_example3_graph",
+        "paper_example_graph",
+        "random_tree_graph",
+    ),
+    ".operators": (
+        "Aggregate",
+        "Delay",
+        "Filter",
+        "LinearOperator",
+        "Map",
+        "Operator",
+        "Union",
+        "VariableSelectivityOp",
+        "WindowJoin",
+    ),
+    ".partition": ("parallelize_heaviest", "partition_operator"),
+    ".query_graph": ("Arc", "QueryGraph", "Stream"),
+    ".serialize": (
+        "dump_graph",
+        "graph_from_dict",
+        "graph_to_dict",
+        "load_graph",
+    ),
+    ".stats": (
+        "MeasuredStatistics",
+        "graph_from_statistics",
+        "measure_statistics",
+        "measure_statistics_stable",
+    ),
+})
 
 __all__ = [
     "Aggregate",

@@ -1,16 +1,22 @@
 """Placement algorithms: ROD plus the baselines of Section 7.2."""
 
-from .annealing import AnnealingPlacer
-from .base import Placer
-from .connected import ConnectedPlacer
-from .correlation import CorrelationPlacer, correlation_coefficient
-from .elastic import ElasticPlacer
-from .hierarchical import HierarchicalPlacer, RestrictedModel
-from .llf import LLFPlacer
-from .milp import MilpBalancePlacer
-from .optimal import OptimalPlacer, enumerate_assignments
-from .random_placer import RandomPlacer
-from .rod_placer import RODPlacer
+from .._lazy import lazy_exports
+
+# Imported on first access, so placing with one algorithm does not
+# load the other placers.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".annealing": ("AnnealingPlacer",),
+    ".base": ("Placer",),
+    ".connected": ("ConnectedPlacer",),
+    ".correlation": ("CorrelationPlacer", "correlation_coefficient"),
+    ".elastic": ("ElasticPlacer",),
+    ".hierarchical": ("HierarchicalPlacer", "RestrictedModel"),
+    ".llf": ("LLFPlacer",),
+    ".milp": ("MilpBalancePlacer",),
+    ".optimal": ("OptimalPlacer", "enumerate_assignments"),
+    ".random_placer": ("RandomPlacer",),
+    ".rod_placer": ("RODPlacer",),
+})
 
 __all__ = [
     "AnnealingPlacer",

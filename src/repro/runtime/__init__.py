@@ -7,19 +7,25 @@ answers and measured selectivities, then lower it with
 ``program.to_query_graph(measured)`` and place it with ROD.
 """
 
-from .distributed import DistributedInterpreter, DistributedRunResult
-from .functional import (
-    FnAggregate,
-    FnCountWindow,
-    FnFilter,
-    FnMap,
-    FnOperator,
-    FnUnion,
-    FnWindowJoin,
-)
-from .interpreter import Interpreter, RunResult, records_from_trace
-from .program import StreamProgram
-from .records import Record
+from .._lazy import lazy_exports
+
+# Imported on first access, so importing one module of the functional
+# runtime loads only what that module needs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".distributed": ("DistributedInterpreter", "DistributedRunResult"),
+    ".functional": (
+        "FnAggregate",
+        "FnCountWindow",
+        "FnFilter",
+        "FnMap",
+        "FnOperator",
+        "FnUnion",
+        "FnWindowJoin",
+    ),
+    ".interpreter": ("Interpreter", "RunResult", "records_from_trace"),
+    ".program": ("StreamProgram",),
+    ".records": ("Record",),
+})
 
 __all__ = [
     "DistributedInterpreter",

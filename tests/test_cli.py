@@ -1260,11 +1260,14 @@ def test_a_trace_out_run_has_no_trace(tmp_path, graph_file, plan_file, capsys):
 
 #: Modules no start-up path may load: SciPy and NumPy, the layers that
 #: pull them in, and the process-pool modules, which no command uses.
-#: ``report`` may load NumPy.
+#: ``report`` may load NumPy.  The last three are modules none of these
+#: steps runs, which an eagerly importing package ``__init__`` would
+#: load: the linter, operator clustering and the functional runtime.
 HEAVY_MODULES = (
     "numpy", "scipy", "repro.core", "repro.simulator.engine",
     "repro.placement", "repro.dynamics", "repro.experiments",
     "repro.check", "multiprocessing", "concurrent.futures",
+    "repro.check.lint", "repro.core.clustering", "repro.runtime",
 )
 
 
@@ -1299,8 +1302,15 @@ def budget_root(tmp_path_factory):
      ("numpy", "repro.core", "repro.placement")),
     # Its harness needs only NumPy and the trace generators.
     (["experiment", "fig2"], ("numpy", "repro.experiments")),
+    # The engine, its controllers and the plan checks.
+    (["simulate", "--graph", "{work}/graph.json", "--plan",
+      "{work}/plan.json", "--rates", "20,20", "--duration", "6",
+      "--chaos-seed", "5", "--failover", "volume", "--record",
+      "{work}/budget-runs"],
+     ("numpy", "repro.core", "repro.simulator.engine", "repro.dynamics",
+      "repro.check")),
 ], ids=["help", "generate", "why", "explain", "report", "place",
-        "experiment-fig2"])
+        "experiment-fig2", "simulate-record"])
 def test_start_up_import_budget(budget_root, argv, allowed):
     """Each step imports only the layers it runs: in a fresh
     interpreter, ``main(argv)`` loads none of ``HEAVY_MODULES`` beyond
@@ -1333,10 +1343,12 @@ def test_start_up_import_budget(budget_root, argv, allowed):
     assert not loaded
 
 
-@pytest.mark.parametrize(
-    "package",
-    ["repro", "repro.simulator", "repro.workload", "repro.experiments"],
-)
+@pytest.mark.parametrize("package", [
+    "repro", "repro.simulator", "repro.workload", "repro.experiments",
+    "repro.core", "repro.core.volume", "repro.graphs", "repro.check",
+    "repro.runtime", "repro.elastic", "repro.dynamics", "repro.placement",
+    "repro.faults",
+])
 def test_lazy_re_exports_resolve(package):
     """Every ``__all__`` name of a lazily re-exporting package imports."""
     module = __import__(package, fromlist=["__all__"])
