@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import build_load_model
@@ -117,6 +117,62 @@ class TestAnalysisProperties:
         burst = rates.copy()
         burst[axis] += extra
         assert fs.is_feasible(burst, slack=1e-9)
+
+
+class TestSharpBoundary:
+    """The simulator agrees with the feasible set at its edge.
+
+    The ray runs along the normal of the node hyperplane nearest the
+    origin, the direction of least headroom ``C_i / ||L^n_i||``; every
+    other hyperplane lies farther along it.  A ROD plan must keep up at
+    ``1 - EPS`` of the boundary rate and fall behind at ``1 + EPS``.
+
+    Keeping up means no node saturated and a drain after the horizon
+    that does not grow when the horizon doubles.  A fixed drain
+    allowance cannot judge it: ``is_feasible(backlog_tolerance=0.1)``
+    fails the pinned example, a stable plan whose last batches take
+    0.106 s to cross its three nodes after a 20 s run (0.105 s after
+    60 s).
+    """
+
+    EPS = 0.1
+    STEP = 0.1
+
+    @pytest.mark.parametrize("capacities", ["homogeneous", "heterogeneous"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=seeds, inputs=st.integers(2, 4), ops=st.integers(2, 6),
+           nodes=st.integers(2, 4),
+           weights=st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4))
+    @example(seed=4, inputs=2, ops=4, nodes=3, weights=[1.0] * 4)
+    def test_keeps_up_inside_falls_behind_outside(
+        self, capacities, seed, inputs, ops, nodes, weights
+    ):
+        model = small_model(seed, num_inputs=inputs, ops=ops)
+        plan = rod_place(model, (
+            [1.0] * nodes if capacities == "homogeneous" else weights[:nodes]
+        ))
+        ln = plan.node_coefficients()
+        norms = np.linalg.norm(ln, axis=1)
+        loaded = np.flatnonzero(norms > 0)
+        nearest = loaded[np.argmin(plan.capacities[loaded] / norms[loaded])]
+        direction = ln[nearest] / norms[nearest]
+        boundary = direction * headroom(plan, direction)
+        assert plan.feasible_set().utilizations(boundary)[nearest] == (
+            pytest.approx(1.0)
+        )
+
+        def run(factor, seconds):
+            return Simulator(plan, step_seconds=self.STEP).run(
+                rates=boundary * factor, duration=seconds
+            )
+
+        inside, longer = run(1 - self.EPS, 20.0), run(1 - self.EPS, 40.0)
+        assert inside.max_utilization <= 0.99
+        assert longer.backlog_seconds.max() <= (
+            inside.backlog_seconds.max() + self.STEP
+        )
+        # Above 1 the nearest node has more work than time: it saturates.
+        assert not run(1 + self.EPS, 20.0).is_feasible(backlog_tolerance=0.1)
 
 
 class TestEngineProperties:
