@@ -345,6 +345,10 @@ class _Run:
         self.decision_seq = itertools.count(1)
         self.decision_counts: Counter = Counter()
         if tracing:
+            # The per-batch handlers build their records themselves, in
+            # wire key order, and hand them to the tracer's ``write``.
+            self.write_event = tracer.write
+            self.clock = tracer.clock
             self.drift_monitor = DriftMonitor()
             if controller is not None:
                 self.telemetry = DecisionTelemetry()
@@ -508,7 +512,8 @@ class _Run:
         if self.busy[node] or self.failed[node]:
             return
         if self.tracing:
-            self.tracer.emit("node.busy", t=now, node=node)
+            self.write_event({"type": "node.busy", "t": now,
+                              "wall": self.clock(), "node": node})
         self.start_service(node, now)
 
     def finish(self, node: int, now: float, work: float) -> None:
@@ -524,7 +529,8 @@ class _Run:
             self.busy[node] = False
             self.last_free[node] = now
             if self.tracing:
-                self.tracer.emit("node.idle", t=now, node=node)
+                self.write_event({"type": "node.idle", "t": now,
+                                  "wall": self.clock(), "node": node})
         else:
             self.start_service(node, now)
 
@@ -535,18 +541,17 @@ class _Run:
         node = self.assignment[batch.operator]
         self.queues[node].push(batch)
         if self.tracing:
+            record = {
+                "type": "batch.enqueued", "t": batch.arrival,
+                "wall": self.clock(), "node": node,
+                "operator": batch.operator, "port": batch.port,
+                "count": batch.count, "span": batch.span,
+                "birth": batch.birth,
+            }
             parent = self.parents.pop(batch.span, None)
-            self.tracer.emit(
-                "batch.enqueued",
-                t=batch.arrival,
-                node=node,
-                operator=batch.operator,
-                port=batch.port,
-                count=batch.count,
-                span=batch.span,
-                birth=batch.birth,
-                **({} if parent is None else {"parent": parent}),
-            )
+            if parent is not None:
+                record["parent"] = parent
+            self.write_event(record)
         if not self.busy[node]:  # else it takes the batch when it is done
             self.wake(node, now)
 
@@ -562,26 +567,19 @@ class _Run:
             sink_stream = self.outputs[batch.operator]
         birth, tracing = batch.birth, self.tracing
         if tracing:
-            # Sink services carry the identical latency float the
-            # engine records below, so trace analyzers reconcile
-            # with SimulationResult bit-for-bit.
-            extra = (
-                {} if sink_stream is None
-                else {"sink": sink_stream, "latency": now - birth}
-            )
-            self.tracer.emit(
-                "batch.serviced",
-                t=now,
-                node=node,
-                operator=batch.operator,
-                port=batch.port,
-                count=batch.count,
-                out=out_count,
-                work=work,
-                span=batch.span,
-                start=start,
-                **extra,
-            )
+            record = {
+                "type": "batch.serviced", "t": now, "wall": self.clock(),
+                "node": node, "operator": batch.operator,
+                "port": batch.port, "count": batch.count, "out": out_count,
+                "work": work, "span": batch.span, "start": start,
+            }
+            if sink_stream is not None:
+                # Sink services carry the identical latency float the
+                # engine records below, so trace analyzers reconcile
+                # with SimulationResult bit-for-bit.
+                record["sink"] = sink_stream
+                record["latency"] = now - birth
+            self.write_event(record)
         if deliveries:
             events, sequence = self.events, self.sequence
             on_arrival, span = self.on_arrival, -1

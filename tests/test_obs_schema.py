@@ -112,6 +112,41 @@ class TestTracerValidation:
         Tracer(sink).emit("node.busy", t=1.0)
         assert len(sink.events) == 1
 
+    def test_traced_engine_run_passes_a_validating_tracer(self):
+        """The engine's own per-batch records, handed to ``write``, are
+        validated like every ``emit``, in every layout."""
+        sink = MemorySink()
+        graph = monitoring_graph(3, seed=1)
+        Simulator(
+            RODPlacer().place(build_load_model(graph), [1.0, 1.0, 1.0]),
+            controller=FailoverController(policy="volume", samples=128),
+            faults=chaos_schedule(
+                3, horizon=10.0, seed=7,
+                operator_names=graph.operator_names,
+            ),
+            tracer=Tracer(sink, validate=True),
+        ).run(rates=[60.0, 60.0, 60.0], duration=10.0)
+        types = {event["type"] for event in sink.events}
+        assert {"batch.enqueued", "batch.serviced", "node.busy",
+                "node.idle"} <= types
+        assert any("parent" in event for event in sink.events)
+        assert any("sink" in event for event in sink.events)
+
+    def test_write_rejects_what_emit_rejects(self):
+        fields = {"node": 0, "operator": "a", "port": 0, "count": 2,
+                  "out": 1, "span": 3, "start": 0.5}
+        sink = MemorySink()
+        tracer = Tracer(sink, validate=True)
+        with pytest.raises(ValueError) as emitted:
+            tracer.emit("batch.serviced", t=1.0, **fields)
+        with pytest.raises(ValueError) as written:
+            tracer.write({"type": "batch.serviced", "t": 1.0, "wall": 0.0,
+                          **fields})
+        assert str(written.value) == str(emitted.value)
+        assert "['work']" in str(written.value)
+        assert sink.events == []
+        assert tracer.events_emitted == 0
+
 
 CAPACITIES = [1.0] * 4
 
