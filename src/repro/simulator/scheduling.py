@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 __all__ = ["POLICIES", "SchedulerQueue", "Stall"]
 
@@ -60,6 +60,9 @@ class SchedulerQueue:
         # round_robin / longest_queue: per-operator FIFO deques, never
         # empty; the OrderedDict's order doubles as the rotation order.
         self._per_op: "OrderedDict[str, Deque[object]]" = OrderedDict()
+        # Queued tuples per operator in ``_per_op``, kept by every push
+        # and removal so a longest_queue pop need not re-sum the queues.
+        self._tuples: Dict[str, int] = {}
         if policy == "fifo":
             # The deque's own append: a push runs once per batch.
             self.push = self._fifo.append  # type: ignore[method-assign]
@@ -69,10 +72,14 @@ class SchedulerQueue:
     def push(self, batch) -> None:
         """Enqueue a batch (``batch.operator`` names its operator).  A
         fifo queue's ``push`` is its deque's append instead."""
-        queue = self._per_op.get(batch.operator)
+        operator = batch.operator
+        queue = self._per_op.get(operator)
         if queue is None:
             queue = deque()
-            self._per_op[batch.operator] = queue
+            self._per_op[operator] = queue
+            self._tuples[operator] = batch.count
+        else:
+            self._tuples[operator] += batch.count
         queue.append(batch)
 
     def push_stall(self, duration: float, decision: int = -1) -> None:
@@ -98,18 +105,16 @@ class SchedulerQueue:
             batch = queue.popleft()
             # Rotate: the served operator goes to the back.
             self._per_op.move_to_end(name)
-            if not queue:
-                del self._per_op[name]
-            return batch
-        # longest_queue: operator with the most queued tuples.
-        name = max(
-            self._per_op,
-            key=lambda n: sum(b.count for b in self._per_op[n]),
-        )
-        queue = self._per_op[name]
-        batch = queue.popleft()
-        if not queue:
-            del self._per_op[name]
+        else:
+            # longest_queue: operator with the most queued tuples, the
+            # first in ``_per_op`` order on a tie.
+            name = max(self._per_op, key=self._tuples.__getitem__)
+            queue = self._per_op[name]
+            batch = queue.popleft()
+        if queue:
+            self._tuples[name] -= batch.count
+        else:
+            del self._per_op[name], self._tuples[name]
         return batch
 
     # ------------------------------------------------------------- queries
@@ -132,12 +137,8 @@ class SchedulerQueue:
             ]
             return sum(b.count for b in batches)
         if operator is not None:
-            return sum(
-                b.count for b in self._per_op.get(operator, ())
-            )
-        return sum(
-            b.count for queue in self._per_op.values() for b in queue
-        )
+            return self._tuples.get(operator, 0)
+        return sum(self._tuples.values())
 
     def take_operator(self, operator: str) -> Tuple[object, ...]:
         """Remove and return all pending batches of one operator.
@@ -153,4 +154,5 @@ class SchedulerQueue:
             self._fifo.clear()  # in place: ``push`` is its bound append
             self._fifo.extend(kept)
             return taken
+        self._tuples.pop(operator, None)
         return tuple(self._per_op.pop(operator, ()))

@@ -170,6 +170,44 @@ class TestSchedulerQueueProperties:
         assert seen == expected
 
 
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("push"), st.sampled_from("abcd"),
+                  st.integers(1, 6)),
+        st.tuples(st.just("pop"), st.just(""), st.just(0)),
+        st.tuples(st.just("take"), st.sampled_from("abcd"), st.just(0)),
+    ), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_longest_queue_pops_what_re_summing_picks(self, ops):
+        """The kept per-operator totals choose what summing every queue
+        on each pop chose, ties to the operator queued first."""
+        queue = SchedulerQueue("longest_queue")
+        reference = {}  # operator -> its batches, in first-queued order
+        for kind, operator, count in ops:
+            if kind == "push":
+                batch = FakeBatch(operator, count)
+                queue.push(batch)
+                reference.setdefault(operator, []).append(batch)
+            elif kind == "take":
+                assert list(queue.take_operator(operator)) == (
+                    reference.pop(operator, [])
+                )
+            elif reference:
+                name = max(reference, key=lambda n: sum(
+                    b.count for b in reference[n]
+                ))
+                assert queue.pop() is reference[name].pop(0)
+                if not reference[name]:
+                    del reference[name]
+            for name in "abcd":
+                assert queue.queued_tuples(name) == sum(
+                    b.count for b in reference.get(name, ())
+                )
+            assert queue.queued_tuples() == sum(
+                b.count for batches in reference.values() for b in batches
+            )
+        assert queue.is_empty == (not reference)
+
+
 class TestEngineScheduling:
     def make_plan(self):
         """Two operators sharing one node: a heavy one and a light one."""
