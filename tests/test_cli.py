@@ -129,6 +129,23 @@ class TestSimulateFaults:
         ]) == 0
         assert "faults=2" in capsys.readouterr().out
 
+    def test_stranded_work_fails_check(self, tmp_path, graph_file,
+                                       plan_file, capsys):
+        """A node that crashes for good strands its queued tuples: the
+        point is not feasible, whatever the utilization reads."""
+        faults = str(tmp_path / "faults.json")
+        with open(faults, "w") as handle:
+            json.dump([{"time": 1.0, "kind": "node.crash", "node": 1}],
+                      handle)
+        assert main([
+            "simulate", "--graph", graph_file, "--plan", plan_file,
+            "--rates", "20,20", "--duration", "3", "--faults", faults,
+            "--check",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "stranded=0" not in out
+        assert "feasible at this rate point: False" in out
+
     def test_chaos_seed_with_failover(self, graph_file, plan_file,
                                       capsys):
         assert main([

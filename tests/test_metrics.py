@@ -91,6 +91,13 @@ class TestSimulationResult:
     def test_infeasible_when_backlogged(self):
         assert not self.make(0.8, 1.0).is_feasible()
 
+    def test_infeasible_when_work_is_stranded(self):
+        """A crashed node's queued tuples never drain, although no node
+        reads saturated or backlogged."""
+        result = self.make(0.2, 0.0)
+        result.stranded_tuples = 3
+        assert not result.is_feasible()
+
     def test_threshold_configurable(self):
         assert self.make(0.95, 0.0).is_feasible(utilization_threshold=0.99)
         assert not self.make(0.95, 0.0).is_feasible(
