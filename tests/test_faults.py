@@ -295,6 +295,27 @@ class TestEngineFaultInjection:
         stalled = self.run_plan(faults=crash)
         assert stalled.tuples_out < rescued.tuples_out
 
+    def test_crashed_node_stops_after_its_in_flight_batch(self):
+        """Node 1 is overloaded, so at the crash it is serving a batch
+        with more queued behind it: it finishes that batch, goes idle
+        and serves nothing more."""
+        sink = MemorySink()
+        sim = Simulator(
+            make_plan(cost=0.02), step_seconds=0.1, tracer=Tracer(sink),
+            faults=FaultSchedule([
+                FaultEvent(time=2.0, kind="node.crash", node=1)
+            ]),
+        )
+        result = sim.run(rates=self.RATES, duration=self.DURATION)
+        after = [
+            event["type"] for event in sink.events
+            if event.get("node") == 1 and event["t"] >= 2.0
+            and event["type"] in ("batch.serviced", "node.idle",
+                                  "node.busy")
+        ]
+        assert after == ["batch.serviced", "node.idle"]
+        assert result.stranded_tuples > 0
+
     def test_recovery_resumes_queued_work(self):
         base = self.run_plan()
         cycle = FaultSchedule([

@@ -5,7 +5,9 @@ import pytest
 
 from repro import build_load_model, placement_from_mapping
 from repro.dynamics import Migration, MigrationController
+from repro.faults import FaultEvent, FaultSchedule
 from repro.graphs import Delay, QueryGraph
+from repro.obs import MemorySink, Tracer
 from repro.simulator import Simulator
 
 
@@ -71,6 +73,28 @@ class TestQueuedWorkFollowsOperator:
             overloaded_plan, step_seconds=0.1, controller=controller
         ).run(rates=[50.0], duration=5.0)
         assert result.migration_count == 0
+
+    def test_node_crashed_during_its_pause_stays_quiet(self, overloaded_plan):
+        """The move at t = 1.0 pauses node 1 until t = 1.2, with the
+        heavy operator's backlog queued behind the pause.  Node 1
+        crashes at t = 1.1: when the pause ends it goes idle and serves
+        nothing more."""
+        sink = MemorySink()
+        Simulator(
+            overloaded_plan, step_seconds=0.1,
+            controller=ForcedMove("heavy", source=0, target=1),
+            faults=FaultSchedule([
+                FaultEvent(time=1.1, kind="node.crash", node=1)
+            ]),
+            tracer=Tracer(sink),
+        ).run(rates=[100.0], duration=10.0)
+        after = [
+            event["type"] for event in sink.events
+            if event.get("node") == 1 and event["t"] >= 1.1
+            and event["type"] in ("node.stall", "batch.serviced",
+                                  "node.idle", "node.busy")
+        ]
+        assert after == ["node.stall", "node.idle"]
 
 
 class TestPauseChecked:
