@@ -64,22 +64,17 @@ def rod_order(model: LoadModel) -> List[int]:
 def _candidate_weights(
     node_coeffs: np.ndarray,
     op_row: np.ndarray,
-    totals: np.ndarray,
+    safe_totals: np.ndarray,
+    dead_columns: np.ndarray,
     capacity_share: np.ndarray,
-    safe_totals: Optional[np.ndarray] = None,
-    dead_columns: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Weight matrix every node would have after receiving the operator.
 
     Row ``i`` is node ``i``'s weights with the operator added to *it*
     (other nodes unchanged do not matter for the decision).
-    ``safe_totals`` / ``dead_columns`` let the assignment loop hoist the
-    totals guards instead of recomputing them per operator.
+    ``safe_totals`` / ``dead_columns`` are the column-totals guards,
+    hoisted out of the assignment loop.
     """
-    if safe_totals is None:
-        safe_totals = np.where(totals > _EPS, totals, 1.0)
-    if dead_columns is None:
-        dead_columns = totals <= _EPS
     share = (node_coeffs + op_row) / safe_totals
     share[:, dead_columns] = 0.0
     return share / capacity_share[:, None]
@@ -94,47 +89,28 @@ def _plane_distance_rows(
     return geometry.plane_distance_from_point(weights, origin)
 
 
-def rod_place(
+def _assign(
     model: LoadModel,
-    capacities: Sequence[float],
-    lower_bound: Optional[Sequence[float]] = None,
-    class_one_policy: str = "plane",
-    seed: Optional[int] = None,
-    order: Optional[Sequence[int]] = None,
+    capacities: np.ndarray,
+    assignment: List[int],
+    order: Sequence[int],
+    lower_bound: Optional[Sequence[float]],
+    class_one_policy: str,
+    seed: Optional[int],
     steps: Optional[List[RodStep]] = None,
 ) -> Placement:
-    """Run ROD and return the resulting :class:`Placement`.
+    """Phase 2 over ``order``: the Class I / Class II greedy.
 
-    Parameters
-    ----------
-    model:
-        Linear(ized) load model to place.
-    capacities:
-        Per-node CPU capacities ``C``.
-    lower_bound:
-        Optional workload floor ``B`` in variable space (Section 6.1).
-    class_one_policy:
-        How to pick among Class I nodes, all of which are feasible-set
-        neutral: ``"plane"`` (max candidate plane distance — the default,
-        biasing toward balance), ``"first"``, ``"random"``, or
-        ``"connections"`` (fewest new inter-node arcs, the communication
-        -aware choice mentioned in Section 5.2).
-    seed:
-        Random seed for the ``"random"`` policy.
-    order:
-        Optional explicit assignment order (operator indices); used by the
-        ordering ablation.  Defaults to :func:`rod_order`.
-    steps:
-        Optional list that receives a :class:`RodStep` per assignment.
+    Operators with ``assignment[j] >= 0`` are already placed: they
+    pre-load their nodes' coefficient accumulators and never move.
+    Every operator in ``order`` is then assigned in turn, filling
+    ``assignment`` in place.
     """
     if class_one_policy not in CLASS_ONE_POLICIES:
         raise ValueError(
             f"unknown class-I policy {class_one_policy!r}; "
             f"expected one of {CLASS_ONE_POLICIES}"
         )
-    capacities = geometry.validate_capacities(capacities)
-    n = capacities.shape[0]
-    d = model.num_variables
     totals = model.column_totals()
     capacity_share = capacities / capacities.sum()
 
@@ -144,19 +120,12 @@ def rod_place(
             lower_bound, totals, float(capacities.sum())
         )
 
-    if order is None:
-        order = rod_order(model)
-    else:
-        order = list(order)
-        if sorted(order) != list(range(model.num_operators)):
-            raise ValueError(
-                "order must be a permutation of all operator indices"
-            )
-
     rng = random.Random(seed)
     graph = model.graph
-    node_coeffs = np.zeros((n, d))
-    assignment = [-1] * model.num_operators
+    node_coeffs = np.zeros((capacities.shape[0], model.num_variables))
+    for j, node in enumerate(assignment):
+        if node >= 0:
+            node_coeffs[node] += model.coefficients[j]
     safe_totals = np.where(totals > _EPS, totals, 1.0)
     dead_columns = totals <= _EPS
 
@@ -175,8 +144,7 @@ def rod_place(
     for j in order:
         op_row = model.coefficients[j]
         candidates = _candidate_weights(
-            node_coeffs, op_row, totals, capacity_share,
-            safe_totals, dead_columns,
+            node_coeffs, op_row, safe_totals, dead_columns, capacity_share
         )
         class_one_idx = np.flatnonzero(
             (candidates <= 1.0 + _CLASS_ONE_TOL).all(axis=1)
@@ -221,6 +189,52 @@ def rod_place(
     )
 
 
+def rod_place(
+    model: LoadModel,
+    capacities: Sequence[float],
+    lower_bound: Optional[Sequence[float]] = None,
+    class_one_policy: str = "plane",
+    seed: Optional[int] = None,
+    order: Optional[Sequence[int]] = None,
+    steps: Optional[List[RodStep]] = None,
+) -> Placement:
+    """Run ROD and return the resulting :class:`Placement`.
+
+    Parameters
+    ----------
+    model:
+        Linear(ized) load model to place.
+    capacities:
+        Per-node CPU capacities ``C``.
+    lower_bound:
+        Optional workload floor ``B`` in variable space (Section 6.1).
+    class_one_policy:
+        How to pick among Class I nodes, all of which are feasible-set
+        neutral: ``"plane"`` (max candidate plane distance — the default,
+        biasing toward balance), ``"first"``, ``"random"``, or
+        ``"connections"`` (fewest new inter-node arcs, the communication
+        -aware choice mentioned in Section 5.2).
+    seed:
+        Random seed for the ``"random"`` policy.
+    order:
+        Optional explicit assignment order (operator indices); used by the
+        ordering ablation.  Defaults to :func:`rod_order`.
+    steps:
+        Optional list that receives a :class:`RodStep` per assignment.
+    """
+    capacities = geometry.validate_capacities(capacities)
+    if order is None:
+        order = rod_order(model)
+    else:
+        order = list(order)
+        if sorted(order) != list(range(model.num_operators)):
+            raise ValueError(
+                "order must be a permutation of all operator indices"
+            )
+    return _assign(model, capacities, [-1] * model.num_operators, order,
+                   lower_bound, class_one_policy, seed, steps)
+
+
 def rod_extend(
     placement: Placement,
     new_model: LoadModel,
@@ -234,98 +248,25 @@ def rod_extend(
     system whose current operators cannot be migrated (the paper's core
     premise).  ROD's greedy step is naturally incremental — existing
     assignments simply pre-load the node coefficient accumulators, and
-    only the new operators are ordered and assigned.
+    only the new operators are ordered (by :func:`rod_order`'s norm
+    rule) and assigned.
 
     ``new_model`` must contain every operator of ``placement.model``
     (same names); operators unique to ``new_model`` are the ones placed.
-    Variables may grow too (new input streams or cut streams).
+    Variables may grow too (new input streams or cut streams);
+    ``lower_bound`` is then a floor over ``new_model``'s variables.
     """
-    if class_one_policy not in CLASS_ONE_POLICIES:
-        raise ValueError(
-            f"unknown class-I policy {class_one_policy!r}; "
-            f"expected one of {CLASS_ONE_POLICIES}"
-        )
-    old_model = placement.model
-    old_names = set(old_model.operator_names)
+    old_names = set(placement.model.operator_names)
     missing = old_names - set(new_model.operator_names)
     if missing:
         raise ValueError(
             f"new model dropped operators {sorted(missing)}; rod_extend "
             "only supports additive growth"
         )
-    capacities = placement.capacities
-    n = capacities.shape[0]
-    totals = new_model.column_totals()
-    capacity_share = capacities / capacities.sum()
-
-    b_hat: Optional[np.ndarray] = None
-    if lower_bound is not None:
-        b_hat = geometry.normalize_lower_bound(
-            lower_bound, totals, float(capacities.sum())
-        )
-
-    # Pre-load node coefficients with the pinned operators.
-    node_coeffs = np.zeros((n, new_model.num_variables))
-    assignment = [-1] * new_model.num_operators
-    for j, name in enumerate(new_model.operator_names):
-        if name in old_names:
-            node = placement.node_of(name)
-            assignment[j] = node
-            node_coeffs[node] += new_model.coefficients[j]
-
-    fresh = [
-        j
-        for j, name in enumerate(new_model.operator_names)
-        if name not in old_names
+    assignment = [
+        placement.node_of(name) if name in old_names else -1
+        for name in new_model.operator_names
     ]
-    norms = new_model.operator_norms()
-    fresh.sort(key=lambda j: (-norms[j], j))
-
-    rng = random.Random(seed)
-    graph = new_model.graph
-
-    def new_cross_arcs(op_index: int, node: int) -> int:
-        name = new_model.operator_names[op_index]
-        count = 0
-        for neighbor in (
-            graph.upstream_operators(name) + graph.downstream_operators(name)
-        ):
-            other = assignment[new_model.operator_index(neighbor)]
-            if other >= 0 and other != node:
-                count += 1
-        return count
-
-    for j in fresh:
-        op_row = new_model.coefficients[j]
-        candidates = _candidate_weights(
-            node_coeffs, op_row, totals, capacity_share
-        )
-        class_one_idx = np.flatnonzero(
-            (candidates <= 1.0 + _CLASS_ONE_TOL).all(axis=1)
-        )
-        distances = _plane_distance_rows(candidates, b_hat)
-        if class_one_idx.size:
-            if class_one_policy == "first":
-                node = int(class_one_idx[0])
-            elif class_one_policy == "random":
-                node = int(rng.choice(class_one_idx.tolist()))
-            elif class_one_policy == "connections":
-                node = min(
-                    class_one_idx.tolist(),
-                    key=lambda i: (new_cross_arcs(j, i), -distances[i], i),
-                )
-            else:  # "plane": max distance, ties to the lowest node index
-                node = int(class_one_idx[np.argmax(distances[class_one_idx])])
-        else:
-            node = int(np.argmax(distances))
-        assignment[j] = node
-        node_coeffs[node] += op_row
-
-    return Placement(
-        model=new_model,
-        capacities=capacities,
-        assignment=tuple(assignment),
-        lower_bound=(
-            None if b_hat is None else np.asarray(lower_bound, float)
-        ),
-    )
+    fresh = [j for j in rod_order(new_model) if assignment[j] < 0]
+    return _assign(new_model, placement.capacities, assignment, fresh,
+                   lower_bound, class_one_policy, seed)
