@@ -89,7 +89,7 @@ _MID_HIER = dict(group_size=8, refine_iterations=100, samples=512,
 
 def test_mid_hierarchical_vs_flat(benchmark, require_tier):
     """The scale path's acceptance numbers, asserted as a benchmark:
-    hierarchical cluster-then-place with batched scoring is at least 4x
+    hierarchical group-then-refine with batched scoring is at least 4x
     faster than flat annealing at 384 operators / 96 nodes, and gives
     up no more than 5% of the flat baseline's feasible-set volume."""
     require_tier("mid")

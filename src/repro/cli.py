@@ -893,8 +893,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=tuple(placers.PLACERS))
     place.add_argument(
         "--hierarchical", action="store_true",
-        help="shortcut for --algorithm hierarchical: cluster-then-place "
-             "for large clusters (hundreds to 1000 nodes)",
+        help="shortcut for --algorithm hierarchical: one ROD pass, then "
+             "annealing within node groups, for large clusters "
+             "(hundreds to 1000 nodes)",
     )
     place.add_argument(
         "--score-batch", type=_bounded(int, 1), default=1, metavar="K",

@@ -26,7 +26,6 @@ solution".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +42,6 @@ __all__ = [
     "TransferCosts",
     "Clustering",
     "ClusteredModel",
-    "cluster_by_affinity",
     "cluster_operators",
     "communication_feasible_set",
     "search_clusterings",
@@ -207,10 +205,10 @@ def cluster_operators(
     threshold:
         Arcs with clustering ratio below this are never contracted.
     max_weight:
-        Cap on a cluster's largest per-variable load share; defaults to
-        1 / (number of variables only known at placement time) — callers
-        normally pass ``min_i C_i / C_T``.  ``None`` disables the cap only
-        if explicitly passed as ``math.inf``.
+        Cap on a cluster's largest per-variable load share; callers
+        normally pass ``min_i C_i / C_T``.  ``None`` means a cap of 1.0
+        (no cluster may carry more than a variable's whole load); pass
+        ``math.inf`` to disable the cap.
     approach:
         ``"ratio"`` (contract largest ratio first) or ``"weight"``
         (contract cheapest combined weight first).
@@ -273,148 +271,6 @@ def cluster_operators(
             )
         parent[b] = a
         rows[a] = rows[a] + rows[b]
-
-    groups: Dict[str, List[str]] = {}
-    for name in model.operator_names:
-        groups.setdefault(find(name), []).append(name)
-    return Clustering(groups=tuple(tuple(g) for g in groups.values()))
-
-
-def _row_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two load-coefficient rows (0 when either is 0)."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na <= _EPS or nb <= _EPS:
-        return 0.0
-    return float(a @ b) / (na * nb)
-
-
-def cluster_by_affinity(
-    model: LoadModel,
-    max_clusters: int,
-    max_weight: Optional[float] = None,
-) -> Clustering:
-    """Partition operators into ``<= max_clusters`` placement units.
-
-    The decomposition step of the hierarchical placer: unlike
-    :func:`cluster_operators` (which contracts arcs whose *transfer
-    cost* dominates), this groups by **affinity** so the cluster-level
-    solve stays small while the units remain good building blocks for
-    resilient placement:
-
-    * **communication affinity** — only graph-adjacent clusters merge
-      while arcs remain, so each unit is a connected subgraph and
-      placing it on one node keeps its internal streams local;
-    * **correlation affinity** — among adjacent pairs, prefer merging
-      operators whose load-coefficient rows point in *different*
-      directions (low cosine similarity).  A cluster built from
-      complementary rows loads several variables a little instead of
-      one variable a lot, which is exactly the row shape ROD balances
-      best (the same reasoning as Section 7.2's correlation baseline,
-      applied intra-cluster).
-
-    A merge is skipped when the merged row's largest per-variable load
-    share would exceed ``max_weight`` (default: no cap), mirroring
-    :func:`cluster_operators` — an over-heavy cluster can never be
-    balanced by any downstream placement.  If the graph runs out of
-    arcs before reaching ``max_clusters``, remaining clusters merge by
-    smallest combined weight regardless of adjacency; if the weight cap
-    blocks every remaining merge, the function returns more than
-    ``max_clusters`` units rather than emit an unbalanceable one.
-    """
-    if max_clusters < 1:
-        raise ValueError("max_clusters must be >= 1")
-    totals = model.column_totals()
-    cap = max_weight if max_weight is not None else math.inf
-
-    parent = {name: name for name in model.operator_names}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rows = {
-        name: model.coefficients[model.operator_index(name)].copy()
-        for name in model.operator_names
-    }
-    num_clusters = len(parent)
-
-    # Root-level adjacency, maintained incrementally: a merge touches
-    # only the merged cluster's neighborhood, so each round recomputes
-    # O(degree) affinities instead of rescanning every arc.
-    neighbors: Dict[str, set] = {name: set() for name in model.operator_names}
-    for arc in model.graph.arcs():
-        if arc.producer != arc.consumer:
-            neighbors[arc.producer].add(arc.consumer)
-            neighbors[arc.consumer].add(arc.producer)
-
-    def pair_key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
-    def affinity(a: str, b: str) -> Optional[float]:
-        """Merge desirability, or ``None`` when the weight cap blocks it."""
-        if _cluster_weight(rows[a] + rows[b], totals) > cap + _EPS:
-            return None
-        return -_row_cosine(rows[a], rows[b])
-
-    scores: Dict[Tuple[str, str], Optional[float]] = {}
-    for a, nbrs in neighbors.items():
-        for b in nbrs:
-            key = pair_key(a, b)
-            if key not in scores:
-                scores[key] = affinity(*key)
-
-    # Phase 1: contract graph arcs, best affinity first.
-    while num_clusters > max_clusters and scores:
-        best_key: Optional[Tuple[str, str]] = None
-        best_aff: Optional[float] = None
-        for key, value in scores.items():
-            if value is None:
-                continue
-            if best_aff is None or (value, key) > (best_aff, best_key):
-                best_key, best_aff = key, value
-        if best_key is None:
-            break
-        a, b = best_key
-        parent[b] = a
-        rows[a] = rows[a] + rows[b]
-        num_clusters -= 1
-        merged_nbrs = neighbors.pop(b)
-        kept = neighbors[a]
-        for x in merged_nbrs:
-            if x == a:
-                continue
-            neighbors[x].discard(b)
-            neighbors[x].add(a)
-            kept.add(x)
-        kept.discard(a)
-        kept.discard(b)
-        scores = {
-            key: value
-            for key, value in scores.items()
-            if a not in key and b not in key
-        }
-        for x in kept:
-            scores[pair_key(a, x)] = affinity(*pair_key(a, x))
-
-    # Phase 2: the graph is out of arcs — merge lightest pairs.
-    while num_clusters > max_clusters:
-        roots = sorted({find(name) for name in model.operator_names})
-        candidates = []
-        for i, a in enumerate(roots):
-            for b in roots[i + 1:]:
-                weight = _cluster_weight(rows[a] + rows[b], totals)
-                if weight > cap + _EPS:
-                    continue
-                candidates.append((weight, a, b))
-        if not candidates:
-            break
-        _w, a, b = min(candidates)
-        parent[b] = a
-        rows[a] = rows[a] + rows[b]
-        num_clusters -= 1
 
     groups: Dict[str, List[str]] = {}
     for name in model.operator_names:

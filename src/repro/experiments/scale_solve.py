@@ -1,4 +1,4 @@
-"""Scaling the solve: flat annealing vs hierarchical cluster-then-place.
+"""Scaling the solve: flat annealing vs hierarchical group-then-refine.
 
 The paper's experiments stop at tens of nodes; real stream-processing
 deployments run hundreds.  This experiment measures how the two search
@@ -7,7 +7,7 @@ paths scale with cluster size on the same workload family:
 * **flat** — ROD warm start polished by the incremental annealing
   kernel with its default budget (the strongest single-level baseline);
 * **hierarchical** — :class:`~repro.placement.hierarchical.HierarchicalPlacer`:
-  cluster-level ROD, capacity-balanced node groups, then masked
+  capacity-balanced node groups, one global ROD warm start, then masked
   within-group refinement with batched candidate scoring.
 
 Measured shape (honest): at every measured scale the hierarchical

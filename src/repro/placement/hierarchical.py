@@ -1,27 +1,18 @@
-"""Hierarchical cluster-then-place-then-refine for large clusters.
+"""Hierarchical group-then-refine placement for large clusters.
 
 Flat annealing scores every candidate move against all ``n`` nodes; at
 1000 nodes the state alone (per-node dot columns over thousands of
 samples) stops fitting the cache and the search budget spreads so thin
-that few moves per node are ever tried.  The hierarchical placer
-decomposes the solve the way the paper's Section 6.3 clustering
-extension decomposes communication: solve a *small* problem exactly
-where structure matters, and recurse.
+that few moves per node are ever tried.  The hierarchical placer splits
+the search into small independent subproblems:
 
 1. **Group the nodes.**  Nodes are sorted by capacity and dealt
    round-robin into ``ceil(n / group_size)`` groups, so group capacities
    stay balanced and every group holds a mix of big and small nodes.
-2. **Cluster the operators** with
-   :func:`repro.core.clustering.cluster_by_affinity` — connected,
-   correlation-complementary units small enough to balance (the same
-   weight-cap rule as Section 6.3's contraction).
-3. **Place clusters onto groups** by running ROD on the
-   :class:`~repro.core.clustering.ClusteredModel` against one super-node
-   per group (capacity = group total).  This is a
-   ``num_clusters x num_groups`` problem — tiny — and ROD's Class I
-   reasoning applies unchanged because the super-node weight rows are
-   sums of member rows.
-4. **Refine inside each group** with the incremental
+2. **Warm-start with one global ROD pass** over every operator and
+   every node.  Its node assignment is the starting plan, and the group
+   of each operator's node fixes which subproblem the operator joins.
+3. **Refine inside each group** with the incremental
    :class:`~repro.placement.annealing.AnnealingPlacer` on the group's
    operators and nodes only.  Each refinement scores against the
    *cluster-wide* capacity normalization (``total_capacity`` override),
@@ -43,7 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.clustering import ClusteredModel, cluster_by_affinity
 from ..core.load_model import LoadModel
 from ..core.plans import Placement
 from ..core.rod import rod_place
@@ -74,7 +64,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 class RestrictedModel:
     """A load model restricted to a subset of the base model's operators.
 
-    Duck-types what :func:`~repro.core.rod.rod_place` and
+    Duck-types what a group's
+    :class:`~repro.placement.annealing.AnnealingPlacer` refinement and
     :class:`~repro.core.plans.Placement` need, with one crucial
     property: :meth:`column_totals` returns the **base model's global
     totals**, so weight matrices computed for the restriction are the
@@ -118,35 +109,23 @@ class RestrictedModel:
 
 
 class HierarchicalPlacer(Placer):
-    """Cluster-then-place-then-refine placement for large clusters."""
+    """Group-then-refine placement for large clusters."""
 
     name = "hierarchical"
 
     def __init__(
         self,
         group_size: int = 16,
-        max_clusters: Optional[int] = None,
-        max_weight_multiplier: float = 1.0,
         refine_iterations: int = 600,
         samples: int = 512,
         seed: Optional[int] = None,
         score_batch: int = 1,
     ) -> None:
         """``group_size`` bounds each refinement subproblem's node
-        count.  ``max_clusters`` bounds the cluster-level solve's unit
-        count; the default ``None`` keeps every operator its own unit
-        (lossless — coarser clusters make the decomposition cheaper but
-        measurably cost volume, see ``docs/performance.md``).
-        ``max_weight_multiplier`` scales the cluster weight cap
-        (multiples of the smallest group's capacity share);
-        ``refine_iterations`` / ``samples`` / ``score_batch``
+        count; ``refine_iterations`` / ``samples`` / ``score_batch``
         parameterize each group's annealing refinement."""
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
-        if max_clusters is not None and max_clusters < 1:
-            raise ValueError("max_clusters must be >= 1")
-        if max_weight_multiplier <= 0:
-            raise ValueError("max_weight_multiplier must be > 0")
         if refine_iterations < 1:
             raise ValueError("refine_iterations must be >= 1")
         if samples < 1:
@@ -154,8 +133,6 @@ class HierarchicalPlacer(Placer):
         if score_batch < 1:
             raise ValueError("score_batch must be >= 1")
         self.group_size = group_size
-        self.max_clusters = max_clusters
-        self.max_weight_multiplier = max_weight_multiplier
         self.refine_iterations = refine_iterations
         self.samples = samples
         self.seed = seed
@@ -199,77 +176,32 @@ class HierarchicalPlacer(Placer):
             ).place(model, caps)
 
         total_capacity = float(caps.sum())
-        group_caps = np.array([float(caps[g].sum()) for g in groups])
         node_group = [0] * caps.shape[0]
         for group_index, nodes in enumerate(groups):
             for node in nodes:
                 node_group[node] = group_index
 
-        # Phase 2-3: cluster the operators, place clusters onto node
-        # groups.  The cluster-level ROD runs at *node* granularity and
-        # only its group projection is kept: the per-node detail is
-        # thrown away (refinement redoes it at operator granularity),
-        # but the greedy needs it — balancing group aggregates alone
-        # yields group compositions no within-group placement can
-        # balance (see docs/performance.md for the measurements).
-        max_clusters = model.num_operators
-        if self.max_clusters is not None:
-            max_clusters = min(max_clusters, self.max_clusters)
-        operator_granular = max_clusters >= model.num_operators
-        if operator_granular:
-            # Every operator is its own unit, so the cluster-level solve
-            # *is* a full-model ROD and its node assignment doubles as
-            # the warm start — no clustering pass, no per-group re-ROD.
-            cluster_plan = rod_place(model, caps)
-            assignment = list(cluster_plan.assignment)
-            operator_group = [node_group[node] for node in assignment]
-        else:
-            weight_cap = (
-                self.max_weight_multiplier
-                * float(group_caps.min())
-                / total_capacity
-            )
-            clustering = cluster_by_affinity(
-                model, max_clusters, max_weight=weight_cap
-            )
-            clustered = ClusteredModel(model, clustering)
-            cluster_plan = rod_place(clustered, caps)
-            operator_group = [0] * model.num_operators
-            for cluster_index, node in enumerate(cluster_plan.assignment):
-                for name in clustering.groups[cluster_index]:
-                    operator_group[model.operator_index(name)] = (
-                        node_group[node]
-                    )
-
+        # Phase 2: one ROD pass at *node* granularity is the warm start,
+        # and its group projection splits the operators.  Balancing the
+        # group aggregates alone would yield group compositions no
+        # within-group placement can balance, and coarser placement
+        # units cost volume (see docs/performance.md).
+        assignment = list(rod_place(model, caps).assignment)
         group_ops: List[Tuple[int, ...]] = []
         for group_index in range(len(groups)):
             group_ops.append(tuple(
-                j for j in range(model.num_operators)
-                if operator_group[j] == group_index
+                j for j, node in enumerate(assignment)
+                if node_group[node] == group_index
             ))
-        if not operator_granular:
-            # Phase 4a: warm start — coarse clusters stack their members
-            # on one node, so ROD inside each group re-spreads them at
-            # operator granularity before refinement.
-            assignment = [0] * model.num_operators
-            for group_index, nodes in enumerate(groups):
-                ops = group_ops[group_index]
-                if not ops:
-                    continue
-                sub = RestrictedModel(model, ops)
-                node_caps = tuple(float(caps[i]) for i in nodes)
-                local = rod_place(sub, node_caps).assignment
-                for j, local_node in zip(ops, local):
-                    assignment[j] = nodes[local_node]
 
-        # Phase 4b: per-group conditioning masks.  A sample only counts
+        # Phase 3a: per-group conditioning masks.  A sample only counts
         # toward group g's objective if every node *outside* g already
         # fits it under the warm start — so each refinement climbs the
         # global feasible count, holding the other groups fixed.
         masks = self._group_masks(model, caps, total_capacity,
                                   groups, assignment)
 
-        # Phase 4c: refine each group's operators on its own nodes.
+        # Phase 3b: refine each group's operators on its own nodes.
         base_seed = self.seed if self.seed is not None else 0
         for group_index, nodes in enumerate(groups):
             ops = group_ops[group_index]
