@@ -152,13 +152,22 @@ class Deployment:
         return cls(placement, transfer_costs=transfer_costs, obs=obs)
 
     def grow(self, new_graph: QueryGraph) -> "Deployment":
-        """Add new operators without moving deployed ones (rod_extend)."""
+        """Add new operators without moving deployed ones (rod_extend).
+
+        A floored deployment keeps each old variable's floor, matched by
+        name; a new variable (a new input or cut stream) gets a floor
+        of 0.
+        """
         with self.obs.phase("plan.grow"):
             new_model = build_load_model(new_graph)
+            lower_bound = self.placement.lower_bound
+            if lower_bound is not None:
+                floors = dict(zip(self.model.variables, lower_bound))
+                lower_bound = np.array([
+                    floors.get(name, 0.0) for name in new_model.variables
+                ])
             extended = rod_extend(
-                self.placement,
-                new_model,
-                lower_bound=self.placement.lower_bound,
+                self.placement, new_model, lower_bound=lower_bound
             )
         return Deployment(
             extended, transfer_costs=self.transfer_costs, obs=self.obs

@@ -99,6 +99,23 @@ class TestGrow:
             )
         assert "new_filter" in grown.model.operator_names
 
+    def test_grow_carries_floors_by_variable_name(self):
+        graph = monitoring_graph(2, seed=1)
+        deployment = Deployment.plan(graph, [1.0, 1.0],
+                                     lower_bound=[5.0, 5.0])
+        grown_graph = graph_from_dict(graph_to_dict(graph))
+        stream = grown_graph.add_input("link_new")
+        grown_graph.add_operator(
+            Delay("new_delay", cost=2e-4, selectivity=1.0), [stream]
+        )
+        grown = deployment.grow(grown_graph)
+        assert grown.model.variables == ("link0", "link1", "link_new")
+        assert grown.placement.lower_bound.tolist() == [5.0, 5.0, 0.0]
+        for name in deployment.model.operator_names:
+            assert grown.placement.node_of(name) == (
+                deployment.placement.node_of(name)
+            )
+
 
 class TestExecution:
     def test_simulate(self, graph):
