@@ -41,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "lint_source",
         "prune_baseline_paths",
     ),
-    ".runner": ("CheckRunner", "check_artifact", "default_runner"),
+    ".runner": ("check_artifact",),
     ".suppress": ("NoqaMarker", "find_markers"),
     ".verify_config": ("check_experiment_config",),
     ".verify_graph": ("check_graph",),
@@ -52,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 __all__ = [
     "CheckError",
     "CheckReport",
-    "CheckRunner",
     "Diagnostic",
     "LINT_CODES",
     "NoqaMarker",
@@ -66,7 +65,6 @@ __all__ = [
     "check_placement",
     "check_plan_document",
     "classify_document",
-    "default_runner",
     "find_markers",
     "lint_paths",
     "lint_source",

@@ -1,16 +1,16 @@
-"""Verifier registry and dispatch.
+"""Verifier dispatch for in-memory artifacts.
 
-A :class:`CheckRunner` maps artifact types to verifier passes and runs
-every registered pass over whatever artifacts it is handed, aggregating
-one :class:`~repro.check.diagnostics.CheckReport`.  The module-level
-:func:`check_artifact` uses the default runner, which knows the core
-artifact types (query graphs, load models, placements); embedders can
-register extra passes for their own types without touching this package.
+:func:`check_artifact` runs the verifier passes that fit each
+artifact's type — query graphs, load models, placements — and
+aggregates one :class:`~repro.check.diagnostics.CheckReport`.  A
+:class:`LoadModel` also has its graph checked, and a
+:class:`Placement` its model's graph; any other type is skipped with a
+``REPRO002`` info.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Tuple, Type
+from typing import Any
 
 from ..core.load_model import LoadModel
 from ..core.plans import Placement
@@ -20,66 +20,28 @@ from .verify_graph import check_graph
 from .verify_model import check_model
 from .verify_plan import check_placement
 
-__all__ = ["CheckRunner", "default_runner", "check_artifact"]
-
-Verifier = Callable[[Any], CheckReport]
-
-
-class CheckRunner:
-    """Aggregates verifier passes keyed by artifact type."""
-
-    def __init__(self) -> None:
-        self._passes: List[Tuple[Type[Any], Verifier]] = []
-
-    def register(self, artifact_type: Type[Any], verifier: Verifier) -> None:
-        """Run ``verifier`` on every artifact of ``artifact_type``."""
-        self._passes.append((artifact_type, verifier))
-
-    def verifiers_for(self, artifact: Any) -> List[Verifier]:
-        return [
-            verifier
-            for artifact_type, verifier in self._passes
-            if isinstance(artifact, artifact_type)
-        ]
-
-    def run(self, *artifacts: Any) -> CheckReport:
-        """Run all matching passes over the artifacts, in order."""
-        report = CheckReport()
-        for artifact in artifacts:
-            verifiers = self.verifiers_for(artifact)
-            if not verifiers:
-                report.add(Diagnostic(
-                    code="REPRO002",
-                    severity=Severity.INFO,
-                    message=(
-                        f"no verifier registered for "
-                        f"{type(artifact).__name__}; artifact skipped"
-                    ),
-                ))
-                continue
-            for verifier in verifiers:
-                report.merge(verifier(artifact))
-        return report
-
-
-def default_runner() -> CheckRunner:
-    """A runner pre-loaded with the core artifact verifiers.
-
-    A :class:`Placement` is checked as a plan *and* has its model and
-    graph checked; a :class:`LoadModel` also pulls in its graph.
-    """
-    runner = CheckRunner()
-    runner.register(QueryGraph, check_graph)
-    runner.register(LoadModel, lambda m: check_graph(m.graph))
-    runner.register(LoadModel, check_model)
-    runner.register(Placement, lambda p: check_graph(p.model.graph))
-    runner.register(Placement, check_placement)
-    return runner
-
-
-_DEFAULT = default_runner()
+__all__ = ["check_artifact"]
 
 
 def check_artifact(*artifacts: Any) -> CheckReport:
-    """Check artifacts with the default verifier registry."""
-    return _DEFAULT.run(*artifacts)
+    """Check artifacts in order, graph passes before model or plan ones."""
+    report = CheckReport()
+    for artifact in artifacts:
+        if isinstance(artifact, QueryGraph):
+            report.merge(check_graph(artifact))
+        elif isinstance(artifact, LoadModel):
+            report.merge(check_graph(artifact.graph))
+            report.merge(check_model(artifact))
+        elif isinstance(artifact, Placement):
+            report.merge(check_graph(artifact.model.graph))
+            report.merge(check_placement(artifact))
+        else:
+            report.add(Diagnostic(
+                code="REPRO002",
+                severity=Severity.INFO,
+                message=(
+                    f"no verifier registered for "
+                    f"{type(artifact).__name__}; artifact skipped"
+                ),
+            ))
+    return report

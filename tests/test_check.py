@@ -11,7 +11,6 @@ from repro import build_load_model
 from repro.check import (
     CheckError,
     CheckReport,
-    CheckRunner,
     Diagnostic,
     Severity,
     check_artifact,
@@ -262,17 +261,6 @@ class TestPlacementVerifier:
         report = check_artifact(object())
         assert report.ok
         assert report.by_code("REPRO002")
-
-    def test_custom_runner_registration(self, graph):
-        runner = CheckRunner()
-        runner.register(
-            QueryGraph,
-            lambda g: CheckReport(
-                [Diagnostic("X999", Severity.ERROR, "custom")]
-            ),
-        )
-        report = runner.run(graph)
-        assert [d.code for d in report] == ["X999"]
 
 
 class TestExperimentConfigVerifier:
