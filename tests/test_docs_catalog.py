@@ -9,9 +9,10 @@ simulator docs must name every fault kind the engine understands, the
 static-analysis code table must list every lint rule, the
 run-directory table must name every file a run directory holds, every
 test or benchmark and every dotted ``repro.`` name a doc cites must
-exist, the CLI reference must cover every subcommand, option and
-artifact id the parser declares, and every ``repro-rod`` command a doc
-shows must parse.
+exist, DESIGN.md's experiment index must name importable modules and
+existing bench targets, the CLI reference must cover every subcommand,
+option and artifact id the parser declares, and every ``repro-rod``
+command a doc shows must parse.
 """
 
 import argparse
@@ -183,6 +184,48 @@ class TestDocCitations:
         ]
         assert len(citations) > 100  # the pattern still matches the docs
         assert [c for c in citations if not _imports(c[1])] == []
+
+
+def _experiment_index():
+    """DESIGN.md section 3's table, one ``{header: cell}`` dict a row."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text[text.index("## 3. Experiment index"):]
+    section = section[:section.index("\n## ")]
+    header, _rule, *body = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines() if line.startswith("|")
+    ]
+    return [dict(zip(header, cells)) for cells in body]
+
+
+class TestExperimentIndex:
+    def test_every_module_cell_imports(self):
+        names = [
+            (row["Id"], name)
+            for row in _experiment_index()
+            for name in re.findall(r"`([^`]+)`", row["Modules"])
+        ]
+        assert len(names) > 20  # the parser still finds the table
+        assert [n for n in names if not _imports(f"repro.{n[1]}")] == []
+
+    def test_every_bench_target_resolves(self):
+        targets = [
+            (row["Id"], row["Bench target"])
+            for row in _experiment_index()
+        ]
+        assert len(targets) > 20
+        # A row's target cites tests or benchmarks that exist, or names
+        # the CI step that runs it.
+        assert [
+            t for t in targets
+            if not (CITATION.findall(t[1]) or t[1].startswith("CI "))
+        ] == []
+        assert [
+            (row_id, citation)
+            for row_id, cell in targets
+            for citation in CITATION.findall(cell)
+            if not _resolves(citation)
+        ] == []
 
 
 def _parsers(parser):
