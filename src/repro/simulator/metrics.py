@@ -175,7 +175,13 @@ class SimulationResult:
 
     @property
     def total_migration_pause(self) -> float:
-        """Seconds of node stall spent on migrations (both endpoints)."""
+        """Seconds of node stall charged to migrations, counted as
+        ``2 * pause_seconds`` per move (source and target).
+
+        A failover move, off a crashed node, stalls only its target, so
+        with failover moves this exceeds the stall time the nodes served
+        (the ``work`` of the trace's ``node.stall`` events).
+        """
         return float(
             sum(2.0 * m.pause_seconds for m in self.migrations)
         )
