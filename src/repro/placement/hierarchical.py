@@ -29,7 +29,6 @@ incremental kernel.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
